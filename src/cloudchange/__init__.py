@@ -8,6 +8,7 @@ change map.  A deterministic synthetic-scene generator and trajectory-error
 metrics support end-to-end verification without any learned model.
 """
 
+from .bundles import FORMAT_VERSION
 from .changes import ChangeMap, change_scores, classify_changes, color_ramp_table, colorize
 from .cloud import (
     PointCloud,
@@ -62,4 +63,3 @@ from .pipeline import PipelineConfig, RegistrationResult, RunReport, register_ep
 from .synthetic import BiTemporalScene, SceneSpec, generate_scene, mock_joint_inference
 
 __version__ = "0.1.0"
-FORMAT_VERSION = "1.0"

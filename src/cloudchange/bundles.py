@@ -9,25 +9,26 @@ and ground-truth trajectories, the shared-frame joint keyframe clouds, and a
 gt.json with the ground-truth transforms and per-point change labels.
 
 Every file declares a ``format_version``; readers reject unknown major
-versions with a :class:`SchemaError` naming the offending file.
+versions with a :class:`SchemaError` naming the offending file.  This module
+owns that version, its check, and the reading and writing of JSON files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud
 from .coarse import JointReconstruction
-from .errors import SchemaError
+from .errors import InvalidSpec, SchemaError
 from .geometry import CameraFrame, SE3Pose, Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
 from .synthetic import (
     BiTemporalScene,
-    ChangeSpec,
     SceneSpec,
     all_frames_keyframes,
     mock_joint_inference,
@@ -38,7 +39,8 @@ FORMAT_VERSION = "1.0"
 _GRID_HEADER_KEYS = ("format_version", "height", "width", "dtype", "endianness")
 
 
-def _check_version(version, path):
+def check_version(version, path):
+    """Reject a ``format_version`` whose major part differs from ours."""
     if not isinstance(version, str) or version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise SchemaError(f"{path}: unsupported format_version {version!r}")
 
@@ -47,6 +49,33 @@ def _require(mapping: dict, key: str, path) -> object:
     if key not in mapping:
         raise SchemaError(f"{path}: missing field {key!r}")
     return mapping[key]
+
+
+def read_json(path) -> dict:
+    """Load a JSON object that declares a supported ``format_version``.
+
+    Raises:
+        SchemaError: naming ``path`` when the file is missing, is not UTF-8
+            JSON, is not an object, or carries an unsupported version.
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise SchemaError(f"{path}: file not found") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    check_version(_require(data, "format_version", path), path)
+    return data
+
+
+def write_json(path, data: dict):
+    """Write ``data`` as sorted, two-space-indented JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def write_depth_grid(path, grid: np.ndarray):
@@ -84,7 +113,7 @@ def read_depth_grid(path) -> np.ndarray:
         raise SchemaError(f"{path}: bad grid header ({exc})") from None
     for key in _GRID_HEADER_KEYS:
         _require(header, key, path)
-    _check_version(header["format_version"], path)
+    check_version(header["format_version"], path)
     if header["dtype"] != "float32" or header["endianness"] != "little":
         raise SchemaError(
             f"{path}: unsupported grid encoding {header['dtype']}/{header['endianness']}"
@@ -120,9 +149,7 @@ def write_depth_bundle(directory, frames: list):
             "depth_file": f"{stem}_depth.bin",
             "confidence_file": f"{stem}_conf.bin",
         }
-        with open(directory / f"{stem}.json", "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(directory / f"{stem}.json", meta)
 
 
 def read_depth_bundle(directory) -> list:
@@ -138,11 +165,7 @@ def read_depth_bundle(directory) -> list:
         raise SchemaError(f"{directory}: no frame_*.json files found")
     frames = []
     for meta_path in meta_paths:
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{meta_path}: invalid JSON ({exc})") from None
-        _check_version(_require(meta, "format_version", meta_path), meta_path)
+        meta = read_json(meta_path)
         for key in ("frame_index", "intrinsics", "rotation", "translation",
                     "depth_file", "confidence_file"):
             _require(meta, key, meta_path)
@@ -192,18 +215,11 @@ def write_trajectory(path, trajectory: Trajectory):
             for epoch, pose in zip(trajectory.epoch_ids, trajectory.poses)
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(path, data)
 
 
 def read_trajectory(path) -> Trajectory:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    _check_version(_require(data, "format_version", path), path)
+    data = read_json(path)
     poses, epochs = [], []
     for i, entry in enumerate(_require(data, "poses", path)):
         for key in ("epoch_id", "frame_index", "rotation", "translation"):
@@ -221,21 +237,6 @@ def read_trajectory(path) -> Trajectory:
             raise SchemaError(f"{path}: pose {i}: {exc}") from None
         epochs.append(int(entry["epoch_id"]))
     return Trajectory(tuple(poses), tuple(epochs))
-
-
-def _transform_to_json(t: Sim3Transform) -> dict:
-    return {"scale": t.scale, "rotation": t.rotation.tolist(), "translation": t.translation.tolist()}
-
-
-def _transform_from_json(d: dict, path) -> Sim3Transform:
-    for key in ("scale", "rotation", "translation"):
-        _require(d, key, path)
-    try:
-        return Sim3Transform(
-            d["scale"], np.asarray(d["rotation"]), np.asarray(d["translation"])
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: bad transform ({exc})") from None
 
 
 def write_epoch_dir(directory, frames: list, trajectory: Trajectory = None):
@@ -260,7 +261,10 @@ def read_epoch_dir(directory) -> list:
         raise SchemaError(f"{directory}: no frame_*.ply files found")
     frames = []
     for expected, path in enumerate(paths, start=1):
-        index = int(path.stem.split("_")[1])
+        token = path.stem[len("frame_"):]
+        if not (token.isascii() and token.isdigit()):
+            raise SchemaError(f"{path}: cannot parse a frame number from the file name")
+        index = int(token)
         if index != expected:
             raise SchemaError(f"{directory}: frame files are not consecutive at {path.name}")
         cloud = read_ply(path)
@@ -305,8 +309,8 @@ def scene_ground_truth_dict(scene) -> dict:
         "seed": scene.spec.seed,
         "n_frames": scene.spec.n_frames_per_epoch,
         "extent": scene.extent,
-        "epoch_transforms": [_transform_to_json(t) for t in scene.epoch_transforms],
-        "gt_relative": _transform_to_json(scene.gt_relative),
+        "epoch_transforms": [t.to_dict() for t in scene.epoch_transforms],
+        "gt_relative": scene.gt_relative.to_dict(),
         "labels_t1": scene.labels_t1.astype(int).tolist(),
         "labels_t2": scene.labels_t2.astype(int).tolist(),
         "edge_t1": scene.edge_t1.astype(int).tolist(),
@@ -318,45 +322,26 @@ def scene_ground_truth_dict(scene) -> dict:
 
 def read_ground_truth(path) -> dict:
     """Parse a gt.json into transforms and label arrays."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"{path}: ground-truth file not found")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    _check_version(_require(data, "format_version", path), path)
+    data = read_json(path)
     pair = _require(data, "epoch_transforms", path)
-    if len(pair) != 2:
+    if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError(f"{path}: epoch_transforms must hold exactly two transforms")
     return {
         "seed": int(_require(data, "seed", path)),
         "n_frames": int(_require(data, "n_frames", path)),
         "extent": float(_require(data, "extent", path)),
-        "epoch_transforms": tuple(_transform_from_json(t, path) for t in pair),
-        "gt_relative": _transform_from_json(_require(data, "gt_relative", path), path),
+        "epoch_transforms": tuple(
+            Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in pair
+        ),
+        "gt_relative": Sim3Transform.from_dict(
+            _require(data, "gt_relative", path), f"{path}: gt_relative"
+        ),
         "labels_t1": np.asarray(data.get("labels_t1", []), dtype=bool),
         "labels_t2": np.asarray(data.get("labels_t2", []), dtype=bool),
         "edge_t1": np.asarray(data.get("edge_t1", []), dtype=bool),
         "edge_t2": np.asarray(data.get("edge_t2", []), dtype=bool),
         "origin_t1": np.asarray(data.get("origin_t1", []), dtype=np.int64),
         "origin_t2": np.asarray(data.get("origin_t2", []), dtype=np.int64),
-    }
-
-
-def _scene_spec_dict(spec) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "seed": spec.seed,
-        "n_static": spec.n_static,
-        "n_frames_per_epoch": spec.n_frames_per_epoch,
-        "noise_sigma": spec.noise_sigma,
-        "edge_noise_fraction": spec.edge_noise_fraction,
-        "edge_noise_elongation": spec.edge_noise_elongation,
-        "change_spec": [
-            {"kind": c.kind, "n_points": c.n_points, "displacement": list(c.displacement)}
-            for c in spec.change_spec
-        ],
     }
 
 
@@ -375,12 +360,9 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "scene.json", "w", encoding="utf-8") as handle:
-        json.dump(_scene_spec_dict(scene.spec), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    with open(directory / "gt.json", "w", encoding="utf-8") as handle:
-        json.dump(scene_ground_truth_dict(scene), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    spec = {"format_version": FORMAT_VERSION, **scene.spec.to_dict()}
+    write_json(directory / "scene.json", spec)
+    write_json(directory / "gt.json", scene_ground_truth_dict(scene))
     for epoch_id, name in ((1, "e1"), (2, "e2")):
         write_epoch_dir(
             directory / name,
@@ -424,28 +406,14 @@ def read_scene_dir(directory) -> BiTemporalScene:
     """
     directory = Path(directory)
     spec_path = directory / "scene.json"
-    if not spec_path.exists():
-        raise SchemaError(f"{spec_path}: scene spec not found")
+    spec_data = read_json(spec_path)
+    del spec_data["format_version"]
     try:
-        spec_data = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{spec_path}: invalid JSON ({exc})") from None
-    _check_version(_require(spec_data, "format_version", spec_path), spec_path)
+        spec = SceneSpec.from_dict(spec_data)
+    except InvalidSpec as exc:
+        raise SchemaError(f"{spec_path}: {exc}") from None
     gt = read_ground_truth(directory / "gt.json")
-
-    spec = SceneSpec(
-        seed=int(_require(spec_data, "seed", spec_path)),
-        n_static=int(_require(spec_data, "n_static", spec_path)),
-        n_frames_per_epoch=int(_require(spec_data, "n_frames_per_epoch", spec_path)),
-        change_spec=tuple(
-            ChangeSpec(c["kind"], c["n_points"], tuple(c["displacement"]))
-            for c in spec_data.get("change_spec", [])
-        ),
-        noise_sigma=float(spec_data.get("noise_sigma", 0.0)),
-        edge_noise_fraction=float(spec_data.get("edge_noise_fraction", 0.0)),
-        edge_noise_elongation=float(spec_data.get("edge_noise_elongation", 0.0)),
-        epoch_transforms=gt["epoch_transforms"],
-    )
+    spec = replace(spec, epoch_transforms=gt["epoch_transforms"])
 
     clouds, worlds = [], []
     for epoch_id, name in ((1, "e1"), (2, "e2")):

@@ -25,14 +25,30 @@ from pathlib import Path
 from . import bundles
 from .changes import colorize
 from .cloud import PointCloud
-from .errors import CloudChangeError
+from .errors import CloudChangeError, InvalidSpec
 from .geometry import apply_transform
 from .metrics import MetricsReport, ablation_sweep, ate, combine_trajectories, rte, transform_error
 from .pipeline import PipelineConfig, RunReport, detect_changes, register_epochs
-from .synthetic import ChangeSpec, SceneSpec, generate_scene
+from .synthetic import SceneSpec, generate_scene
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# The scene ``synth`` writes when no --spec is given; a spec file overrides
+# any of these keys.
+DEFAULT_SCENE = {
+    "seed": 0,
+    "n_static": 10000,
+    "n_frames_per_epoch": 30,
+    "change_spec": [
+        {"kind": "added", "n_points": 500, "displacement": [0.0, 0.0, 0.0]},
+        {"kind": "removed", "n_points": 400, "displacement": [0.0, 0.0, 0.0]},
+        {"kind": "moved", "n_points": 600, "displacement": [1.0, 0.8, 0.3]},
+    ],
+    "noise_sigma": 0.002,
+    "edge_noise_fraction": 0.15,
+    "edge_noise_elongation": 0.3,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +65,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--cap", type=int, default=5000, help="correspondence cap per epoch")
     parser.add_argument("--alpha", type=float, default=3.0, help="static-set threshold multiplier")
     parser.add_argument("--grid", type=int, default=200, help="voxel grid resolution")
-    parser.add_argument("--tau-ratio", type=float, default=0.01, help="change threshold fraction")
     parser.add_argument("--seed", type=int, default=0, help="subsampling seed")
     parser.add_argument("--mode", choices=("coarse_only", "full"), default="full")
 
@@ -60,7 +75,6 @@ def _config_from_args(args) -> PipelineConfig:
         correspondence_cap=args.cap,
         alpha=args.alpha,
         grid_resolution=args.grid,
-        tau_ratio=args.tau_ratio,
         seed=args.seed,
         mode=args.mode,
     )
@@ -121,39 +135,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_scene_spec(path: Path, seed_override) -> SceneSpec:
-    defaults = {
-        "seed": 0,
-        "n_static": 10000,
-        "n_frames_per_epoch": 30,
-        "change_spec": [
-            {"kind": "added", "n_points": 500, "displacement": [0.0, 0.0, 0.0]},
-            {"kind": "removed", "n_points": 400, "displacement": [0.0, 0.0, 0.0]},
-            {"kind": "moved", "n_points": 600, "displacement": [1.0, 0.8, 0.3]},
-        ],
-        "noise_sigma": 0.002,
-        "edge_noise_fraction": 0.15,
-        "edge_noise_elongation": 0.3,
-    }
-    if path is not None:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        defaults.update(data)
-    if seed_override is not None:
-        defaults["seed"] = seed_override
-    changes = tuple(ChangeSpec(**c) for c in defaults["change_spec"])
-    return SceneSpec(
-        seed=int(defaults["seed"]),
-        n_static=int(defaults["n_static"]),
-        n_frames_per_epoch=int(defaults["n_frames_per_epoch"]),
-        change_spec=changes,
-        noise_sigma=float(defaults["noise_sigma"]),
-        edge_noise_fraction=float(defaults["edge_noise_fraction"]),
-        edge_noise_elongation=float(defaults["edge_noise_elongation"]),
-    )
-
-
 def _cmd_synth(args) -> int:
-    spec = _load_scene_spec(args.spec, args.seed)
+    data = dict(DEFAULT_SCENE)
+    if args.spec is not None:
+        overrides = json.loads(args.spec.read_text(encoding="utf-8"))
+        if not isinstance(overrides, dict):
+            raise InvalidSpec(f"{args.spec}: scene spec must be a JSON object")
+        # A scene.json written by synth is a valid spec file.
+        if "format_version" in overrides:
+            bundles.check_version(overrides.pop("format_version"), args.spec)
+        data.update(overrides)
+    if args.seed is not None:
+        data["seed"] = args.seed
+    spec = SceneSpec.from_dict(data)
     scene = generate_scene(spec)
     bundles.write_scene_dir(
         scene, args.out, joint_sigma=args.joint_sigma, warp_amplitude=args.joint_warp
@@ -163,7 +157,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"register: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     frames1 = bundles.read_epoch_dir(args.t1)
     frames2 = bundles.read_epoch_dir(args.t2)
     if args.oracle:
@@ -232,9 +230,7 @@ def _cmd_detect(args) -> int:
 
     write_ply(colored_t1, out / "changes_t1.ply")
     write_ply(colored_t2, out / "changes_t2.ply")
-    with open(out / "change_stats.json", "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    bundles.write_json(out / "change_stats.json", stats)
     if report is not None and args.report is not None:
         report.record_changes(stats, elapsed=elapsed)
         report.write(args.report)
@@ -263,13 +259,10 @@ def _cmd_eval(args) -> int:
         ate_m=ate(predicted, ground_truth),
         rte_m=rte(predicted, ground_truth),
         transform_error=transform_error(estimated, gt["gt_relative"]),
-        registration_time_s=(report.timing or {}).get("registration_s", 0.0),
         config=report.config,
     )
     out = args.out if args.out is not None else scene_dir / "metrics.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(metrics.to_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    bundles.write_json(out, metrics.to_dict())
     report.record_metrics(metrics)
     report.write(args.report)
     print(f"ATE {metrics.ate_m:.6g}  RTE {metrics.rte_m:.6g}  -> {out}")
@@ -319,7 +312,8 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (CloudChangeError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
+    except (CloudChangeError, FileNotFoundError, NotADirectoryError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

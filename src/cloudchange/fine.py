@@ -56,9 +56,12 @@ class PurificationResult:
 class FineResult:
     """Outcome of the translation refinement.
 
-    ``refined_median_residual`` is the median residual of the translation
-    actually returned when the refinement was rejected, so it equals
-    ``coarse_median_residual`` unless the refinement was accepted.
+    ``refined_median_residual`` is the median residual of the candidate
+    translation, whether or not it was accepted.  When too few static points
+    survive no candidate is computed and it equals ``coarse_median_residual``;
+    after a self-check rejection it is the rejected candidate's median, which
+    is at least the coarse one.  ``translation`` is the coarse translation
+    whenever ``accepted_refinement`` is False.
     """
 
     translation: np.ndarray

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateInput, EmptyFrame
+from .errors import DegenerateInput, EmptyFrame, SchemaError
 
 ROTATION_TOL = 1e-9
-_QUAT_RENORM_TOL = 1e-6
 
 
 def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
@@ -30,33 +29,11 @@ def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarr
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be a 3x3 matrix, got shape {r.shape}")
     err = np.linalg.norm(r.T @ r - np.eye(3))
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
     if np.linalg.det(r) < 0.0:
         raise ValueError("rotation has determinant -1 (reflection)")
     return r
-
-
-def quaternion_to_matrix(q) -> np.ndarray:
-    """Rotation matrix from a (w, x, y, z) quaternion.
-
-    Quaternions farther than 1e-6 from unit norm are renormalized before
-    conversion; exactly-zero quaternions are rejected.
-    """
-    q = np.asarray(q, dtype=np.float64).reshape(4)
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ValueError("zero quaternion has no orientation")
-    if abs(norm - 1.0) > _QUAT_RENORM_TOL:
-        q = q / norm
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def rotation_angle_deg(rotation: np.ndarray) -> float:
@@ -87,6 +64,8 @@ class Sim3Transform:
         r = _check_rotation(self.rotation)
         r.setflags(write=False)
         t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t.tolist()}")
         t.setflags(write=False)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "rotation", r)
@@ -96,10 +75,30 @@ class Sim3Transform:
     def identity() -> "Sim3Transform":
         return Sim3Transform(1.0, np.eye(3), np.zeros(3))
 
+    def to_dict(self) -> dict:
+        """JSON-ready form: scale, row-major rotation rows, translation."""
+        return {
+            "scale": self.scale,
+            "rotation": self.rotation.tolist(),
+            "translation": self.translation.tolist(),
+        }
+
     @staticmethod
-    def from_quaternion(scale, quaternion, translation) -> "Sim3Transform":
-        """Construct from a (w, x, y, z) quaternion instead of a matrix."""
-        return Sim3Transform(scale, quaternion_to_matrix(quaternion), translation)
+    def from_dict(data, source: str = "transform") -> "Sim3Transform":
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            SchemaError: naming ``source`` when ``data`` is not an object,
+                lacks a field, or holds a value that is not a valid Sim(3).
+        """
+        if not isinstance(data, dict):
+            raise SchemaError(f"{source}: expected an object, got {type(data).__name__}")
+        try:
+            return Sim3Transform(data["scale"], data["rotation"], data["translation"])
+        except KeyError as exc:
+            raise SchemaError(f"{source}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{source}: bad transform ({exc})") from None
 
     def apply(self, points) -> np.ndarray:
         """Map one 3-vector or an (n, 3) array through the transform."""

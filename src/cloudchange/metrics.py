@@ -10,8 +10,7 @@ after the same alignment.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,19 +134,6 @@ def transform_error(estimated: Sim3Transform, ground_truth: Sim3Transform) -> di
     }
 
 
-def combined_transform_error(
-    estimated: Sim3Transform, ground_truth: Sim3Transform, extent: float
-) -> float:
-    """Single scalar transform error: relative scale error plus rotation
-    angle in radians plus translation error as a fraction of extent."""
-    err = transform_error(estimated, ground_truth)
-    return (
-        err["scale_ratio_error"]
-        + math.radians(err["rotation_deg"])
-        + err["translation_norm"] / extent
-    )
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Evaluation summary for one registration run."""
@@ -155,7 +141,6 @@ class MetricsReport:
     ate_m: float
     rte_m: float
     transform_error: dict
-    registration_time_s: float
     config: dict
 
     def __post_init__(self):
@@ -165,13 +150,7 @@ class MetricsReport:
             raise ValueError("transform error components cannot be negative")
 
     def to_dict(self) -> dict:
-        return {
-            "ate_m": self.ate_m,
-            "rte_m": self.rte_m,
-            "transform_error": dict(self.transform_error),
-            "registration_time_s": self.registration_time_s,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
 
 def evaluate_scene_run(scene, result) -> MetricsReport:
@@ -187,7 +166,6 @@ def evaluate_scene_run(scene, result) -> MetricsReport:
         ate_m=ate(pred, gt),
         rte_m=rte(pred, gt),
         transform_error=transform_error(result.final_transform, scene.gt_relative),
-        registration_time_s=result.timings.get("registration_s", 0.0),
         config=dict(result.config_echo),
     )
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .bundles import FORMAT_VERSION, read_json
 from .changes import ChangeMap, change_scores, classify_changes
 from .cloud import (
     PointCloud,
@@ -30,13 +31,12 @@ from .coarse import (
     coarse_relative_transform,
     estimate_epoch_alignment,
 )
-from .errors import MisalignedInputs
+from .errors import MisalignedInputs, SchemaError
 from .fine import FineResult, fine_stage
 from .geometry import Sim3Transform
 from .keyframes import fps_temporal
 from .metrics import MetricsReport
 
-FORMAT_VERSION = "1.0"
 RNG_NAME = "numpy PCG64"
 
 _MODES = ("coarse_only", "full")
@@ -51,7 +51,6 @@ class PipelineConfig:
         correspondence_cap: maximum correspondence pairs per epoch fit.
         alpha: static-set threshold multiplier for the fine stage.
         grid_resolution: adaptive voxel grid resolution.
-        tau_ratio: change threshold as a fraction of scene extent.
         seed: seed for the correspondence subsampling generator.
         mode: "coarse_only" or "full".
     """
@@ -60,15 +59,14 @@ class PipelineConfig:
     correspondence_cap: int = 5000
     alpha: float = 3.0
     grid_resolution: int = 200
-    tau_ratio: float = 0.01
     seed: int = 0
     mode: str = "full"
 
     def __post_init__(self):
         if self.k_keyframes < 1 or self.correspondence_cap < 1 or self.grid_resolution < 1:
             raise ValueError("k_keyframes, correspondence_cap and grid_resolution must be >= 1")
-        if self.alpha <= 0.0 or self.tau_ratio <= 0.0:
-            raise ValueError("alpha and tau_ratio must be positive")
+        if not self.alpha > 0.0:
+            raise ValueError("alpha must be positive")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -76,16 +74,7 @@ class PipelineConfig:
         return replace(self, **updates)
 
     def to_dict(self) -> dict:
-        return {
-            "k_keyframes": self.k_keyframes,
-            "correspondence_cap": self.correspondence_cap,
-            "alpha": self.alpha,
-            "grid_resolution": self.grid_resolution,
-            "tau_ratio": self.tau_ratio,
-            "seed": self.seed,
-            "mode": self.mode,
-            "rng": RNG_NAME,
-        }
+        return {**asdict(self), "rng": RNG_NAME}
 
 
 @dataclass(frozen=True)
@@ -103,22 +92,10 @@ class RegistrationResult:
     config_echo: dict
 
 
-def _transform_dict(t: Sim3Transform) -> dict:
-    return {
-        "scale": t.scale,
-        "rotation": t.rotation.tolist(),
-        "translation": t.translation.tolist(),
-    }
-
-
-def transform_from_dict(d: dict) -> Sim3Transform:
-    return Sim3Transform(d["scale"], np.asarray(d["rotation"]), np.asarray(d["translation"]))
-
-
 def _alignment_dict(a: EpochAlignment) -> dict:
     return {
         "epoch_id": a.epoch_id,
-        "transform": _transform_dict(a.transform),
+        "transform": a.transform.to_dict(),
         "n_correspondences": a.n_correspondences,
         "residual_rms": a.residual_rms,
     }
@@ -308,7 +285,7 @@ class RunReport:
         self.coarse = {
             "epoch1": _alignment_dict(result.alignment1),
             "epoch2": _alignment_dict(result.alignment2),
-            "relative": _transform_dict(result.coarse_relative),
+            "relative": result.coarse_relative.to_dict(),
         }
         if result.fine is not None:
             self.fine = {
@@ -318,7 +295,7 @@ class RunReport:
                 "refined_median_residual": result.fine.refined_median_residual,
                 "n_static": result.fine.n_static,
             }
-        self.final_transform = _transform_dict(result.final_transform)
+        self.final_transform = result.final_transform.to_dict()
         self.cloud_stats = dict(result.cloud_stats)
         self.timing = dict(self.timing or {})
         self.timing.update(result.timings)
@@ -333,20 +310,11 @@ class RunReport:
         self.metrics = metrics.to_dict()
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        data = {
-            "format_version": self.format_version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "coarse": self.coarse,
-            "fine": self.fine,
-            "final_transform": self.final_transform,
-            "cloud_stats": self.cloud_stats,
-            "changes": self.changes,
-            "metrics": self.metrics,
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if include_timing or f.name != "timing"
         }
-        if include_timing:
-            data["timing"] = self.timing
-        return data
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
@@ -357,26 +325,23 @@ class RunReport:
 
     @staticmethod
     def read(path) -> "RunReport":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        version = data.get("format_version", "")
-        if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
-            from .errors import SchemaError
+        """Load a report written by :meth:`write`.
 
-            raise SchemaError(f"unsupported report format_version {version!r}")
-        report = RunReport(config=data.get("config", {}))
-        report.inputs = data.get("inputs")
-        report.coarse = data.get("coarse")
-        report.fine = data.get("fine")
-        report.final_transform = data.get("final_transform")
-        report.cloud_stats = data.get("cloud_stats")
-        report.changes = data.get("changes")
-        report.metrics = data.get("metrics")
-        report.timing = data.get("timing")
-        report.format_version = version
-        return report
+        Raises:
+            SchemaError: when the file is not a JSON object of a supported
+                version, lacks ``config``, or holds a section that is
+                neither an object nor null.
+        """
+        data = read_json(path)
+        values = {f.name: data.get(f.name) for f in fields(RunReport)}
+        if values["config"] is None:
+            raise SchemaError(f"{path}: missing field 'config'")
+        for name, value in values.items():
+            if name != "format_version" and not isinstance(value, (dict, type(None))):
+                raise SchemaError(f"{path}: section {name!r} is not an object")
+        return RunReport(**values)
 
     def final_sim3(self) -> Sim3Transform:
         if self.final_transform is None:
-            raise ValueError("report has no final transform")
-        return transform_from_dict(self.final_transform)
+            raise SchemaError("report has no final_transform")
+        return Sim3Transform.from_dict(self.final_transform, "report final_transform")

@@ -68,7 +68,22 @@ class ChangeSpec:
             raise InvalidSpec(f"unknown change kind {self.kind!r}")
         if self.n_points < 1:
             raise InvalidSpec("each change needs at least one point")
-        object.__setattr__(self, "displacement", tuple(float(d) for d in self.displacement))
+        try:
+            displacement = tuple(float(d) for d in self.displacement)
+        except (TypeError, ValueError):
+            displacement = ()
+        if len(displacement) != 3 or not np.isfinite(displacement).all():
+            raise InvalidSpec(
+                f"displacement must be three finite numbers, got {self.displacement!r}"
+            )
+        object.__setattr__(self, "displacement", displacement)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "n_points": self.n_points,
+            "displacement": list(self.displacement),
+        }
 
 
 @dataclass(frozen=True)
@@ -109,6 +124,8 @@ class SceneSpec:
     gt_relative: Sim3Transform = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
         if self.n_static < 1:
             raise InvalidSpec("n_static must be >= 1")
         if self.n_frames_per_epoch < 1:
@@ -139,6 +156,73 @@ class SceneSpec:
                     raise InvalidSpec("gt_relative does not match the epoch transforms")
         elif self.gt_relative is not None:
             raise InvalidSpec("gt_relative given without epoch_transforms")
+
+    def to_dict(self) -> dict:
+        """JSON-ready generator parameters.
+
+        The ground-truth transforms are not included: a scene directory
+        stores them in gt.json, and a spec without them draws them from the
+        seed.
+        """
+        data = {key: getattr(self, key) for key in _SPEC_TYPES}
+        data["change_spec"] = [c.to_dict() for c in self.change_spec]
+        return data
+
+    @staticmethod
+    def from_dict(data) -> "SceneSpec":
+        """Inverse of :meth:`to_dict`; omitted keys other than ``seed`` take
+        their defaults.
+
+        Raises:
+            InvalidSpec: on a non-object, an unknown or missing key, a value
+                of the wrong JSON type, or values that violate the spec's
+                constraints.
+        """
+        values = _checked(data, _SPEC_TYPES, ("seed",), "scene spec")
+        changes = tuple(
+            ChangeSpec(**_checked(c, _CHANGE_TYPES, ("kind", "n_points"), "change"))
+            for c in values.get("change_spec", [])
+        )
+        return SceneSpec(**{**values, "change_spec": changes})
+
+
+# JSON types of the serialized SceneSpec and ChangeSpec fields.
+_SPEC_TYPES = {
+    "seed": int,
+    "n_static": int,
+    "n_frames_per_epoch": int,
+    "change_spec": list,
+    "noise_sigma": float,
+    "edge_noise_fraction": float,
+    "edge_noise_elongation": float,
+    "shared_trajectories": bool,
+}
+_CHANGE_TYPES = {"kind": str, "n_points": int, "displacement": list}
+
+
+def _checked(data, types: dict, required: tuple, what: str) -> dict:
+    """``data`` as an object holding only keys of ``types``, each value of its
+    type (integers count as floats, booleans as neither), ``required`` present."""
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"{what} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise InvalidSpec(f"unknown {what} keys {unknown}")
+    for key in required:
+        if key not in data:
+            raise InvalidSpec(f"{what} is missing {key!r}")
+    checked = {}
+    for key, value in data.items():
+        kind = types[key]
+        if kind in (int, float):
+            valid = isinstance(value, (int, kind)) and not isinstance(value, bool)
+            valid = valid and math.isfinite(value)
+        else:
+            valid = isinstance(value, kind)
+        if not valid:
+            raise InvalidSpec(f"{what} {key!r} must be {kind.__name__}, got {value!r}")
+        checked[key] = kind(value)
+    return checked
 
 
 @dataclass(frozen=True)

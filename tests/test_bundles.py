@@ -184,10 +184,17 @@ class TestSceneDirectory:
             merged, scene.cloud_t1.points.astype(np.float32).astype(np.float64)
         )
 
+    def test_stray_frame_name_is_schema_error(self, tmp_path, scene):
+        write_scene_dir(scene, tmp_path / "s")
+        epoch = tmp_path / "s" / "e1"
+        (epoch / "frame_abc.ply").write_bytes((epoch / "frame_0001.ply").read_bytes())
+        with pytest.raises(SchemaError, match="frame_abc.ply"):
+            read_epoch_dir(epoch)
+
     def test_scene_round_trip_and_idempotent_export(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
         back = read_scene_dir(tmp_path / "s")
-        assert back.spec.seed == scene.spec.seed
+        assert back.spec.to_dict() == scene.spec.to_dict()
         assert (back.labels_t1 == scene.labels_t1).all()
         assert (back.labels_t2 == scene.labels_t2).all()
         assert back.gt_relative.scale == pytest.approx(scene.gt_relative.scale, rel=1e-12)

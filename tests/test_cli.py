@@ -8,8 +8,11 @@ import json
 import numpy as np
 import pytest
 
+from cloudchange import Sim3Transform
+from cloudchange.bundles import read_trajectory
 from cloudchange.cli import main
-from cloudchange.pipeline import RunReport, transform_from_dict
+from cloudchange.pipeline import RunReport
+from cloudchange.synthetic import ChangeSpec, SceneSpec
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,45 @@ class TestSynth:
         assert echo["seed"] == 9
         assert echo["n_static"] == 500
 
+    def test_spec_round_trip_and_shared_trajectories(self, tmp_path):
+        spec = SceneSpec(
+            seed=3, n_static=400, n_frames_per_epoch=4, shared_trajectories=True,
+            change_spec=(ChangeSpec("moved", 50, (1.0, 0.5, 0.2)),),
+        )
+        assert SceneSpec.from_dict(spec.to_dict()) == spec
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        out = tmp_path / "scene"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert json.loads((out / "scene.json").read_text())["shared_trajectories"] is True
+        # A shared route puts both epochs' cameras at the same world centers.
+        centers = [
+            read_trajectory(out / "gt_trajectories" / f"e{epoch}.json").centers()
+            for epoch in (1, 2)
+        ]
+        np.testing.assert_array_equal(centers[0], centers[1])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"change_spec": [{"kind": "added"}]},
+            {"n_static": "many"},
+            {"n_statc": 500},
+        ],
+        ids=["change_without_n_points", "non_integer_n_static", "unknown_key"],
+    )
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys, overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(overrides))
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        _assert_one_error_line(capsys, "synth")
+
+
+def _assert_one_error_line(capsys, command):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command}: error: "), lines
+
 
 class TestRegister:
     def test_oracle_end_to_end_recovers_gt(self, scene_dir, tmp_path):
@@ -54,7 +96,7 @@ class TestRegister:
         report = RunReport.read(report_path)
         estimated = report.final_sim3()
         gt = json.loads((scene_dir / "gt.json").read_text())["gt_relative"]
-        expected = transform_from_dict(gt)
+        expected = Sim3Transform.from_dict(gt)
         assert abs(estimated.scale / expected.scale - 1.0) < 1e-3
         assert np.linalg.norm(estimated.translation - expected.translation) < 1e-2
 
@@ -83,6 +125,15 @@ class TestRegister:
     def test_unknown_flag_is_usage_error(self):
         assert main(["register", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--k", "--cap", "--grid", "--alpha"])
+    def test_zero_config_value_is_usage_error(self, scene_dir, capsys, flag):
+        code = main([
+            "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+            "--oracle", flag, "0",
+        ])
+        assert code == 1
+        _assert_one_error_line(capsys, "register")
+
     def test_coarse_only_report_has_no_fine_block(self, scene_dir, tmp_path):
         report_path = tmp_path / "rc.json"
         code = main([
@@ -95,17 +146,64 @@ class TestRegister:
 
     def test_byte_identical_reports_excluding_timing(self, scene_dir, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
-        for path in paths:
+        metrics = [tmp_path / "m1.json", tmp_path / "m2.json"]
+        for path, metrics_path in zip(paths, metrics):
             assert main([
                 "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
                 "--oracle", "--report", str(path), "--seed", "5",
             ]) == 0
+            assert main([
+                "eval", "--report", str(path), "--scene", str(scene_dir),
+                "--out", str(metrics_path),
+            ]) == 0
+        assert metrics[0].read_bytes() == metrics[1].read_bytes()
         dumps = []
         for path in paths:
             data = json.loads(path.read_text())
             data.pop("timing")
             dumps.append(json.dumps(data, sort_keys=True))
         assert dumps[0] == dumps[1]
+
+
+@pytest.fixture(scope="module")
+def report_data(scene_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("reports") / "r.json"
+    assert main([
+        "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+        "--oracle", "--report", str(path),
+    ]) == 0
+    return json.loads(path.read_text())
+
+
+def _with_transform(report, **fields):
+    transform = {**report["final_transform"], **fields}
+    return {**report, "final_transform": {k: v for k, v in transform.items() if v is not None}}
+
+
+MALFORMED_REPORTS = {
+    "missing_scale": lambda r: _with_transform(r, scale=None),
+    "integer_version": lambda r: {**r, "format_version": 1},
+    "non_orthonormal_rotation": lambda r: _with_transform(
+        r, rotation=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    ),
+    "no_final_transform": lambda r: {k: v for k, v in r.items() if k != "final_transform"},
+    "top_level_list": lambda r: [r],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_malformed_report_is_data_error(scene_dir, report_data, tmp_path, capsys, command, case):
+    report_path = tmp_path / "bad.json"
+    report_path.write_text(json.dumps(MALFORMED_REPORTS[case](report_data)))
+    if command == "detect":
+        argv = ["detect", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+                "--report", str(report_path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", "--report", str(report_path), "--scene", str(scene_dir),
+                "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, command)
 
 
 class TestDetect:

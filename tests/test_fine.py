@@ -18,6 +18,7 @@ from cloudchange import (
     purify,
     refine_translation,
 )
+from cloudchange.fine import MIN_STATIC_POINTS
 
 from conftest import random_rotation, random_sim3
 
@@ -259,16 +260,31 @@ class TestFineStage:
 
     def test_accepted_flag_consistency(self, rng):
         # accepted_refinement=False implies the translation IS the coarse
-        # translation, bit for bit.
+        # translation, bit for bit.  Random pairs are accepted; noisy copies
+        # under the identity often fail the self-check; a static minimum
+        # above the point count skips the refinement altogether.
+        cases = []
         for trial in range(20):
             trial_rng = np.random.default_rng([21, trial])
-            source = PointCloud(trial_rng.uniform(0, 10, size=(400, 3)))
-            target = PointCloud(
-                trial_rng.uniform(0, 10, size=(400, 3))
+            source = trial_rng.uniform(0, 10, size=(400, 3))
+            target = trial_rng.uniform(0, 10, size=(400, 3))
+            cases.append((source, target, random_sim3(trial_rng), MIN_STATIC_POINTS))
+            noise = np.random.default_rng([22, trial]).normal(scale=0.01, size=target.shape)
+            cases.append((target + noise, target, Sim3Transform.identity(), MIN_STATIC_POINTS))
+            cases.append((target + noise, target, Sim3Transform.identity(), len(target) + 1))
+        outcomes = set()
+        for source, target, coarse, min_static in cases:
+            result = fine_stage(
+                PointCloud(source), PointCloud(target), coarse, min_static=min_static
             )
-            coarse = random_sim3(trial_rng)
-            result = fine_stage(source, target, coarse)
+            skipped = result.n_static < min_static
+            outcomes.add((result.accepted_refinement, skipped))
             if not result.accepted_refinement:
                 assert (result.translation == coarse.translation).all()
+                if skipped:
+                    assert result.refined_median_residual == result.coarse_median_residual
+                else:
+                    assert result.refined_median_residual >= result.coarse_median_residual
             else:
                 assert result.refined_median_residual < result.coarse_median_residual
+        assert outcomes == {(True, False), (False, False), (False, True)}

@@ -18,7 +18,6 @@ from cloudchange import (
     umeyama,
 )
 from cloudchange.cloud import PointCloud
-from cloudchange.geometry import quaternion_to_matrix
 
 from conftest import random_rotation, random_sim3
 
@@ -64,19 +63,6 @@ class TestSim3Transform:
         np.testing.assert_allclose(
             a.compose(b).apply(pts), a.apply(b.apply(pts)), rtol=1e-12, atol=1e-12
         )
-
-    def test_from_quaternion_matches_matrix(self):
-        # 90 degrees about z.
-        s = np.sqrt(0.5)
-        t = Sim3Transform.from_quaternion(1.0, [s, 0.0, 0.0, s], np.zeros(3))
-        expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(t.rotation, expected, atol=1e-12)
-
-    def test_quaternion_renormalized_when_off_unit(self):
-        r = quaternion_to_matrix([2.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
-        with pytest.raises(ValueError):
-            quaternion_to_matrix([0.0, 0.0, 0.0, 0.0])
 
     def test_arrays_are_immutable(self, rng):
         t = random_sim3(rng)

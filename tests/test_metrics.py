@@ -221,7 +221,7 @@ class TestAblationSweep:
 class TestMetricsReport:
     def test_rejects_negative_errors(self):
         with pytest.raises(ValueError):
-            MetricsReport(-1.0, 0.0, {"scale_ratio_error": 0.0}, 0.0, {})
+            MetricsReport(-1.0, 0.0, {"scale_ratio_error": 0.0}, {})
 
     def test_evaluate_scene_run_roundtrip(self):
         from cloudchange import PipelineConfig, register_scene

@@ -12,10 +12,11 @@ from cloudchange import (
     PipelineConfig,
     PointCloud,
     RunReport,
+    Sim3Transform,
     register_epochs,
     register_scene,
 )
-from cloudchange.pipeline import detect_changes, transform_from_dict
+from cloudchange.pipeline import detect_changes
 from cloudchange.synthetic import (
     ChangeSpec,
     SceneSpec,
@@ -49,7 +50,6 @@ class TestPipelineConfig:
         assert echo["correspondence_cap"] == 5000
         assert echo["alpha"] == 3.0
         assert echo["grid_resolution"] == 200
-        assert echo["tau_ratio"] == 0.01
         assert echo["mode"] == "full"
         assert echo["rng"] == "numpy PCG64"
 
@@ -151,7 +151,7 @@ class TestRunReport:
     def test_transform_dict_round_trip(self, scene):
         result = register_scene(scene, PipelineConfig(seed=4), joint_sigma=0.005)
         report = RunReport.from_registration(result)
-        t = transform_from_dict(report.final_transform)
+        t = Sim3Transform.from_dict(report.final_transform)
         assert t.scale == result.final_transform.scale
         np.testing.assert_array_equal(t.rotation, result.final_transform.rotation)
 

@@ -20,7 +20,6 @@ from .cloud import (
     median_confidence_mask,
     nn_distances,
     robust_extent,
-    voxel_downsample,
     voxel_downsample_indices,
     voxel_grid_params,
 )
@@ -35,7 +34,6 @@ from .errors import (
     CloudChangeError,
     DegenerateInput,
     EmptyCloud,
-    EmptyFrame,
     EmptyStaticSet,
     InvalidSpec,
     LabelMismatch,
@@ -48,11 +46,9 @@ from .errors import (
 )
 from .fine import FineResult, PurificationResult, fine_stage, purify, refine_translation
 from .geometry import (
-    CameraFrame,
     SE3Pose,
     Sim3Transform,
     apply_transform,
-    backproject,
     compose_relative,
     rotation_angle_deg,
     umeyama,

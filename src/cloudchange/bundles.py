@@ -1,16 +1,17 @@
-"""Structured on-disk formats: depth bundles, trajectories, scene directories.
+"""Structured on-disk formats: epoch and joint directories, trajectories, scenes.
 
-A *depth bundle* holds per-frame calibrated depth predictions: one JSON file
-with intrinsics and pose per frame plus flat binary float32 grids for depth
-and confidence, each grid prefixed by a single-line JSON header (height,
-width, dtype, endianness).  A *scene directory* is the exported form of a
-synthetic bi-temporal scene: per-frame PLY clouds for both epochs, predicted
-and ground-truth trajectories, the shared-frame joint keyframe clouds, and a
+An *epoch directory* holds one PLY cloud per frame (x, y, z, confidence),
+named frame_0001.ply onward, plus an optional trajectory.json.  A *joint
+directory* holds the keyframe clouds of both epochs in one shared frame, named
+e{epoch}_frame_NNNN.ply and pixel-aligned with the epoch frames.  A *scene
+directory* is the exported form of a synthetic bi-temporal scene: both epoch
+directories, predicted and ground-truth trajectories, a joint directory, and a
 gt.json with the ground-truth transforms and per-point change labels.
 
-Every file declares a ``format_version``; readers reject unknown major
-versions with a :class:`SchemaError` naming the offending file.  This module
-owns that version, its check, and the reading and writing of JSON files.
+Every JSON file read here declares a ``format_version``; readers reject
+unknown major versions with a :class:`SchemaError` naming the offending
+file.  This module owns that version, its check, and the reading and
+writing of JSON files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .cloud import PointCloud
 from .coarse import JointReconstruction
 from .errors import InvalidSpec, SchemaError
-from .geometry import CameraFrame, SE3Pose, Sim3Transform
+from .geometry import SE3Pose, Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
 from .synthetic import (
@@ -35,8 +36,6 @@ from .synthetic import (
 )
 
 FORMAT_VERSION = "1.0"
-
-_GRID_HEADER_KEYS = ("format_version", "height", "width", "dtype", "endianness")
 
 
 def check_version(version, path):
@@ -78,126 +77,8 @@ def write_json(path, data: dict):
         handle.write("\n")
 
 
-def write_depth_grid(path, grid: np.ndarray):
-    """Write a 2D grid as a JSON header line plus raw little-endian float32."""
-    grid = np.asarray(grid)
-    if grid.ndim != 2:
-        raise ValueError("grid must be 2D")
-    header = {
-        "format_version": FORMAT_VERSION,
-        "height": int(grid.shape[0]),
-        "width": int(grid.shape[1]),
-        "dtype": "float32",
-        "endianness": "little",
-    }
-    with open(path, "wb") as handle:
-        handle.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        handle.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
-
-
-def read_depth_grid(path) -> np.ndarray:
-    """Read a grid written by :func:`write_depth_grid`.
-
-    Raises:
-        SchemaError: malformed header, wrong dtype/endianness tag, or a
-            payload whose size disagrees with the declared dimensions.
-    """
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise SchemaError(f"{path}: missing grid header line")
-    try:
-        header = json.loads(raw[:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: bad grid header ({exc})") from None
-    for key in _GRID_HEADER_KEYS:
-        _require(header, key, path)
-    check_version(header["format_version"], path)
-    if header["dtype"] != "float32" or header["endianness"] != "little":
-        raise SchemaError(
-            f"{path}: unsupported grid encoding {header['dtype']}/{header['endianness']}"
-        )
-    height, width = int(header["height"]), int(header["width"])
-    payload = raw[newline + 1 :]
-    expected = height * width * 4
-    if len(payload) != expected:
-        raise SchemaError(
-            f"{path}: grid payload has {len(payload)} bytes, expected {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(height, width).astype(np.float64)
-
-
 def _frame_stem(index: int) -> str:
     return f"frame_{index:04d}"
-
-
-def write_depth_bundle(directory, frames: list):
-    """Write CameraFrames as a depth bundle under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for frame in frames:
-        stem = _frame_stem(frame.pose.frame_index)
-        write_depth_grid(directory / f"{stem}_depth.bin", frame.depth)
-        write_depth_grid(directory / f"{stem}_conf.bin", frame.confidence)
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "frame_index": frame.pose.frame_index,
-            "intrinsics": frame.intrinsics.tolist(),
-            "rotation": frame.pose.rotation.tolist(),
-            "translation": frame.pose.translation.tolist(),
-            "depth_file": f"{stem}_depth.bin",
-            "confidence_file": f"{stem}_conf.bin",
-        }
-        write_json(directory / f"{stem}.json", meta)
-
-
-def read_depth_bundle(directory) -> list:
-    """Read every frame of a depth bundle, in frame order.
-
-    Raises:
-        SchemaError: naming the offending file and field on any problem,
-            including depth/confidence grids of different dimensions.
-    """
-    directory = Path(directory)
-    meta_paths = sorted(directory.glob("frame_*.json"))
-    if not meta_paths:
-        raise SchemaError(f"{directory}: no frame_*.json files found")
-    frames = []
-    for meta_path in meta_paths:
-        meta = read_json(meta_path)
-        for key in ("frame_index", "intrinsics", "rotation", "translation",
-                    "depth_file", "confidence_file"):
-            _require(meta, key, meta_path)
-        depth_path = directory / meta["depth_file"]
-        conf_path = directory / meta["confidence_file"]
-        if not depth_path.exists():
-            raise SchemaError(f"{meta_path}: depth grid {meta['depth_file']!r} is missing")
-        if not conf_path.exists():
-            raise SchemaError(f"{meta_path}: confidence grid {meta['confidence_file']!r} is missing")
-        depth = read_depth_grid(depth_path)
-        confidence = read_depth_grid(conf_path)
-        if depth.shape != confidence.shape:
-            raise SchemaError(
-                f"{meta_path}: depth grid {depth.shape} and confidence grid "
-                f"{confidence.shape} dimensions differ"
-            )
-        try:
-            pose = SE3Pose(
-                np.asarray(meta["rotation"], dtype=np.float64),
-                np.asarray(meta["translation"], dtype=np.float64),
-                frame_index=int(meta["frame_index"]),
-            )
-            frame = CameraFrame(
-                intrinsics=np.asarray(meta["intrinsics"], dtype=np.float64),
-                pose=pose,
-                depth=depth,
-                confidence=confidence,
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{meta_path}: {exc}") from None
-        frames.append(frame)
-    return frames
 
 
 def write_trajectory(path, trajectory: Trajectory):
@@ -300,7 +181,7 @@ def read_joint_dir(directory) -> JointReconstruction:
         except ValueError:
             raise SchemaError(f"{directory}: cannot parse joint file name {path.name!r}") from None
         clouds[key] = read_ply(path)
-    return JointReconstruction(clouds=clouds, provenance="ingested_file")
+    return JointReconstruction(clouds=clouds)
 
 
 def scene_ground_truth_dict(scene) -> dict:
@@ -377,24 +258,6 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
         scene, all_frames_keyframes(scene), sigma=joint_sigma, warp_amplitude=warp_amplitude
     )
     write_joint_dir(directory / "joint", joint)
-
-
-def oracle_joint_from_files(epoch_dirs: tuple, gt_path) -> JointReconstruction:
-    """Rebuild the oracle joint reconstruction from exported epoch clouds.
-
-    Maps every frame's per-epoch points into the world frame with the
-    ground-truth epoch transforms from ``gt_path``.  Equivalent to the
-    in-memory oracle with zero perturbation.
-    """
-    gt = read_ground_truth(gt_path)
-    clouds = {}
-    for epoch_id, directory in ((1, epoch_dirs[0]), (2, epoch_dirs[1])):
-        transform = gt["epoch_transforms"][epoch_id - 1]
-        for index, cloud in enumerate(read_epoch_dir(directory), start=1):
-            clouds[(epoch_id, index)] = PointCloud(
-                transform.apply(cloud.points), cloud.confidence
-            )
-    return JointReconstruction(clouds=clouds, provenance="synthetic_oracle")
 
 
 def read_scene_dir(directory) -> BiTemporalScene:

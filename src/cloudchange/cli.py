@@ -3,7 +3,7 @@
 Subcommands::
 
     synth      scene spec JSON (or defaults) -> scene directory
-    register   two epoch directories (+ joint directory or --oracle) ->
+    register   two epoch directories + joint keyframe directory ->
                relative transform + run report JSON
     detect     aligned inputs or a register output -> colored change PLYs
                + statistics
@@ -96,10 +96,7 @@ def _build_parser() -> _Parser:
     p_reg = sub.add_parser("register", help="estimate the relative transform between two epochs")
     p_reg.add_argument("--t1", type=Path, required=True, help="epoch 1 directory")
     p_reg.add_argument("--t2", type=Path, required=True, help="epoch 2 directory")
-    p_reg.add_argument("--joint", type=Path, help="joint keyframe cloud directory")
-    p_reg.add_argument("--oracle", action="store_true",
-                       help="synthesize the joint clouds from the scene's gt.json")
-    p_reg.add_argument("--gt", type=Path, help="gt.json path (default: next to the epoch dirs)")
+    p_reg.add_argument("--joint", type=Path, required=True, help="joint keyframe cloud directory")
     p_reg.add_argument("--report", type=Path, help="write the run report JSON here")
     _add_config_flags(p_reg)
 
@@ -164,18 +161,11 @@ def _cmd_register(args) -> int:
         return USAGE_ERROR
     frames1 = bundles.read_epoch_dir(args.t1)
     frames2 = bundles.read_epoch_dir(args.t2)
-    if args.oracle:
-        gt_path = args.gt if args.gt is not None else Path(args.t1).parent / "gt.json"
-        joint = bundles.oracle_joint_from_files((args.t1, args.t2), gt_path)
-    elif args.joint is not None:
-        joint = bundles.read_joint_dir(args.joint)
-    else:
-        print("register: error: provide --joint DIR or --oracle", file=sys.stderr)
-        return USAGE_ERROR
+    joint = bundles.read_joint_dir(args.joint)
 
     result = register_epochs(frames1, frames2, joint, config)
     report = RunReport.from_registration(
-        result, inputs={"t1": str(args.t1), "t2": str(args.t2), "joint_provenance": joint.provenance}
+        result, inputs={"t1": str(args.t1), "t2": str(args.t2), "joint": str(args.joint)}
     )
     if args.report is not None:
         report.write(args.report)
@@ -270,14 +260,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    scene = bundles.read_scene_dir(args.scene)
     try:
         k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
         print(f"ablate: error: bad --k-list {args.k_list!r}", file=sys.stderr)
         return USAGE_ERROR
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
-    config = PipelineConfig(seed=args.seed)
+    # Build every swept config up front, so a bad budget, mode or seed is a
+    # usage error before any scene is read or registered.
+    try:
+        config = PipelineConfig(seed=args.seed)
+        for k in k_values:
+            for mode in modes:
+                config.replace(k_keyframes=k, mode=mode)
+    except ValueError as exc:
+        print(f"ablate: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    scene = bundles.read_scene_dir(args.scene)
     rows = ablation_sweep(
         scene,
         k_values,

@@ -16,6 +16,10 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud
 
+# Largest adaptive grid resolution: the linearized voxel keys reach about
+# (resolution + 1)^3, which must stay below 2^63.
+MAX_GRID_RESOLUTION = 2_000_000
+
 
 def lower_median(values) -> float:
     """Median with the lower-midpoint convention for even counts.
@@ -254,6 +258,14 @@ class VoxelGrid:
         return (idx3[:, 0] * self.dims[1] + idx3[:, 1]) * self.dims[2] + idx3[:, 2]
 
 
+def check_grid_resolution(grid_resolution: int):
+    """Reject a resolution outside [1, MAX_GRID_RESOLUTION] with ValueError."""
+    if not 1 <= grid_resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(
+            f"grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], got {grid_resolution}"
+        )
+
+
 def voxel_grid_params(cloud: PointCloud, grid_resolution: int) -> VoxelGrid:
     """Adaptive voxel grid for ``cloud``.
 
@@ -264,8 +276,7 @@ def voxel_grid_params(cloud: PointCloud, grid_resolution: int) -> VoxelGrid:
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot size a voxel grid for an empty cloud")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
+    check_grid_resolution(grid_resolution)
     lo, hi = _percentile_box(cloud.points)
     delta = float(np.max(hi - lo)) / grid_resolution
     if delta <= 0.0:
@@ -302,20 +313,3 @@ def voxel_downsample_indices(
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     return np.sort(order[first])
 
-
-def voxel_downsample(
-    cloud: PointCloud,
-    grid_resolution: int = 200,
-    *,
-    grid: VoxelGrid = None,
-) -> PointCloud:
-    """Voxel-grid downsampling that keeps one max-confidence point per voxel.
-
-    See :func:`voxel_downsample_indices` for the selection rule and the
-    grid-anchoring convention.  Output order follows the input order of the
-    surviving points, so repeating the operation with the same grid is a
-    no-op.  A cloud whose robust extent is zero collapses to a single point
-    instead of erroring.
-    """
-    keep = voxel_downsample_indices(cloud, grid_resolution, grid=grid)
-    return cloud.select(keep)

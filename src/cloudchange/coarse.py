@@ -27,15 +27,9 @@ class JointReconstruction:
     Attributes:
         clouds: mapping (epoch_id, frame_index) -> PointCloud in the shared
             frame, pixel-aligned with the per-epoch cloud of that keyframe.
-        provenance: "ingested_file" or "synthetic_oracle".
     """
 
     clouds: dict
-    provenance: str = "ingested_file"
-
-    def __post_init__(self):
-        if self.provenance not in ("ingested_file", "synthetic_oracle"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def keyframe_cloud(self, keyframes: KeyframeSet) -> PointCloud:
         """Concatenated shared-frame cloud for one epoch's keyframes."""

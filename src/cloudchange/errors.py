@@ -13,10 +13,6 @@ class EmptyCloud(CloudChangeError):
     """An operation that requires points received an empty cloud."""
 
 
-class EmptyFrame(CloudChangeError):
-    """A camera frame has no pixel with valid (positive) depth."""
-
-
 class MisalignedInputs(CloudChangeError):
     """Paired inputs that must be index-aligned have different lengths."""
 

@@ -1,11 +1,11 @@
-"""Similarity-transform algebra, closed-form alignment, and back-projection.
+"""Similarity-transform algebra, closed-form alignment, and camera poses.
 
 A :class:`Sim3Transform` is the 7-DoF similarity map p -> s*R*p + t used to
 carry a scale-ambiguous reconstruction into another frame.  The closed-form
 least-squares estimator :func:`umeyama` recovers such a transform from paired
 points via an SVD of the cross-covariance, with the standard sign correction
-so the rotation is never a reflection.  :func:`backproject` lifts a depth map
-into a point cloud using the camera intrinsics and extrinsics.
+so the rotation is never a reflection.  An :class:`SE3Pose` holds one
+camera's rigid extrinsics, which the trajectory metrics compare.
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateInput, EmptyFrame, SchemaError
+from .errors import DegenerateInput, SchemaError
 
 ROTATION_TOL = 1e-9
 
@@ -137,25 +137,23 @@ def apply_transform(transform: Sim3Transform, cloud: PointCloud) -> PointCloud:
     return cloud.with_points(transform.apply(cloud.points))
 
 
-def umeyama(source, target, weights=None) -> Sim3Transform:
-    """Closed-form similarity transform minimizing the weighted residual
-    sum ||s*R*source_i + t - target_i||^2.
+def umeyama(source, target) -> Sim3Transform:
+    """Closed-form similarity transform minimizing the residual sum
+    ||s*R*source_i + t - target_i||^2.
 
-    Uses the SVD of the (weighted) cross-covariance; when the candidate
-    rotation would be a reflection, the sign of the smallest singular
-    direction is flipped so det(R) = +1.  The scale is the variance-ratio
-    form trace(D*S) / var(source).
+    Uses the SVD of the cross-covariance; when the candidate rotation would
+    be a reflection, the sign of the smallest singular direction is flipped
+    so det(R) = +1.  The scale is the variance-ratio form
+    trace(D*S) / var(source).
 
     Args:
         source: (n, 3) source points.
         target: (n, 3) paired target points.
-        weights: optional (n,) non-negative weights with positive sum;
-            defaults to uniform.
 
     Raises:
-        DegenerateInput: fewer than 3 pairs, near-collinear source points
+        DegenerateInput: fewer than 3 pairs, or near-collinear source points
             (second singular value of the source scatter below 1e-12 of the
-            first), or non-positive weight sum.
+            first).
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -165,19 +163,9 @@ def umeyama(source, target, weights=None) -> Sim3Transform:
     if n < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {n}")
 
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != n:
-            raise ValueError("weights length must match the point count")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        total = float(w.sum())
-        if total <= 0.0:
-            raise DegenerateInput("weights sum to zero")
-        w = w / total
-
+    # Each pair weighs 1/n.  Every fit's output bytes depend on this exact
+    # arithmetic; ``.mean()`` would round differently.
+    w = np.full(n, 1.0 / n)
     mu_src = w @ src
     mu_tgt = w @ tgt
     src_c = src - mu_src
@@ -230,64 +218,3 @@ class SE3Pose:
     def center(self) -> np.ndarray:
         """Camera center in the world frame: -R^T t."""
         return -(self.rotation.T @ self.translation)
-
-
-@dataclass(frozen=True)
-class CameraFrame:
-    """One frame's calibrated depth prediction.
-
-    Attributes:
-        intrinsics: 3x3 upper-triangular pixel matrix with positive focals.
-        pose: world-to-camera extrinsics.
-        depth: (H, W) non-negative depths; 0 marks an invalid pixel.
-        confidence: (H, W) per-pixel confidence in [0, 1].
-    """
-
-    intrinsics: np.ndarray
-    pose: SE3Pose
-    depth: np.ndarray
-    confidence: np.ndarray
-
-    def __post_init__(self):
-        k = np.ascontiguousarray(np.asarray(self.intrinsics, dtype=np.float64))
-        if k.shape != (3, 3):
-            raise ValueError("intrinsics must be 3x3")
-        if k[0, 0] <= 0.0 or k[1, 1] <= 0.0:
-            raise ValueError("intrinsics must have positive focal entries")
-        if np.any(k[np.tril_indices(3, -1)] != 0.0):
-            raise ValueError("intrinsics must be upper-triangular")
-        d = np.ascontiguousarray(np.asarray(self.depth, dtype=np.float64))
-        c = np.ascontiguousarray(np.asarray(self.confidence, dtype=np.float64))
-        if d.ndim != 2:
-            raise ValueError("depth must be a 2D grid")
-        if d.shape != c.shape:
-            raise ValueError(f"depth {d.shape} and confidence {c.shape} dimensions differ")
-        if d.size and d.min() < 0.0:
-            raise ValueError("depths must be non-negative")
-        if c.size and (c.min() < 0.0 or c.max() > 1.0):
-            raise ValueError("confidence values must lie in [0, 1]")
-        for name, arr in (("intrinsics", k), ("depth", d), ("confidence", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def backproject(frame: CameraFrame) -> PointCloud:
-    """Lift every valid-depth pixel of ``frame`` into 3D.
-
-    Pixel (u, v) with depth D > 0 maps to R^-1 (D * K^-1 * [u, v, 1] - t);
-    pixels with zero depth are skipped.  Points are emitted in row-major
-    pixel order with the pixel's confidence and source frame attached.
-
-    Raises:
-        EmptyFrame: if no pixel has positive depth.
-    """
-    valid = frame.depth > 0.0
-    if not valid.any():
-        raise EmptyFrame(f"frame {frame.pose.frame_index} has no valid depth")
-    vs, us = np.nonzero(valid)
-    pix = np.stack([us.astype(np.float64), vs.astype(np.float64), np.ones(us.shape[0])])
-    rays = np.linalg.inv(frame.intrinsics) @ pix
-    cam = rays * frame.depth[valid]
-    pts = frame.pose.rotation.T @ (cam - frame.pose.translation[:, None])
-    frames = np.full(us.shape[0], frame.pose.frame_index, dtype=np.int64)
-    return PointCloud(pts.T, frame.confidence[valid], source_frame=frames)

@@ -47,10 +47,6 @@ class Trajectory:
     def centers(self) -> np.ndarray:
         return np.array([p.center for p in self.poses]).reshape(-1, 3)
 
-    @staticmethod
-    def single_epoch(poses, epoch_id: int) -> "Trajectory":
-        return Trajectory(tuple(poses), tuple([epoch_id] * len(poses)))
-
 
 def combine_trajectories(
     epoch1: Trajectory, epoch2: Trajectory, relative: Sim3Transform

@@ -15,12 +15,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
-import numpy as np
-
 from .bundles import FORMAT_VERSION, read_json
 from .changes import ChangeMap, change_scores, classify_changes
 from .cloud import (
     PointCloud,
+    check_grid_resolution,
     median_confidence_mask,
     voxel_downsample_indices,
 )
@@ -50,8 +49,9 @@ class PipelineConfig:
         k_keyframes: keyframe budget per epoch.
         correspondence_cap: maximum correspondence pairs per epoch fit.
         alpha: static-set threshold multiplier for the fine stage.
-        grid_resolution: adaptive voxel grid resolution.
-        seed: seed for the correspondence subsampling generator.
+        grid_resolution: adaptive voxel grid resolution, at most
+            ``cloud.MAX_GRID_RESOLUTION``.
+        seed: non-negative seed for the correspondence subsampling generator.
         mode: "coarse_only" or "full".
     """
 
@@ -63,8 +63,11 @@ class PipelineConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if self.k_keyframes < 1 or self.correspondence_cap < 1 or self.grid_resolution < 1:
-            raise ValueError("k_keyframes, correspondence_cap and grid_resolution must be >= 1")
+        if self.k_keyframes < 1 or self.correspondence_cap < 1:
+            raise ValueError("k_keyframes and correspondence_cap must be >= 1")
+        check_grid_resolution(self.grid_resolution)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if self.mode not in _MODES:
@@ -87,7 +90,6 @@ class RegistrationResult:
     fine: FineResult
     final_transform: Sim3Transform
     cloud_stats: dict
-    downsampled_indices: tuple
     timings: dict
     config_echo: dict
 
@@ -117,8 +119,9 @@ def register_epochs(
         config: pipeline parameters; defaults apply when omitted.
 
     Raises:
-        MisalignedInputs: when a joint keyframe cloud does not match its
-            per-epoch counterpart point for point.
+        MisalignedInputs: when a selected keyframe is missing from the joint
+            reconstruction or its joint cloud does not match the per-epoch
+            cloud point for point.
     """
     if config is None:
         config = PipelineConfig()
@@ -133,19 +136,16 @@ def register_epochs(
     alignments = []
     for kf, frames in zip(keyframes, epoch_frames):
         per_frame = [frames[i - 1] for i in kf.indices]
+        joint_kf_cloud = joint.keyframe_cloud(kf)
+        # Equal totals can hide per-frame mismatches, so compare each frame.
         for index, cloud in zip(kf.indices, per_frame):
-            joint_cloud = joint.clouds.get((kf.epoch_id, index))
-            if joint_cloud is None:
-                raise MisalignedInputs(
-                    f"joint reconstruction lacks epoch {kf.epoch_id} frame {index}"
-                )
+            joint_cloud = joint.clouds[(kf.epoch_id, index)]
             if len(joint_cloud) != len(cloud):
                 raise MisalignedInputs(
                     f"epoch {kf.epoch_id} frame {index}: per-epoch cloud has "
                     f"{len(cloud)} points, joint cloud {len(joint_cloud)}"
                 )
         epoch_kf_cloud = PointCloud.concatenate(per_frame)
-        joint_kf_cloud = joint.keyframe_cloud(kf)
         source, target = build_keyframe_correspondences(
             epoch_kf_cloud,
             joint_kf_cloud,
@@ -162,23 +162,18 @@ def register_epochs(
 
     fine = None
     final = coarse
-    down_indices = None
     fine_elapsed = 0.0
     if config.mode == "full":
         start = time.perf_counter()
         downsampled = []
-        down_indices = []
         for label, cloud in (("t1", full1), ("t2", full2)):
-            keep = np.nonzero(median_confidence_mask(cloud.confidence))[0]
-            filtered = cloud.select(keep)
+            filtered = cloud.select(median_confidence_mask(cloud.confidence))
             voxel_keep = voxel_downsample_indices(filtered, config.grid_resolution)
             downsampled.append(filtered.select(voxel_keep))
-            down_indices.append(keep[voxel_keep])
             cloud_stats[f"{label}_filtered"] = len(filtered)
             cloud_stats[f"{label}_downsampled"] = len(voxel_keep)
         fine = fine_stage(downsampled[0], downsampled[1], coarse, alpha=config.alpha)
         final = Sim3Transform(coarse.scale, coarse.rotation, fine.translation)
-        down_indices = tuple(down_indices)
         fine_elapsed = time.perf_counter() - start
 
     return RegistrationResult(
@@ -188,7 +183,6 @@ def register_epochs(
         fine=fine,
         final_transform=final,
         cloud_stats=cloud_stats,
-        downsampled_indices=down_indices,
         timings={
             "coarse_s": coarse_elapsed,
             "fine_s": fine_elapsed,

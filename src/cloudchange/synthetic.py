@@ -672,7 +672,7 @@ def mock_joint_inference(
             clouds[(kf.epoch_id, index)] = PointCloud(
                 points, epoch_cloud.confidence[mask]
             )
-    return JointReconstruction(clouds=clouds, provenance="synthetic_oracle")
+    return JointReconstruction(clouds=clouds)
 
 
 def all_frames_keyframes(scene: BiTemporalScene) -> tuple:

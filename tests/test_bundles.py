@@ -1,4 +1,4 @@
-"""Depth bundles, trajectory files, and scene directory round trips."""
+"""Trajectory files, epoch and joint directories, and scene directory round trips."""
 
 from __future__ import annotations
 
@@ -7,42 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from cloudchange import CameraFrame, SchemaError, SE3Pose, backproject
+from cloudchange import SchemaError
 from cloudchange.bundles import (
-    oracle_joint_from_files,
-    read_depth_bundle,
-    read_depth_grid,
     read_epoch_dir,
     read_ground_truth,
     read_joint_dir,
     read_scene_dir,
     read_trajectory,
-    write_depth_bundle,
-    write_depth_grid,
     write_scene_dir,
     write_trajectory,
 )
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
-
-from conftest import random_rotation
-
-
-def _sample_frames(rng, n=3, h=12, w=16):
-    frames = []
-    for i in range(1, n + 1):
-        r = random_rotation(rng)
-        depth = rng.uniform(1.0, 5.0, size=(h, w)).astype(np.float32).astype(float)
-        depth[rng.uniform(size=(h, w)) < 0.2] = 0.0
-        conf = rng.uniform(0.0, 1.0, size=(h, w)).astype(np.float32).astype(float)
-        frames.append(
-            CameraFrame(
-                intrinsics=np.array([[80.0, 0.0, w / 2], [0.0, 80.0, h / 2], [0.0, 0.0, 1.0]]),
-                pose=SE3Pose(r, rng.normal(size=3), frame_index=i),
-                depth=depth,
-                confidence=conf,
-            )
-        )
-    return frames
 
 
 @pytest.fixture(scope="module")
@@ -57,91 +32,6 @@ def scene():
             change_spec=(ChangeSpec("added", 150),),
         )
     )
-
-
-class TestDepthGrids:
-    def test_round_trip(self, rng, tmp_path):
-        grid = rng.uniform(0, 9, size=(7, 5)).astype(np.float32).astype(float)
-        path = tmp_path / "grid.bin"
-        write_depth_grid(path, grid)
-        np.testing.assert_array_equal(read_depth_grid(path), grid)
-
-    def test_size_mismatch_rejected(self, rng, tmp_path):
-        path = tmp_path / "grid.bin"
-        write_depth_grid(path, rng.uniform(0, 1, size=(4, 4)))
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(SchemaError):
-            read_depth_grid(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "grid.bin"
-        path.write_bytes(b"not json\n\x00\x00\x00\x00")
-        with pytest.raises(SchemaError):
-            read_depth_grid(path)
-
-    def test_unknown_major_version_rejected(self, rng, tmp_path):
-        path = tmp_path / "grid.bin"
-        write_depth_grid(path, rng.uniform(0, 1, size=(2, 2)))
-        raw = path.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        header["format_version"] = "9.0"
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + raw[newline + 1 :])
-        with pytest.raises(SchemaError):
-            read_depth_grid(path)
-
-
-class TestDepthBundles:
-    def test_round_trip_preserves_frames(self, rng, tmp_path):
-        frames = _sample_frames(rng)
-        write_depth_bundle(tmp_path / "bundle", frames)
-        back = read_depth_bundle(tmp_path / "bundle")
-        assert len(back) == len(frames)
-        for a, b in zip(frames, back):
-            np.testing.assert_array_equal(a.depth, b.depth)
-            np.testing.assert_array_equal(a.confidence, b.confidence)
-            np.testing.assert_allclose(a.pose.rotation, b.pose.rotation, atol=1e-15)
-            np.testing.assert_allclose(a.intrinsics, b.intrinsics, atol=1e-15)
-
-    def test_backprojection_survives_round_trip(self, rng, tmp_path):
-        frames = _sample_frames(rng, n=1)
-        write_depth_bundle(tmp_path / "bundle", frames)
-        back = read_depth_bundle(tmp_path / "bundle")
-        a = backproject(frames[0])
-        b = backproject(back[0])
-        np.testing.assert_allclose(a.points, b.points, atol=1e-12)
-
-    def test_missing_confidence_grid(self, rng, tmp_path):
-        frames = _sample_frames(rng, n=1)
-        write_depth_bundle(tmp_path / "bundle", frames)
-        (tmp_path / "bundle" / "frame_0001_conf.bin").unlink()
-        with pytest.raises(SchemaError, match="confidence"):
-            read_depth_bundle(tmp_path / "bundle")
-
-    def test_grid_dimension_mismatch(self, rng, tmp_path):
-        frames = _sample_frames(rng, n=1)
-        write_depth_bundle(tmp_path / "bundle", frames)
-        write_depth_grid(
-            tmp_path / "bundle" / "frame_0001_conf.bin", rng.uniform(0, 1, size=(3, 3))
-        )
-        with pytest.raises(SchemaError, match="dimensions differ"):
-            read_depth_bundle(tmp_path / "bundle")
-
-    def test_missing_field_names_file(self, rng, tmp_path):
-        frames = _sample_frames(rng, n=1)
-        write_depth_bundle(tmp_path / "bundle", frames)
-        meta_path = tmp_path / "bundle" / "frame_0001.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["intrinsics"]
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(SchemaError, match="intrinsics"):
-            read_depth_bundle(tmp_path / "bundle")
-
-    def test_empty_directory(self, tmp_path):
-        (tmp_path / "bundle").mkdir()
-        with pytest.raises(SchemaError):
-            read_depth_bundle(tmp_path / "bundle")
 
 
 class TestTrajectoryFiles:
@@ -224,10 +114,8 @@ class TestSceneDirectory:
 
     def test_oracle_joint_matches_exported_clouds(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
-        joint = oracle_joint_from_files(
-            (tmp_path / "s" / "e1", tmp_path / "s" / "e2"), tmp_path / "s" / "gt.json"
-        )
-        # Zero-perturbation oracle: file-based reconstruction must agree
+        joint = read_joint_dir(tmp_path / "s" / "joint")
+        # Zero-perturbation oracle: the exported joint clouds must agree
         # with the in-memory world positions to float32 precision.
         for (epoch_id, index), cloud in joint.clouds.items():
             mask = scene.cloud(epoch_id).source_frame == index
@@ -237,7 +125,5 @@ class TestSceneDirectory:
 
     def test_missing_gt_file(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
-        with pytest.raises(SchemaError):
-            oracle_joint_from_files(
-                (tmp_path / "s" / "e1", tmp_path / "s" / "e2"), tmp_path / "nope.json"
-            )
+        with pytest.raises(SchemaError, match="nope.json"):
+            read_ground_truth(tmp_path / "s" / "nope.json")

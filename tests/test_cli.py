@@ -90,7 +90,7 @@ class TestRegister:
         report_path = tmp_path / "r.json"
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--oracle", "--report", str(report_path), "--seed", "3",
+            "--joint", str(scene_dir / "joint"), "--report", str(report_path), "--seed", "3",
         ])
         assert code == 0
         report = RunReport.read(report_path)
@@ -112,7 +112,7 @@ class TestRegister:
     def test_missing_input_directory_is_data_error(self, scene_dir, tmp_path):
         code = main([
             "register", "--t1", str(tmp_path / "nope"), "--t2", str(scene_dir / "e2"),
-            "--oracle",
+            "--joint", str(scene_dir / "joint"),
         ])
         assert code == 2
 
@@ -125,11 +125,22 @@ class TestRegister:
     def test_unknown_flag_is_usage_error(self):
         assert main(["register", "--bogus"]) == 1
 
-    @pytest.mark.parametrize("flag", ["--k", "--cap", "--grid", "--alpha"])
-    def test_zero_config_value_is_usage_error(self, scene_dir, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            pytest.param("--k", "0", id="--k"),
+            pytest.param("--cap", "0", id="--cap"),
+            pytest.param("--grid", "0", id="--grid"),
+            pytest.param("--alpha", "0", id="--alpha"),
+            pytest.param("--grid", "3000000", id="--grid-3000000"),
+            pytest.param("--seed", "-1", id="--seed--1"),
+        ],
+    )
+    def test_zero_config_value_is_usage_error(self, scene_dir, capsys, flag, value):
+        # A negative seed must fail up front even when the cap subsamples.
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--oracle", flag, "0",
+            "--joint", str(scene_dir / "joint"), "--cap", "10", flag, value,
         ])
         assert code == 1
         _assert_one_error_line(capsys, "register")
@@ -138,7 +149,7 @@ class TestRegister:
         report_path = tmp_path / "rc.json"
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--oracle", "--mode", "coarse_only", "--report", str(report_path),
+            "--joint", str(scene_dir / "joint"), "--mode", "coarse_only", "--report", str(report_path),
         ])
         assert code == 0
         data = json.loads(report_path.read_text())
@@ -150,7 +161,7 @@ class TestRegister:
         for path, metrics_path in zip(paths, metrics):
             assert main([
                 "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-                "--oracle", "--report", str(path), "--seed", "5",
+                "--joint", str(scene_dir / "joint"), "--report", str(path), "--seed", "5",
             ]) == 0
             assert main([
                 "eval", "--report", str(path), "--scene", str(scene_dir),
@@ -170,7 +181,7 @@ def report_data(scene_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("reports") / "r.json"
     assert main([
         "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-        "--oracle", "--report", str(path),
+        "--joint", str(scene_dir / "joint"), "--report", str(path),
     ]) == 0
     return json.loads(path.read_text())
 
@@ -211,7 +222,7 @@ class TestDetect:
         report_path = tmp_path / "r.json"
         assert main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--oracle", "--report", str(report_path),
+            "--joint", str(scene_dir / "joint"), "--report", str(report_path),
         ]) == 0
         out = tmp_path / "changes"
         code = main([
@@ -255,7 +266,7 @@ class TestEval:
         report_path = tmp_path / "r.json"
         assert main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--oracle", "--report", str(report_path),
+            "--joint", str(scene_dir / "joint"), "--report", str(report_path),
         ]) == 0
         metrics_path = tmp_path / "m.json"
         code = main([
@@ -289,3 +300,20 @@ class TestAblate:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k-list", "0"],
+            ["--k-list", "2,-2"],
+            ["--k-list", "2", "--modes", "fast"],
+            ["--k-list", "2", "--seed", "-1"],
+        ],
+        ids=["zero_k", "negative_k", "unknown_mode", "negative_seed"],
+    )
+    def test_invalid_config_is_usage_error(self, scene_dir, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        code = main(["ablate", "--scene", str(scene_dir), "--out", str(out), *flags])
+        assert code == 1
+        _assert_one_error_line(capsys, "ablate")
+        assert not out.exists()

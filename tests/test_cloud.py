@@ -14,10 +14,10 @@ from cloudchange import (
     median_confidence_mask,
     nn_distances,
     robust_extent,
-    voxel_downsample,
     voxel_downsample_indices,
     voxel_grid_params,
 )
+from cloudchange.cloud import MAX_GRID_RESOLUTION
 
 
 class TestPointCloud:
@@ -110,7 +110,7 @@ class TestRobustExtent:
 class TestVoxelDownsample:
     def test_single_point_unchanged(self):
         cloud = PointCloud([[1.0, 2.0, 3.0]], [0.4])
-        out = voxel_downsample(cloud, 200)
+        out = cloud.select(voxel_downsample_indices(cloud, 200))
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_keeps_max_confidence_in_voxel(self):
@@ -118,7 +118,7 @@ class TestVoxelDownsample:
             [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]],
             [0.3, 0.9, 0.5],
         )
-        out = voxel_downsample(cloud, 4)
+        out = cloud.select(voxel_downsample_indices(cloud, 4))
         assert len(out) == 2
         assert 0.9 in out.confidence and 0.3 not in out.confidence
 
@@ -166,8 +166,8 @@ class TestVoxelDownsample:
         pts = rng.uniform(0.0, 10.0, size=(3000, 3))
         cloud = PointCloud(pts, rng.uniform(0, 1, 3000))
         grid = voxel_grid_params(cloud, 50)
-        once = voxel_downsample(cloud, grid=grid)
-        twice = voxel_downsample(once, grid=grid)
+        once = cloud.select(voxel_downsample_indices(cloud, grid=grid))
+        twice = once.select(voxel_downsample_indices(once, grid=grid))
         np.testing.assert_array_equal(once.points, twice.points)
         np.testing.assert_array_equal(once.confidence, twice.confidence)
 
@@ -188,21 +188,34 @@ class TestVoxelDownsample:
 
     def test_all_coincident_collapses_to_one_point(self):
         cloud = PointCloud(np.ones((50, 3)), np.linspace(0.1, 0.9, 50))
-        out = voxel_downsample(cloud, 200)
+        out = cloud.select(voxel_downsample_indices(cloud, 200))
         assert len(out) == 1
         assert out.confidence[0] == pytest.approx(0.9)
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
-            voxel_downsample(PointCloud(np.zeros((0, 3))), 10)
+            voxel_downsample_indices(PointCloud(np.zeros((0, 3))), 10)
 
     def test_outliers_clamped_not_dropped(self, rng):
         pts = rng.uniform(0.0, 10.0, size=(500, 3))
         pts[0] = [1e4, 1e4, 1e4]
         cloud = PointCloud(pts, np.full(500, 0.5))
-        out = voxel_downsample(cloud, 20)
+        out = cloud.select(voxel_downsample_indices(cloud, 20))
         # The outlier lands in a boundary voxel; total never exceeds input.
         assert 1 <= len(out) <= 500
+
+    @pytest.mark.parametrize("resolution", [0, MAX_GRID_RESOLUTION + 1])
+    def test_out_of_range_resolution_rejected(self, resolution):
+        cloud = PointCloud(np.eye(3))
+        with pytest.raises(ValueError, match="grid_resolution"):
+            voxel_grid_params(cloud, resolution)
+
+    def test_largest_resolution_keys_stay_non_negative(self, rng):
+        # At the largest accepted resolution every linearized key still fits
+        # in int64; at 3e6 some of these keys wrap negative.
+        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(20000, 3)))
+        grid = voxel_grid_params(cloud, MAX_GRID_RESOLUTION)
+        assert (grid.keys(cloud.points) >= 0).all()
 
 
 class TestSpatialIndex:

@@ -1,4 +1,4 @@
-"""Transform algebra, the closed-form similarity fit, and back-projection."""
+"""Transform algebra, the closed-form similarity fit, and camera poses."""
 
 from __future__ import annotations
 
@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from cloudchange import (
-    CameraFrame,
     DegenerateInput,
-    EmptyFrame,
     SE3Pose,
     Sim3Transform,
     apply_transform,
-    backproject,
     compose_relative,
     rotation_angle_deg,
     umeyama,
@@ -99,16 +96,6 @@ class TestUmeyama:
                 1.0 + np.linalg.norm(gt.translation)
             )
 
-    def test_weighted_ignores_zero_weight_outliers(self, rng):
-        gt = random_sim3(rng)
-        src = rng.normal(size=(50, 3))
-        tgt = gt.apply(src)
-        src_bad = np.vstack([src, rng.normal(size=(5, 3)) * 10])
-        tgt_bad = np.vstack([tgt, rng.normal(size=(5, 3)) * 10])
-        weights = np.concatenate([np.ones(50), np.zeros(5)])
-        est = umeyama(src_bad, tgt_bad, weights=weights)
-        assert abs(est.scale - gt.scale) <= 1e-9 * gt.scale
-
     def test_reflection_correction_on_planar_points(self, rng):
         # Planar sets exercise the det<0 branch; the result must still be a
         # proper rotation that maps source onto target.
@@ -128,11 +115,6 @@ class TestUmeyama:
         line = np.stack([np.linspace(0.0, 1.0, 10)] * 3, axis=1)
         with pytest.raises(DegenerateInput):
             umeyama(line, line + 1.0)
-
-    def test_zero_weight_sum(self, rng):
-        pts = rng.normal(size=(5, 3))
-        with pytest.raises(DegenerateInput):
-            umeyama(pts, pts, weights=np.zeros(5))
 
     def test_optimality_against_perturbed_candidates(self, rng):
         src = rng.normal(size=(60, 3))
@@ -242,92 +224,6 @@ class TestApplyTransform:
         t = random_sim3(rng)
         back = apply_transform(t.inverse(), apply_transform(t, cloud))
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-10)
-
-
-def _project(frame: CameraFrame, points: np.ndarray) -> tuple:
-    """Independent pinhole projection: pixel coordinates and depths."""
-    cam = (frame.pose.rotation @ points.T + frame.pose.translation[:, None]).T
-    pix = (frame.intrinsics @ cam.T).T
-    return pix[:, :2] / pix[:, 2:3], cam[:, 2]
-
-
-class TestBackproject:
-    def test_unit_intrinsics_single_pixel(self):
-        depth = np.zeros((2, 2))
-        depth[0, 0] = 1.0
-        frame = CameraFrame(
-            intrinsics=np.eye(3),
-            pose=SE3Pose(np.eye(3), np.zeros(3)),
-            depth=depth,
-            confidence=np.full((2, 2), 0.5),
-        )
-        cloud = backproject(frame)
-        assert len(cloud) == 1
-        np.testing.assert_allclose(cloud.points[0], [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_principal_point_pixel(self):
-        # Hand evaluation: K = diag(100, 100, 1) with principal point
-        # (50, 50); the pixel at the principal point with depth 3 lands on
-        # the optical axis at z = 3.
-        k = np.array([[100.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]])
-        depth = np.zeros((64, 64))
-        depth[50, 50] = 3.0
-        frame = CameraFrame(
-            intrinsics=k,
-            pose=SE3Pose(np.eye(3), np.zeros(3)),
-            depth=depth,
-            confidence=np.full((64, 64), 1.0),
-        )
-        cloud = backproject(frame)
-        np.testing.assert_allclose(cloud.points[0], [0.0, 0.0, 3.0], atol=1e-12)
-
-    def test_all_depths_zero_is_empty_frame(self):
-        frame = CameraFrame(
-            intrinsics=np.eye(3),
-            pose=SE3Pose(np.eye(3), np.zeros(3)),
-            depth=np.zeros((4, 4)),
-            confidence=np.ones((4, 4)),
-        )
-        with pytest.raises(EmptyFrame):
-            backproject(frame)
-
-    def test_confidence_and_frame_attached(self, rng):
-        depth = rng.uniform(1.0, 5.0, size=(8, 8))
-        conf = rng.uniform(0.0, 1.0, size=(8, 8))
-        frame = CameraFrame(
-            intrinsics=np.diag([50.0, 50.0, 1.0]),
-            pose=SE3Pose(np.eye(3), np.zeros(3), frame_index=3),
-            depth=depth,
-            confidence=conf,
-        )
-        cloud = backproject(frame)
-        assert len(cloud) == 64
-        np.testing.assert_array_equal(cloud.confidence, conf.ravel())
-        assert (cloud.source_frame == 3).all()
-
-    def test_reprojection_round_trip(self, rng):
-        k = np.array([[320.0, 0.0, 31.5], [0.0, 280.0, 24.0], [0.0, 0.0, 1.0]])
-        pose = SE3Pose(random_rotation(rng), rng.normal(size=3), frame_index=1)
-        depth = rng.uniform(2.0, 8.0, size=(48, 64))
-        depth[rng.uniform(size=(48, 64)) < 0.3] = 0.0
-        frame = CameraFrame(
-            intrinsics=k, pose=pose, depth=depth, confidence=np.ones((48, 64))
-        )
-        cloud = backproject(frame)
-        pix, depths = _project(frame, cloud.points)
-        vs, us = np.nonzero(depth > 0)
-        np.testing.assert_allclose(pix[:, 0], us, atol=1e-6)
-        np.testing.assert_allclose(pix[:, 1], vs, atol=1e-6)
-        np.testing.assert_allclose(depths, depth[depth > 0], rtol=1e-9)
-
-    def test_rejects_mismatched_grids(self):
-        with pytest.raises(ValueError):
-            CameraFrame(
-                intrinsics=np.eye(3),
-                pose=SE3Pose(np.eye(3), np.zeros(3)),
-                depth=np.zeros((4, 4)),
-                confidence=np.ones((4, 5)),
-            )
 
 
 class TestSE3Pose:

@@ -28,7 +28,7 @@ def _trajectory_from_centers(centers, epoch_id=1, rng=None):
     for i, c in enumerate(centers, start=1):
         r = random_rotation(rng)
         poses.append(SE3Pose(r, -(r @ np.asarray(c, float)), frame_index=i))
-    return Trajectory.single_epoch(poses, epoch_id)
+    return Trajectory(tuple(poses), (epoch_id,) * len(poses))
 
 
 def _combined(centers1, centers2, rng=None):
@@ -47,7 +47,7 @@ class TestTrajectory:
         r = random_rotation(rng)
         poses = [SE3Pose(r, np.zeros(3), frame_index=2), SE3Pose(r, np.ones(3), frame_index=1)]
         with pytest.raises(ValueError):
-            Trajectory.single_epoch(poses, 1)
+            Trajectory(tuple(poses), (1, 1))
 
     def test_labels_and_centers(self, rng):
         traj = _trajectory_from_centers(_arc(4), 2, rng)

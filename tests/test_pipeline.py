@@ -16,6 +16,7 @@ from cloudchange import (
     register_epochs,
     register_scene,
 )
+from cloudchange.keyframes import fps_temporal
 from cloudchange.pipeline import detect_changes
 from cloudchange.synthetic import (
     ChangeSpec,
@@ -56,6 +57,10 @@ class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(k_keyframes=0)
+        with pytest.raises(ValueError, match="seed"):
+            PipelineConfig(seed=-1)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            PipelineConfig(grid_resolution=3_000_000)
         with pytest.raises(ValueError):
             PipelineConfig(mode="fast")
         with pytest.raises(ValueError):
@@ -76,16 +81,13 @@ class TestRegisterScene:
         )
         assert result.fine is None
         assert result.final_transform is result.coarse_relative
-        assert result.downsampled_indices is None
 
     def test_full_mode_reports_cloud_reduction(self, scene):
         result = register_scene(scene, PipelineConfig(seed=1), joint_sigma=0.005)
         stats = result.cloud_stats
         assert stats["t1_filtered"] <= stats["t1_total"]
         assert stats["t1_downsampled"] <= stats["t1_filtered"]
-        idx1, idx2 = result.downsampled_indices
-        assert len(idx1) == stats["t1_downsampled"]
-        assert len(idx2) == stats["t2_downsampled"]
+        assert stats["t2_downsampled"] <= stats["t2_filtered"] <= stats["t2_total"]
 
     def test_final_transform_locks_scale_rotation(self, scene):
         result = register_scene(scene, PipelineConfig(seed=1), joint_sigma=0.005)
@@ -106,6 +108,20 @@ class TestRegisterEpochs:
         cloud = joint.clouds[key]
         joint.clouds[key] = PointCloud(cloud.points[:-1], cloud.confidence[:-1])
         with pytest.raises(MisalignedInputs):
+            register_epochs(
+                scene.epoch_frames(1), scene.epoch_frames(2), joint, PipelineConfig()
+            )
+
+    def test_per_frame_mismatch_with_equal_totals_rejected(self, scene):
+        joint = mock_joint_inference(scene, all_frames_keyframes(scene))
+        keyframes = fps_temporal(scene.spec.n_frames_per_epoch, PipelineConfig().k_keyframes)
+        other = (1, keyframes.indices[1])
+        first, second = joint.clouds[(1, 1)], joint.clouds[other]
+        # Move one point from frame 1 to another keyframe: the keyframe total
+        # stays the same, but neither frame is pixel-aligned any more.
+        joint.clouds[(1, 1)] = first.select(np.arange(len(first) - 1))
+        joint.clouds[other] = PointCloud.concatenate([second, first.select([len(first) - 1])])
+        with pytest.raises(MisalignedInputs, match="frame 1:"):
             register_epochs(
                 scene.epoch_frames(1), scene.epoch_frames(2), joint, PipelineConfig()
             )

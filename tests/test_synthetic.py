@@ -157,7 +157,6 @@ class TestMockJointInference:
         )
         keyframes = (fps_temporal(10, 3, epoch_id=1), fps_temporal(10, 3, epoch_id=2))
         joint = mock_joint_inference(scene, keyframes, sigma=0.0)
-        assert joint.provenance == "synthetic_oracle"
         for (epoch_id, index), cloud in joint.clouds.items():
             epoch_cloud = scene.cloud(epoch_id).frame_subset(index)
             mapped = scene.epoch_transforms[epoch_id - 1].apply(epoch_cloud.points)

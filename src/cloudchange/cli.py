@@ -266,6 +266,10 @@ def _cmd_ablate(args) -> int:
         print(f"ablate: error: bad --k-list {args.k_list!r}", file=sys.stderr)
         return USAGE_ERROR
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
+    if not k_values or not modes:
+        empty = "--k-list" if not k_values else "--modes"
+        print(f"ablate: error: {empty} names no value", file=sys.stderr)
+        return USAGE_ERROR
     # Build every swept config up front, so a bad budget, mode or seed is a
     # usage error before any scene is read or registered.
     try:

@@ -36,6 +36,13 @@ def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarr
     return r
 
 
+def _check_translation(translation) -> np.ndarray:
+    t = np.ascontiguousarray(np.asarray(translation, dtype=np.float64)).reshape(3)
+    if not np.isfinite(t).all():
+        raise ValueError(f"translation must be finite, got {t.tolist()}")
+    return t
+
+
 def rotation_angle_deg(rotation: np.ndarray) -> float:
     """Rotation angle of a rotation matrix, in degrees."""
     r = np.asarray(rotation, dtype=np.float64)
@@ -63,9 +70,7 @@ class Sim3Transform:
             raise ValueError(f"scale must be a positive finite number, got {s}")
         r = _check_rotation(self.rotation)
         r.setflags(write=False)
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
-        if not np.isfinite(t).all():
-            raise ValueError(f"translation must be finite, got {t.tolist()}")
+        t = _check_translation(self.translation)
         t.setflags(write=False)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "rotation", r)
@@ -195,7 +200,7 @@ class SE3Pose:
 
     Attributes:
         rotation: orthonormal world-to-camera matrix, det +1.
-        translation: 3-vector in scene units.
+        translation: finite 3-vector in scene units.
         frame_index: non-negative frame number the pose belongs to.
     """
 
@@ -206,7 +211,7 @@ class SE3Pose:
     def __post_init__(self):
         r = _check_rotation(self.rotation)
         r.setflags(write=False)
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
+        t = _check_translation(self.translation)
         t.setflags(write=False)
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")

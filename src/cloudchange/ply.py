@@ -151,23 +151,64 @@ def _assemble_cloud(columns: dict, n: int, path) -> PointCloud:
         confidence = np.ones(n, dtype=np.float64)
     else:
         confidence = confidence.astype(np.float64)
-        if n and (confidence.min() < 0.0 or confidence.max() > 1.0):
-            bad = int(np.argmax((confidence < 0.0) | (confidence > 1.0)))
-            raise ParseError(f"{path}: confidence outside [0, 1] at vertex {bad}")
     color = None
     if all(ch in columns for ch in ("red", "green", "blue")):
         color = np.stack(
             [columns["red"], columns["green"], columns["blue"]], axis=1
         ).astype(np.uint8)
-    return PointCloud(points, confidence, color=color)
+    try:
+        return PointCloud(points, confidence, color=color)
+    except ValueError as exc:  # a non-finite coordinate or a bad confidence
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_ascii_rows(lines: list, n_values: int, first_line: int, path) -> np.ndarray:
+    """(len(lines), n_values) float64 array of the leading values of each row.
+
+    Values beyond ``n_values`` on a row are ignored.  ``first_line`` is the
+    1-based file line of ``lines[0]``, used to name a bad row.
+    """
+    if not lines:
+        return np.empty((0, n_values), dtype=np.float64)
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when every row is blank; the scan below reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(
+                lines, dtype=np.float64, comments=None, usecols=range(n_values), ndmin=2
+            )
+    except ValueError:
+        data = None
+    # loadtxt skips blank rows and names a bad row only in its message, so
+    # a failure is located by checking each row in turn.
+    if data is not None and data.shape[0] == len(lines):
+        return data
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) < n_values:
+            raise ParseError(
+                f"{path}: vertex row has {len(tokens)} values, expected {n_values}",
+                line=first_line + i,
+            )
+        try:
+            for tok in tokens[:n_values]:
+                # float() also takes digit separators ("1_0"); PLY and loadtxt do not.
+                if "_" in tok:
+                    raise ValueError(tok)
+                float(tok)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric vertex value", line=first_line + i) from None
+    raise ParseError(f"{path}: unreadable vertex rows", line=first_line)
 
 
 def read_ply(path) -> PointCloud:
     """Read a point cloud from an ASCII or binary-little-endian PLY file.
 
     Raises:
-        ParseError: malformed header, truncated data (the error names the
-            offending line or byte offset), or unsupported constructs.
+        ParseError: malformed header, truncated data, a short or non-numeric
+            ASCII row (the error names the offending line or byte offset), a
+            non-finite coordinate or a confidence outside [0, 1] (the error
+            names the 0-based vertex as "point i"), or unsupported constructs.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -230,20 +271,8 @@ def read_ply(path) -> PointCloud:
                 f"{path}: truncated vertex data, expected {n_vertices} rows",
                 line=header_lines + len(lines),
             )
-        data = np.empty((n_vertices, len(properties)), dtype=np.float64)
-        for i in range(n_vertices):
-            tokens = lines[skip + i].split()
-            if len(tokens) < len(properties):
-                raise ParseError(
-                    f"{path}: vertex row has {len(tokens)} values, expected {len(properties)}",
-                    line=header_lines + skip + i + 1,
-                )
-            try:
-                data[i] = [float(tok) for tok in tokens[: len(properties)]]
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric vertex value", line=header_lines + skip + i + 1
-                ) from None
+        first_line = header_lines + skip + 1
+        data = _parse_ascii_rows(lines[skip : skip + n_vertices], len(properties), first_line, path)
         columns = {}
         for j, (ply_type, name) in enumerate(properties):
             np_type = _SCALAR_TYPES.get(ply_type)

@@ -64,6 +64,28 @@ class TestTrajectoryFiles:
         with pytest.raises(SchemaError):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("translation", [[float("nan"), 0, 0], [0, 0, float("-inf")]])
+    def test_non_finite_translation_rejected(self, tmp_path, translation):
+        path = tmp_path / "traj.json"
+        # json.dumps spells these NaN and -Infinity, which json.loads reads back.
+        path.write_text(
+            json.dumps(
+                {
+                    "format_version": "1.0",
+                    "poses": [
+                        {
+                            "epoch_id": 1,
+                            "frame_index": 1,
+                            "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                            "translation": translation,
+                        }
+                    ],
+                }
+            )
+        )
+        with pytest.raises(SchemaError, match="pose 0: translation must be finite"):
+            read_trajectory(path)
+
 
 class TestSceneDirectory:
     def test_epoch_dir_round_trip_is_float32_lossless(self, tmp_path, scene):

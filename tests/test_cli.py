@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -83,6 +84,7 @@ class TestSynth:
 def _assert_one_error_line(capsys, command):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command}: error: "), lines
+    return lines[0]
 
 
 class TestRegister:
@@ -261,6 +263,48 @@ class TestDetect:
         assert main(["detect", "--out", str(tmp_path / "x")]) == 1
 
 
+def _nan_frame_scene(scene_dir, tmp_path):
+    """Copy of the scene whose e1/frame_0010.ply has a NaN x in vertex 0."""
+    copy = tmp_path / "nan_scene"
+    shutil.copytree(scene_dir, copy)
+    frame = copy / "e1" / "frame_0010.ply"
+    data = bytearray(frame.read_bytes())
+    body = data.index(b"end_header\n") + len(b"end_header\n")
+    data[body : body + 4] = np.float32(np.nan).tobytes()
+    frame.write_bytes(bytes(data))
+    return copy
+
+
+class TestNonFiniteInput:
+    def test_register_is_data_error(self, scene_dir, tmp_path, capsys):
+        scene = _nan_frame_scene(scene_dir, tmp_path)
+        code = main([
+            "register", "--t1", str(scene / "e1"), "--t2", str(scene / "e2"),
+            "--joint", str(scene / "joint"), "--report", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        line = _assert_one_error_line(capsys, "register")
+        assert "frame_0010.ply: non-finite coordinates" in line and "at point 0" in line
+        assert not (tmp_path / "r.json").exists()
+
+    def test_detect_without_confidence_filter_is_data_error(self, scene_dir, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        assert main([
+            "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+            "--joint", str(scene_dir / "joint"), "--report", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        scene = _nan_frame_scene(scene_dir, tmp_path)
+        code = main([
+            "detect", "--t1", str(scene / "e1"), "--t2", str(scene / "e2"),
+            "--report", str(report_path), "--out", str(tmp_path / "ch"),
+            "--no-filter-confidence",
+        ])
+        assert code == 2
+        line = _assert_one_error_line(capsys, "detect")
+        assert "frame_0010.ply: non-finite coordinates" in line
+
+
 class TestEval:
     def test_metrics_written_and_small_for_oracle(self, scene_dir, tmp_path):
         report_path = tmp_path / "r.json"
@@ -308,8 +352,10 @@ class TestAblate:
             ["--k-list", "2,-2"],
             ["--k-list", "2", "--modes", "fast"],
             ["--k-list", "2", "--seed", "-1"],
+            ["--k-list", ""],
+            ["--k-list", "2", "--modes", ","],
         ],
-        ids=["zero_k", "negative_k", "unknown_mode", "negative_seed"],
+        ids=["zero_k", "negative_k", "unknown_mode", "negative_seed", "no_k", "no_mode"],
     )
     def test_invalid_config_is_usage_error(self, scene_dir, tmp_path, capsys, flags):
         out = tmp_path / "t.csv"

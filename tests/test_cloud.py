@@ -18,6 +18,7 @@ from cloudchange import (
     voxel_grid_params,
 )
 from cloudchange.cloud import MAX_GRID_RESOLUTION
+from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 
 class TestPointCloud:
@@ -28,6 +29,19 @@ class TestPointCloud:
             PointCloud(np.zeros((3, 3)), np.full(3, 1.5))
         with pytest.raises(ValueError):
             PointCloud(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "points_value, confidence_value",
+        [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (0.0, np.nan), (0.0, np.inf)],
+        ids=["nan_point", "inf_point", "neg_inf_point", "nan_confidence", "inf_confidence"],
+    )
+    def test_non_finite_values_rejected(self, points_value, confidence_value):
+        points = np.zeros((4, 3))
+        points[2, 1] = points_value
+        confidence = np.full(4, 0.5)
+        confidence[3] = confidence_value
+        with pytest.raises(ValueError):
+            PointCloud(points, confidence)
 
     def test_default_confidence_is_ones(self):
         cloud = PointCloud(np.zeros((4, 3)))
@@ -247,6 +261,66 @@ class TestSpatialIndex:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
             build_index(PointCloud(np.zeros((0, 3))))
+
+
+def _surface_index_and_queries():
+    """Indexed cloud and queries built from box-face samples.
+
+    The indexed cloud is a small scene's epoch-1 world points plus exact
+    copies of some of its rows (exact-distance ties) and a cluster displaced
+    far from every surface; the queries are the epoch-2 world points (moved,
+    added and removed objects), the indexed rows themselves and a second far
+    cluster displaced the other way.
+    """
+    scene = generate_scene(
+        SceneSpec(
+            seed=11,
+            n_static=1500,
+            n_frames_per_epoch=6,
+            noise_sigma=0.002,
+            change_spec=(
+                ChangeSpec("added", 80),
+                ChangeSpec("removed", 60),
+                ChangeSpec("moved", 90, (1.0, 0.8, 0.3)),
+            ),
+        )
+    )
+    base = scene.world_t1
+    far = base[::25] + np.array([3.0, -2.0, 1.5]) * scene.extent
+    indexed = np.concatenate([base, base[::7], far])
+    queries = np.concatenate([scene.world_t2, indexed[::3], base[::30] - scene.extent])
+    return indexed, queries
+
+
+def _exhaustive_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # Same distance arithmetic as SpatialIndex.query; blocks bound the memory.
+    blocks = [
+        np.sqrt(np.sum((queries[i : i + 256, None, :] - points[None, :, :]) ** 2, axis=2))
+        for i in range(0, len(queries), 256)
+    ]
+    return np.concatenate(blocks)
+
+
+class TestSurfaceIndexExactness:
+    """Exact NN on surface samples, the data the index's tree is tuned for."""
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        indexed, queries = _surface_index_and_queries()
+        dist, idx = build_index(PointCloud(indexed)).query(queries)
+        return dist, idx, _exhaustive_distances(queries, indexed)
+
+    def test_distances_match_exhaustive_scan_bit_for_bit(self, scan):
+        dist, _, all_d = scan
+        assert (dist == all_d.min(axis=1)).all()
+
+    def test_every_index_is_argmin_or_exact_tie(self, scan):
+        dist, idx, all_d = scan
+        rows = np.arange(len(idx))
+        assert (all_d[rows, idx] == all_d.min(axis=1)).all()
+        # The duplicated rows must really produce ties, or the check is vacuous.
+        ties = (all_d == all_d.min(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties > 1).any()
 
 
 class TestNNDistances:

@@ -233,6 +233,11 @@ class TestSE3Pose:
         pose = SE3Pose(r, -(r @ c))
         np.testing.assert_allclose(pose.center, c, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, value):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            SE3Pose(np.eye(3), [0.0, value, 0.0])
+
     def test_rotation_angle(self, rng):
         axis = np.array([0.0, 0.0, 1.0])
         angle = 0.3

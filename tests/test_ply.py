@@ -56,6 +56,41 @@ class TestRoundTrip:
         np.testing.assert_array_equal(read_ply(pa).points, read_ply(pb).points)
 
 
+def _reference_ascii_parse(path, n_values):
+    """Per-token float() parse of an ASCII PLY body with no leading elements."""
+    text = path.read_text()
+    body = text[text.index("end_header\n") + len("end_header\n") :].splitlines()
+    return np.array([[float(tok) for tok in row.split()[:n_values]] for row in body])
+
+
+class TestAsciiParse:
+    def test_matches_per_token_float_parse(self, rng, tmp_path):
+        cloud = _random_cloud(rng, n=2000, color=True)
+        path = tmp_path / "a.ply"
+        write_ply(cloud, path, binary=False)
+        expected = _reference_ascii_parse(path, 7)
+        back = read_ply(path)
+        assert (back.points == expected[:, :3].astype("<f4").astype(np.float64)).all()
+        assert (back.confidence == expected[:, 3].astype("<f4").astype(np.float64)).all()
+        assert (back.color == expected[:, 4:].astype(np.uint8)).all()
+
+    def test_foreign_number_spellings_and_trailing_values(self, rng, tmp_path):
+        values = rng.normal(size=(300, 3)) * np.exp(rng.uniform(-20, 20, (300, 1)))
+        spellings = ["{!r}", "{:.20e}", "{:+.3f}", "{:.17g}"]
+        rows = [
+            " ".join(spellings[(i + j) % 4].format(v) for j, v in enumerate(row)) + " 7 extra"
+            for i, row in enumerate(values.tolist())
+        ]
+        path = tmp_path / "d.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n" + "\t\n".join(rows) + "\n"
+        )
+        expected = _reference_ascii_parse(path, 3)
+        assert (read_ply(path).points.view(np.int64) == expected.view(np.int64)).all()
+
+
 class TestReadForeignFiles:
     def test_missing_confidence_defaults_to_one(self, tmp_path):
         path = tmp_path / "plain.ply"
@@ -128,7 +163,75 @@ class TestParseErrors:
             "property float x\nproperty float y\nproperty float z\n"
             "end_header\n0 0 0\n1 1 1\n"
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
+            read_ply(path)
+        assert info.value.line == 9
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("2 2", "has 2 values"),
+            ("", "has 0 values"),
+            ("2 two 2", "non-numeric"),
+            ("2 2_0 2", "non-numeric"),
+            ("2 # 2", "non-numeric"),
+        ],
+        ids=["short_row", "blank_row", "word", "digit_separator", "comment_mark"],
+    )
+    def test_bad_ascii_row_names_its_line(self, tmp_path, bad_row, message):
+        # A face element before the vertices shifts the vertex rows by one line.
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+            "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n"
+            f"end_header\n3 0 1 2\n0 0 0\n1 1 1\n{bad_row}\n3 3 3\n"
+        )
+        with pytest.raises(ParseError, match=message) as info:
+            read_ply(path)
+        assert info.value.line == 13
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_blank_ascii_body_names_first_row(self, tmp_path):
+        path = tmp_path / "blank.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n\n  \n"
+        )
+        with pytest.raises(ParseError, match="has 0 values") as info:
+            read_ply(path)
+        assert info.value.line == 8
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_names_vertex(self, rng, tmp_path, binary, value):
+        cloud = _random_cloud(rng, n=20)
+        path = tmp_path / "nf.ply"
+        write_ply(cloud, path, binary=binary)
+        if binary:
+            data = bytearray(path.read_bytes())
+            offset = data.index(b"end_header\n") + len(b"end_header\n") + 13 * 16 + 4
+            data[offset : offset + 4] = np.float32(value).tobytes()
+            path.write_bytes(bytes(data))
+        else:
+            lines = path.read_text().splitlines()
+            row = lines[-20 + 13].split()
+            row[1] = str(value)
+            lines[-20 + 13] = " ".join(row)
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"non-finite coordinates \[.*\] at point 13"):
+            read_ply(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_confidence_names_vertex(self, tmp_path, value):
+        path = tmp_path / "conf.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float confidence\n"
+            f"end_header\n0 0 0 0.5\n1 1 1 {value}\n"
+        )
+        with pytest.raises(ParseError, match=r"outside \[0, 1\] at point 1"):
             read_ply(path)
 
     def test_missing_end_header(self, tmp_path):

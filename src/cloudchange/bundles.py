@@ -133,8 +133,8 @@ def write_epoch_dir(directory, frames: list, trajectory: Trajectory = None):
 def read_epoch_dir(directory) -> list:
     """Read the per-frame clouds of an epoch directory, in frame order.
 
-    Each frame's points get their source_frame set from the file name, so
-    concatenating the frames reproduces the epoch's labeled dense cloud.
+    The files must be named frame_0001.ply, frame_0002.ply, ... with no gap;
+    element i of the result is frame i + 1.
     """
     directory = Path(directory)
     paths = sorted(directory.glob("frame_*.ply"))
@@ -145,18 +145,9 @@ def read_epoch_dir(directory) -> list:
         token = path.stem[len("frame_"):]
         if not (token.isascii() and token.isdigit()):
             raise SchemaError(f"{path}: cannot parse a frame number from the file name")
-        index = int(token)
-        if index != expected:
+        if int(token) != expected:
             raise SchemaError(f"{directory}: frame files are not consecutive at {path.name}")
-        cloud = read_ply(path)
-        frames.append(
-            PointCloud(
-                cloud.points,
-                cloud.confidence,
-                color=cloud.color,
-                source_frame=np.full(len(cloud), index, dtype=np.int64),
-            )
-        )
+        frames.append(read_ply(path))
     return frames
 
 
@@ -278,12 +269,16 @@ def read_scene_dir(directory) -> BiTemporalScene:
     gt = read_ground_truth(directory / "gt.json")
     spec = replace(spec, epoch_transforms=gt["epoch_transforms"])
 
-    clouds, worlds = [], []
+    clouds, worlds, bounds = [], [], []
     for epoch_id, name in ((1, "e1"), (2, "e2")):
         frames = read_epoch_dir(directory / name)
+        if len(frames) != spec.n_frames_per_epoch:
+            declared = f"scene.json declares {spec.n_frames_per_epoch}"
+            raise SchemaError(f"{directory / name}: {len(frames)} frame files, {declared}")
         cloud = PointCloud.concatenate(frames)
         clouds.append(cloud)
         worlds.append(spec.epoch_transforms[epoch_id - 1].apply(cloud.points))
+        bounds.append(np.cumsum([0] + [len(frame) for frame in frames]))
 
     return BiTemporalScene(
         spec=spec,
@@ -297,6 +292,8 @@ def read_scene_dir(directory) -> BiTemporalScene:
         edge_t2=gt["edge_t2"],
         origin_t1=gt["origin_t1"],
         origin_t2=gt["origin_t2"],
+        frame_bounds_t1=bounds[0],
+        frame_bounds_t2=bounds[1],
         trajectory_t1=read_trajectory(directory / "gt_trajectories" / "e1.json"),
         trajectory_t2=read_trajectory(directory / "gt_trajectories" / "e2.json"),
         extent=gt["extent"],

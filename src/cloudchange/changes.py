@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import PointCloud, build_index, robust_extent
-from .errors import EmptyCloud
+from .errors import EmptyCloud, check_non_negative
 
 DEFAULT_TAU_RATIO = 0.01
 
@@ -80,9 +80,11 @@ def classify_changes(change_map: ChangeMap, tau_ratio: float = DEFAULT_TAU_RATIO
 
     The threshold is tau_ratio times the scene extent recorded on the map;
     a point is changed when its score strictly exceeds it.
+
+    Raises:
+        ValueError: if ``tau_ratio`` is NaN, infinite or negative.
     """
-    if tau_ratio < 0.0:
-        raise ValueError("tau_ratio must be non-negative")
+    check_non_negative("tau_ratio", tau_ratio)
     tau = tau_ratio * change_map.scene_extent
     return replace(
         change_map,
@@ -135,12 +137,10 @@ def colorize(
         aligned_t1.points,
         aligned_t1.confidence,
         color=_scores_to_colors(change_map.forward_scores, change_map.tau, table),
-        source_frame=aligned_t1.source_frame,
     )
     colored_t2 = PointCloud(
         t2.points,
         t2.confidence,
         color=_scores_to_colors(change_map.backward_scores, change_map.tau, table),
-        source_frame=t2.source_frame,
     )
     return colored_t1, colored_t2

@@ -20,15 +20,16 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bundles
-from .changes import colorize
+from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
-from .errors import CloudChangeError, InvalidSpec
+from .errors import CloudChangeError, InvalidSpec, check_non_negative
 from .geometry import apply_transform
 from .metrics import MetricsReport, ablation_sweep, ate, combine_trajectories, rte, transform_error
-from .pipeline import PipelineConfig, RunReport, detect_changes, register_epochs
+from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
 from .synthetic import SceneSpec, generate_scene
 
 USAGE_ERROR = 1
@@ -60,24 +61,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class _UsageError(Exception):
+    """A flag value a command rejects before it reads or writes anything."""
+
+
+@contextmanager
+def _flag_checks():
+    """Turn a ValueError raised while checking flags into a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+_DEFAULTS = PipelineConfig()
+# Numeric PipelineConfig flags: flag name, config field, help; the type and
+# default come from the field's default.
+_CONFIG_FLAGS = (
+    ("k", "k_keyframes", "keyframe budget per epoch"),
+    ("cap", "correspondence_cap", "correspondence cap per epoch"),
+    ("alpha", "alpha", "static-set threshold multiplier"),
+    ("grid", "grid_resolution", "voxel grid resolution"),
+    ("seed", "seed", "subsampling seed"),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--k", type=int, default=5, help="keyframe budget per epoch")
-    parser.add_argument("--cap", type=int, default=5000, help="correspondence cap per epoch")
-    parser.add_argument("--alpha", type=float, default=3.0, help="static-set threshold multiplier")
-    parser.add_argument("--grid", type=int, default=200, help="voxel grid resolution")
-    parser.add_argument("--seed", type=int, default=0, help="subsampling seed")
-    parser.add_argument("--mode", choices=("coarse_only", "full"), default="full")
+    for flag, field, help_text in _CONFIG_FLAGS:
+        default = getattr(_DEFAULTS, field)
+        parser.add_argument(f"--{flag}", type=type(default), default=default, help=help_text)
+    parser.add_argument("--mode", choices=MODES, default=_DEFAULTS.mode)
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        k_keyframes=args.k,
-        correspondence_cap=args.cap,
-        alpha=args.alpha,
-        grid_resolution=args.grid,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    fields = {field: getattr(args, flag) for flag, field, _ in _CONFIG_FLAGS}
+    return PipelineConfig(mode=args.mode, **fields)
 
 
 def _build_parser() -> _Parser:
@@ -106,7 +124,7 @@ def _build_parser() -> _Parser:
     p_det.add_argument("--report", type=Path, help="register output holding the transform")
     p_det.add_argument("--aligned-ply", type=Path, help="already-aligned epoch 1 cloud")
     p_det.add_argument("--target-ply", type=Path, help="epoch 2 cloud for --aligned-ply")
-    p_det.add_argument("--tau-ratio", type=float, default=0.01)
+    p_det.add_argument("--tau-ratio", type=float, default=DEFAULT_TAU_RATIO)
     p_det.add_argument(
         "--no-filter-confidence",
         action="store_true",
@@ -124,15 +142,18 @@ def _build_parser() -> _Parser:
     p_abl.add_argument("--k-list", type=str, required=True,
                        help="comma-separated keyframe budgets, e.g. 2,3,5,9")
     p_abl.add_argument("--out", type=Path, required=True, help="output CSV")
-    p_abl.add_argument("--modes", type=str, default="coarse_only,full")
+    p_abl.add_argument("--modes", type=str, default=",".join(MODES))
     p_abl.add_argument("--joint-sigma", type=float, default=0.0)
     p_abl.add_argument("--joint-warp", type=float, default=0.0)
-    p_abl.add_argument("--seed", type=int, default=0)
+    p_abl.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
     return parser
 
 
 def _cmd_synth(args) -> int:
+    with _flag_checks():
+        check_non_negative("--joint-sigma", args.joint_sigma)
+        check_non_negative("--joint-warp", args.joint_warp)
     data = dict(DEFAULT_SCENE)
     if args.spec is not None:
         overrides = json.loads(args.spec.read_text(encoding="utf-8"))
@@ -154,11 +175,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    try:
+    with _flag_checks():
         config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"register: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     frames1 = bundles.read_epoch_dir(args.t1)
     frames2 = bundles.read_epoch_dir(args.t2)
     joint = bundles.read_joint_dir(args.joint)
@@ -179,11 +197,12 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    with _flag_checks():
+        check_non_negative("--tau-ratio", args.tau_ratio)
     report = None
     if args.aligned_ply is not None or args.target_ply is not None:
         if args.aligned_ply is None or args.target_ply is None:
-            print("detect: error: --aligned-ply and --target-ply go together", file=sys.stderr)
-            return USAGE_ERROR
+            raise _UsageError("--aligned-ply and --target-ply go together")
         from .ply import read_ply
 
         aligned_t1 = read_ply(args.aligned_ply)
@@ -195,11 +214,7 @@ def _cmd_detect(args) -> int:
         t2 = PointCloud.concatenate(bundles.read_epoch_dir(args.t2))
         aligned_t1 = apply_transform(transform, t1)
     else:
-        print(
-            "detect: error: provide --t1/--t2/--report or --aligned-ply/--target-ply",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise _UsageError("provide --t1/--t2/--report or --aligned-ply/--target-ply")
 
     if not args.no_filter_confidence:
         # Low-confidence points are dominated by edge-flying depth noise and
@@ -263,23 +278,19 @@ def _cmd_ablate(args) -> int:
     try:
         k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
-        print(f"ablate: error: bad --k-list {args.k_list!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"bad --k-list {args.k_list!r}") from None
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
     if not k_values or not modes:
-        empty = "--k-list" if not k_values else "--modes"
-        print(f"ablate: error: {empty} names no value", file=sys.stderr)
-        return USAGE_ERROR
-    # Build every swept config up front, so a bad budget, mode or seed is a
-    # usage error before any scene is read or registered.
-    try:
+        raise _UsageError(f"{'--k-list' if not k_values else '--modes'} names no value")
+    # Build every swept config and check the joint error model up front, so
+    # a bad value is a usage error before any scene is read or registered.
+    with _flag_checks():
         config = PipelineConfig(seed=args.seed)
         for k in k_values:
             for mode in modes:
                 config.replace(k_keyframes=k, mode=mode)
-    except ValueError as exc:
-        print(f"ablate: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        check_non_negative("--joint-sigma", args.joint_sigma)
+        check_non_negative("--joint-warp", args.joint_warp)
     scene = bundles.read_scene_dir(args.scene)
     rows = ablation_sweep(
         scene,
@@ -289,9 +300,8 @@ def _cmd_ablate(args) -> int:
         joint_sigma=args.joint_sigma,
         warp_amplitude=args.joint_warp,
     )
-    fields = ["k", "ate_coarse", "ate_full", "delta_pct", "time_coarse_s", "time_full_s"]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -315,6 +325,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (CloudChangeError, FileNotFoundError, NotADirectoryError,
             json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Point-cloud container, confidence filtering, voxel downsampling and NN search.
 
 A :class:`PointCloud` is a set of parallel arrays (positions, per-point
-confidence, optional color and source-frame index) that is immutable after
-construction so instances can be shared freely across workers; every
-coordinate and confidence must be finite.  Spatial queries go through
+confidence, optional color) that is immutable after construction so
+instances can be shared freely across workers; every coordinate and
+confidence must be finite.  A cloud knows nothing of the frames it came
+from: an epoch is a list of per-frame clouds.  Spatial queries go through
 :class:`SpatialIndex`, a thin wrapper around a sliding-midpoint KD-tree
 that always answers with the exact Euclidean nearest neighbor.  The clouds
 are surface samples, and many queries land off those surfaces (changed
@@ -67,13 +68,11 @@ class PointCloud:
         points: (n, 3) finite float64 positions in scene units.
         confidence: (n,) float64 values in [0, 1]; defaults to all ones.
         color: optional (n, 3) uint8 RGB.
-        source_frame: optional (n,) int64 1-based frame index per point.
     """
 
     points: np.ndarray
     confidence: np.ndarray = None
     color: np.ndarray = None
-    source_frame: np.ndarray = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -99,45 +98,28 @@ class PointCloud:
             if col.shape != (n, 3):
                 raise ValueError(f"color must have shape ({n}, 3), got {col.shape}")
             object.__setattr__(self, "color", _readonly(col))
-        if self.source_frame is not None:
-            sf = np.ascontiguousarray(np.asarray(self.source_frame, dtype=np.int64))
-            if sf.shape != (n,):
-                raise ValueError(f"source_frame must have shape ({n},)")
-            object.__setattr__(self, "source_frame", _readonly(sf))
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def select(self, indices) -> "PointCloud":
-        """New cloud keeping the rows in ``indices`` (mask or index array)."""
-        idx = np.asarray(indices)
+        """New cloud keeping the rows in ``indices`` (mask, index array or slice)."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         return PointCloud(
             points=self.points[idx],
             confidence=self.confidence[idx],
             color=None if self.color is None else self.color[idx],
-            source_frame=None if self.source_frame is None else self.source_frame[idx],
         )
 
     def with_points(self, points: np.ndarray) -> "PointCloud":
         """New cloud with replaced positions, all other attributes preserved."""
-        return PointCloud(
-            points=points,
-            confidence=self.confidence,
-            color=self.color,
-            source_frame=self.source_frame,
-        )
-
-    def frame_subset(self, frame_index: int) -> "PointCloud":
-        """Points whose source frame equals ``frame_index``."""
-        if self.source_frame is None:
-            raise ValueError("cloud has no source_frame labels")
-        return self.select(self.source_frame == frame_index)
+        return PointCloud(points=points, confidence=self.confidence, color=self.color)
 
     @staticmethod
     def concatenate(clouds: list["PointCloud"]) -> "PointCloud":
         """Stack several clouds into one, preserving order.
 
-        Color / source_frame are kept only if every input carries them.
+        Color is kept only if every input carries it.
         """
         if not clouds:
             raise EmptyCloud("cannot concatenate zero clouds")
@@ -146,10 +128,7 @@ class PointCloud:
         color = None
         if all(c.color is not None for c in clouds):
             color = np.concatenate([c.color for c in clouds])
-        frames = None
-        if all(c.source_frame is not None for c in clouds):
-            frames = np.concatenate([c.source_frame for c in clouds])
-        return PointCloud(pts, conf, color, frames)
+        return PointCloud(pts, conf, color)
 
 
 class SpatialIndex:
@@ -172,18 +151,14 @@ class SpatialIndex:
     def __init__(self, cloud: PointCloud):
         if len(cloud) == 0:
             raise EmptyCloud("cannot index an empty cloud")
-        self._cloud = cloud
+        self._points = cloud.points
         # Surface samples: off-surface queries are slow on median-split
         # compact trees, so split at sliding midpoints and keep full cells.
         self._tree = cKDTree(cloud.points, compact_nodes=False, balanced_tree=False)
 
     @property
     def points(self) -> np.ndarray:
-        return self._cloud.points
-
-    @property
-    def cloud(self) -> PointCloud:
-        return self._cloud
+        return self._points
 
     def query(self, query_points) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest neighbor of each query point.

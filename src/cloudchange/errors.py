@@ -1,4 +1,12 @@
-"""Exception types shared across the library."""
+"""Exception types and the non-negative-number check shared across the library."""
+
+import math
+
+
+def check_non_negative(name: str, value: float):
+    """Reject a NaN, infinite or negative ``value`` with ValueError naming ``name``."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class CloudChangeError(Exception):

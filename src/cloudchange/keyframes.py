@@ -13,13 +13,11 @@ class KeyframeSet:
 
     Attributes:
         epoch_id: 1 or 2.
-        indices: strictly sorted 1-based frame indices, min(budget, n) of them.
-        budget: the requested keyframe count.
+        indices: strictly sorted 1-based frame indices.
     """
 
     epoch_id: int
     indices: tuple
-    budget: int
 
     def __post_init__(self):
         if self.epoch_id not in (1, 2):
@@ -49,7 +47,7 @@ def fps_temporal(n_frames: int, k: int, epoch_id: int = 1) -> KeyframeSet:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n_frames:
-        return KeyframeSet(epoch_id, tuple(range(1, n_frames + 1)), k)
+        return KeyframeSet(epoch_id, tuple(range(1, n_frames + 1)))
 
     indices = np.arange(1, n_frames + 1)
     min_dist = np.abs(indices - 1)
@@ -58,4 +56,4 @@ def fps_temporal(n_frames: int, k: int, epoch_id: int = 1) -> KeyframeSet:
         nxt = int(indices[np.argmax(min_dist)])  # argmax takes the lowest index on ties
         selected.append(nxt)
         min_dist = np.minimum(min_dist, np.abs(indices - nxt))
-    return KeyframeSet(epoch_id, tuple(sorted(selected)), k)
+    return KeyframeSet(epoch_id, tuple(sorted(selected)))

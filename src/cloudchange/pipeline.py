@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 
 from .bundles import FORMAT_VERSION, read_json
-from .changes import ChangeMap, change_scores, classify_changes
+from .changes import DEFAULT_TAU_RATIO, ChangeMap, change_scores, classify_changes
 from .cloud import (
     PointCloud,
     check_grid_resolution,
@@ -38,7 +38,7 @@ from .metrics import MetricsReport
 
 RNG_NAME = "numpy PCG64"
 
-_MODES = ("coarse_only", "full")
+MODES = ("coarse_only", "full")
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class PipelineConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
 
     def replace(self, **updates) -> "PipelineConfig":
         return replace(self, **updates)
@@ -207,8 +207,6 @@ def register_scene(
     """
     from .synthetic import all_frames_keyframes, mock_joint_inference
 
-    if config is None:
-        config = PipelineConfig()
     joint = mock_joint_inference(
         scene,
         all_frames_keyframes(scene),
@@ -237,7 +235,7 @@ def change_statistics(change_map: ChangeMap) -> dict:
 
 
 def detect_changes(
-    aligned_t1: PointCloud, t2: PointCloud, tau_ratio: float = 0.01
+    aligned_t1: PointCloud, t2: PointCloud, tau_ratio: float = DEFAULT_TAU_RATIO
 ) -> tuple:
     """Score, classify and summarize changes between two aligned clouds.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cloud import PointCloud, robust_extent
 from .coarse import JointReconstruction
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_non_negative
 from .geometry import SE3Pose, Sim3Transform, compose_relative
 from .keyframes import KeyframeSet
 from .metrics import Trajectory
@@ -232,9 +232,11 @@ class BiTemporalScene:
     ``world_t1``/``world_t2`` hold the exact world-frame positions of the
     same points as the epoch clouds (including noise and edge elongation);
     they are the basis for the mock joint reconstruction.  Each epoch's
-    points are grouped by source frame; ``origin_t1``/``origin_t2`` give
-    every point's index in generation order, under which the first
-    ``n_static`` points of both epochs are world-coincident counterparts.
+    rows are grouped by frame: frame i (1-based) is rows ``b[i - 1]:b[i]``
+    of the ``n_frames_per_epoch + 1`` offsets ``b = frame_bounds_t1`` (or
+    ``_t2``).  ``origin_t1``/``origin_t2`` give every point's index in
+    generation order, under which the first ``n_static`` points of both
+    epochs are world-coincident counterparts.
     """
 
     spec: SceneSpec
@@ -248,6 +250,8 @@ class BiTemporalScene:
     edge_t2: np.ndarray
     origin_t1: np.ndarray
     origin_t2: np.ndarray
+    frame_bounds_t1: np.ndarray
+    frame_bounds_t2: np.ndarray
     trajectory_t1: Trajectory
     trajectory_t2: Trajectory
     extent: float
@@ -266,15 +270,14 @@ class BiTemporalScene:
     def world_points(self, epoch_id: int) -> np.ndarray:
         return self.world_t1 if epoch_id == 1 else self.world_t2
 
-    def labels(self, epoch_id: int) -> np.ndarray:
-        return self.labels_t1 if epoch_id == 1 else self.labels_t2
+    def frame_bounds(self, epoch_id: int) -> np.ndarray:
+        return self.frame_bounds_t1 if epoch_id == 1 else self.frame_bounds_t2
 
     def epoch_frames(self, epoch_id: int) -> list:
-        """Per-frame clouds (1-based frame order) for one epoch."""
+        """Per-frame clouds (1-based frame order), views of the epoch cloud's rows."""
         cloud = self.cloud(epoch_id)
-        return [
-            cloud.frame_subset(i) for i in range(1, self.spec.n_frames_per_epoch + 1)
-        ]
+        bounds = self.frame_bounds(epoch_id)
+        return [cloud.select(slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def predicted_trajectory(self, epoch_id: int) -> Trajectory:
         """The epoch's camera trajectory expressed in its private frame.
@@ -498,7 +501,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         spec = replace(spec, epoch_transforms=pair, gt_relative=None)
 
     labels_by_epoch = {1: labels_1, 2: labels_2}
-    clouds, worlds, edges, trajectories, origins = [], [], [], [], []
+    clouds, worlds, edges, trajectories, origins, bounds = [], [], [], [], [], []
     for epoch_id, world in ((1, world_1), (2, world_2)):
         n = len(world)
         traj_salt = _SALT_FRAMES + (1 if spec.shared_trajectories else epoch_id)
@@ -506,11 +509,12 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         trajectory = _arc_trajectory(traj_rng, half, spec.n_frames_per_epoch, epoch_id)
         frames = _assign_frames(world, trajectory, traj_rng)
 
-        # Group each epoch's points by source frame (stable within a frame)
-        # so exporting per-frame files and re-reading preserves point order.
+        # Group each epoch's points by frame (stable within a frame): each
+        # frame is one row range, and per-frame files re-read in order.
         perm = np.argsort(frames, kind="stable")
         world = world[perm]
         frames = frames[perm]
+        bounds.append(np.searchsorted(frames, np.arange(1, spec.n_frames_per_epoch + 2)))
         labels_by_epoch[epoch_id] = labels_by_epoch[epoch_id][perm]
 
         noise_rng = np.random.default_rng([spec.seed, _SALT_NOISE + epoch_id])
@@ -534,9 +538,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
             confidence[edge_mask] = conf_rng.uniform(*_OUTLIER_CONF, n_edge)
 
         into_epoch = spec.epoch_transforms[epoch_id - 1].inverse()
-        clouds.append(
-            PointCloud(into_epoch.apply(noisy), confidence, source_frame=frames)
-        )
+        clouds.append(PointCloud(into_epoch.apply(noisy), confidence))
         worlds.append(noisy)
         edges.append(edge_mask)
         trajectories.append(trajectory)
@@ -554,6 +556,8 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         edge_t2=edges[1],
         origin_t1=origins[0],
         origin_t2=origins[1],
+        frame_bounds_t1=bounds[0],
+        frame_bounds_t2=bounds[1],
         trajectory_t1=trajectories[0],
         trajectory_t2=trajectories[1],
         extent=extent,
@@ -640,13 +644,21 @@ def mock_joint_inference(
       the fit averages down as more keyframes are used.
 
     All components are deterministic functions of the scene seed.
+
+    Raises:
+        ValueError: on a NaN, infinite or negative error term, or keyframe
+            sets that do not fit the scene.
     """
+    terms = (sigma, warp_amplitude, epoch_bias, frame_drift)
+    for name, value in zip(("sigma", "warp_amplitude", "epoch_bias", "frame_drift"), terms):
+        check_non_negative(name, value)
     kf1, kf2 = keyframes
     if (kf1.epoch_id, kf2.epoch_id) != (1, 2):
         raise ValueError("expected keyframe sets for epochs 1 and 2, in that order")
     clouds = {}
     for kf in (kf1, kf2):
         epoch_cloud = scene.cloud(kf.epoch_id)
+        bounds = scene.frame_bounds(kf.epoch_id)
         world = scene.world_points(kf.epoch_id)
         n_frames = scene.spec.n_frames_per_epoch
         if kf.indices and kf.indices[-1] > n_frames:
@@ -665,13 +677,11 @@ def mock_joint_inference(
             _small_sim3(drift_rng, frame_drift, scene.extent) for _ in range(n_frames)
         ]
         for index in kf.indices:
-            mask = epoch_cloud.source_frame == index
-            points = perturbed[mask]
+            rows = slice(bounds[index - 1], bounds[index])
+            points = perturbed[rows]
             if frame_drift > 0.0:
                 points = drifts[index - 1].apply(points)
-            clouds[(kf.epoch_id, index)] = PointCloud(
-                points, epoch_cloud.confidence[mask]
-            )
+            clouds[(kf.epoch_id, index)] = PointCloud(points, epoch_cloud.confidence[rows])
     return JointReconstruction(clouds=clouds)
 
 
@@ -679,4 +689,4 @@ def all_frames_keyframes(scene: BiTemporalScene) -> tuple:
     """Keyframe sets selecting every frame of both epochs."""
     n = scene.spec.n_frames_per_epoch
     full = tuple(range(1, n + 1))
-    return (KeyframeSet(1, full, n), KeyframeSet(2, full, n))
+    return (KeyframeSet(1, full), KeyframeSet(2, full))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from cloudchange import SchemaError
+from cloudchange import PointCloud, SchemaError
 from cloudchange.bundles import (
     read_epoch_dir,
     read_ground_truth,
@@ -17,7 +17,13 @@ from cloudchange.bundles import (
     write_scene_dir,
     write_trajectory,
 )
-from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
+from cloudchange.synthetic import (
+    ChangeSpec,
+    SceneSpec,
+    all_frames_keyframes,
+    generate_scene,
+    mock_joint_inference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +131,7 @@ class TestSceneDirectory:
         keys = sorted(joint.clouds)
         assert keys[0] == (1, 1) and keys[-1] == (2, scene.spec.n_frames_per_epoch)
         for (epoch_id, index), cloud in joint.clouds.items():
-            assert len(cloud) == len(scene.cloud(epoch_id).frame_subset(index))
+            assert len(cloud) == len(scene.epoch_frames(epoch_id)[index - 1])
 
     def test_ground_truth_fields(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
@@ -140,10 +146,37 @@ class TestSceneDirectory:
         # Zero-perturbation oracle: the exported joint clouds must agree
         # with the in-memory world positions to float32 precision.
         for (epoch_id, index), cloud in joint.clouds.items():
-            mask = scene.cloud(epoch_id).source_frame == index
+            bounds = scene.frame_bounds(epoch_id)
+            rows = slice(bounds[index - 1], bounds[index])
             np.testing.assert_allclose(
-                cloud.points, scene.world_points(epoch_id)[mask], atol=1e-3
+                cloud.points, scene.world_points(epoch_id)[rows], atol=1e-3
             )
+
+    def test_empty_frames_round_trip(self, tmp_path):
+        scene = generate_scene(SceneSpec(seed=0, n_static=40, n_frames_per_epoch=30))
+        assert int((np.diff(scene.frame_bounds(1)) == 0).sum()) == 8
+        write_scene_dir(scene, tmp_path / "s")
+        back = read_scene_dir(tmp_path / "s")
+        joint = mock_joint_inference(back, all_frames_keyframes(back))
+        for epoch_id, name in ((1, "e1"), (2, "e2")):
+            on_disk = [len(f) for f in read_epoch_dir(tmp_path / "s" / name)]
+            frames = back.epoch_frames(epoch_id)
+            assert [len(f) for f in frames] == on_disk
+            assert [len(joint.clouds[(epoch_id, i)]) for i in range(1, 31)] == on_disk
+            merged = PointCloud.concatenate(frames)
+            cloud = back.cloud(epoch_id)
+            assert merged.points.tobytes() == cloud.points.tobytes()
+            assert merged.confidence.tobytes() == cloud.confidence.tobytes()
+        assert PointCloud.concatenate(back.epoch_frames(1)).points.tobytes() == (
+            scene.cloud_t1.points.astype(np.float32).astype(np.float64).tobytes()
+        )
+
+    def test_frame_count_differs_from_spec(self, tmp_path, scene):
+        write_scene_dir(scene, tmp_path / "s")
+        last = scene.spec.n_frames_per_epoch
+        (tmp_path / "s" / "e2" / f"frame_{last:04d}.ply").unlink()
+        with pytest.raises(SchemaError, match=f"{last - 1} frame files, scene.json declares {last}"):
+            read_scene_dir(tmp_path / "s")
 
     def test_missing_gt_file(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")

@@ -69,6 +69,12 @@ class TestClassifyChanges:
         result = classify_changes(change_scores(cloud, cloud), tau_ratio=0.001)
         assert result.n_changed == 0
 
+    @pytest.mark.parametrize("tau_ratio", [-0.01, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_tau_ratio(self, rng, tau_ratio):
+        scored = change_scores(PointCloud(rng.normal(size=(5, 3))), PointCloud(rng.normal(size=(5, 3))))
+        with pytest.raises(ValueError, match="tau_ratio must be finite and >= 0"):
+            classify_changes(scored, tau_ratio=tau_ratio)
+
     def test_tau_is_ratio_times_extent(self, rng):
         a = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         b = PointCloud(rng.uniform(0, 10, size=(500, 3)))

@@ -363,3 +363,46 @@ class TestAblate:
         assert code == 1
         _assert_one_error_line(capsys, "ablate")
         assert not out.exists()
+
+
+class TestNumericFlagChecks:
+    """Negative or non-finite numeric flags are usage errors raised before
+    any file is read or written."""
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_detect_tau_ratio(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        code = main([
+            "detect", "--t1", str(tmp_path / "missing1"), "--t2", str(tmp_path / "missing2"),
+            "--report", str(tmp_path / "missing.json"), "--out", str(out),
+            "--tau-ratio", value,
+        ])
+        assert code == 1
+        line = _assert_one_error_line(capsys, "detect")
+        assert "--tau-ratio must be finite and >= 0" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--joint-sigma", "-1"], ["--joint-warp", "nan"], ["--joint-sigma", "inf"]]
+    )
+    def test_synth_joint_error_model(self, tmp_path, capsys, flags):
+        out = tmp_path / "scene"
+        code = main(["synth", "--seed", "1", "--out", str(out), *flags])
+        assert code == 1
+        line = _assert_one_error_line(capsys, "synth")
+        assert f"{flags[0]} must be finite and >= 0" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--joint-sigma", "-1"], ["--joint-warp", "inf"], ["--joint-warp", "nan"]]
+    )
+    def test_ablate_joint_error_model(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        code = main([
+            "ablate", "--scene", str(tmp_path / "missing"), "--k-list", "2",
+            "--out", str(out), *flags,
+        ])
+        assert code == 1
+        line = _assert_one_error_line(capsys, "ablate")
+        assert f"{flags[0]} must be finite and >= 0" in line
+        assert not out.exists()

@@ -51,19 +51,28 @@ class TestPointCloud:
         cloud = PointCloud(
             rng.normal(size=(10, 3)),
             rng.uniform(0, 1, 10),
-            source_frame=np.arange(1, 11),
+            color=rng.integers(0, 255, (10, 3), dtype=np.uint8),
         )
         subset = cloud.select([1, 3, 5])
         assert len(subset) == 3
-        assert (subset.source_frame == [2, 4, 6]).all()
+        np.testing.assert_array_equal(subset.points, cloud.points[[1, 3, 5]])
+        np.testing.assert_array_equal(subset.confidence, cloud.confidence[[1, 3, 5]])
+        np.testing.assert_array_equal(subset.color, cloud.color[[1, 3, 5]])
         merged = PointCloud.concatenate([subset, subset])
         assert len(merged) == 6
+        np.testing.assert_array_equal(merged.color, np.concatenate([subset.color] * 2))
+        assert PointCloud.concatenate([subset, PointCloud(subset.points)]).color is None
 
     def test_frame_subset(self, rng):
-        cloud = PointCloud(
-            rng.normal(size=(6, 3)), source_frame=np.array([1, 1, 2, 2, 2, 3])
-        )
-        assert len(cloud.frame_subset(2)) == 3
+        # A frame of an epoch is a contiguous row range: selecting it by a
+        # slice gives a read-only view of the epoch arrays, not a copy.
+        cloud = PointCloud(rng.normal(size=(6, 3)), rng.uniform(0, 1, 6))
+        frame = cloud.select(slice(2, 5))
+        assert len(frame) == 3
+        assert np.shares_memory(frame.points, cloud.points)
+        assert np.shares_memory(frame.confidence, cloud.confidence)
+        np.testing.assert_array_equal(frame.points, cloud.points[2:5])
+        assert not frame.points.flags.writeable
 
     def test_points_are_immutable(self, rng):
         cloud = PointCloud(rng.normal(size=(4, 3)))

@@ -212,12 +212,10 @@ class TestApplyTransform:
             rng.normal(size=(10, 3)),
             rng.uniform(0, 1, 10),
             color=rng.integers(0, 255, (10, 3), dtype=np.uint8),
-            source_frame=np.arange(1, 11),
         )
         out = apply_transform(random_sim3(rng), cloud)
         assert (out.confidence == cloud.confidence).all()
         assert (out.color == cloud.color).all()
-        assert (out.source_frame == cloud.source_frame).all()
 
     def test_round_trip_through_inverse(self, rng):
         cloud = PointCloud(rng.normal(size=(50, 3)))

@@ -59,13 +59,13 @@ class TestFpsTemporal:
 class TestKeyframeSet:
     def test_validates_sorted_unique(self):
         with pytest.raises(ValueError):
-            KeyframeSet(1, (3, 1, 2), 3)
+            KeyframeSet(1, (3, 1, 2))
         with pytest.raises(ValueError):
-            KeyframeSet(1, (1, 1, 2), 3)
+            KeyframeSet(1, (1, 1, 2))
         with pytest.raises(ValueError):
-            KeyframeSet(1, (0, 1), 2)
+            KeyframeSet(1, (0, 1))
         with pytest.raises(ValueError):
-            KeyframeSet(3, (1, 2), 2)
+            KeyframeSet(3, (1, 2))
 
     def test_len(self):
         assert len(fps_temporal(40, 7)) == 7

@@ -139,9 +139,30 @@ class TestGenerateScene:
 
     def test_points_grouped_by_frame(self):
         scene = generate_scene(SceneSpec(seed=11, n_static=1000, n_frames_per_epoch=8))
-        frames = scene.cloud_t1.source_frame
-        assert (np.diff(frames) >= 0).all()
-        assert frames.min() >= 1 and frames.max() <= 8
+        for epoch_id in (1, 2):
+            bounds = scene.frame_bounds(epoch_id)
+            cloud = scene.cloud(epoch_id)
+            assert len(bounds) == 9 and bounds[0] == 0 and bounds[-1] == len(cloud)
+            assert (np.diff(bounds) >= 0).all()
+            frames = scene.epoch_frames(epoch_id)
+            assert [len(f) for f in frames] == np.diff(bounds).tolist()
+            # Each frame is a zero-copy view of its row range.
+            for lo, frame in zip(bounds[:-1], frames):
+                assert np.shares_memory(frame.points, cloud.points) or len(frame) == 0
+                np.testing.assert_array_equal(frame.points, cloud.points[lo : lo + len(frame)])
+            # Frame rows follow the camera order: each frame's mean azimuth
+            # lies closest to its own camera's among all cameras.
+            world = scene.world_points(epoch_id)
+            trajectory = scene.trajectory_t1 if epoch_id == 1 else scene.trajectory_t2
+            centers = trajectory.centers()
+            cam_az = np.arctan2(centers[:, 1], centers[:, 0])
+            for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+                if hi - lo < 20:
+                    continue
+                az = np.arctan2(world[lo:hi, 1], world[lo:hi, 0])
+                mean = np.arctan2(np.sin(az).mean(), np.cos(az).mean())
+                gap = np.abs(np.angle(np.exp(1j * (cam_az - mean))))
+                assert int(np.argmin(gap)) + 1 == index
 
     def test_trajectory_counts(self):
         scene = generate_scene(SceneSpec(seed=12, n_static=300, n_frames_per_epoch=12))
@@ -158,7 +179,7 @@ class TestMockJointInference:
         keyframes = (fps_temporal(10, 3, epoch_id=1), fps_temporal(10, 3, epoch_id=2))
         joint = mock_joint_inference(scene, keyframes, sigma=0.0)
         for (epoch_id, index), cloud in joint.clouds.items():
-            epoch_cloud = scene.cloud(epoch_id).frame_subset(index)
+            epoch_cloud = scene.epoch_frames(epoch_id)[index - 1]
             mapped = scene.epoch_transforms[epoch_id - 1].apply(epoch_cloud.points)
             np.testing.assert_allclose(cloud.points, mapped, atol=1e-9)
             assert len(cloud) == len(epoch_cloud)
@@ -196,10 +217,17 @@ class TestMockJointInference:
                 hits += 1
         assert hits >= 19
 
+    @pytest.mark.parametrize("term", ["sigma", "warp_amplitude", "epoch_bias", "frame_drift"])
+    @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_error_term(self, term, value):
+        scene = generate_scene(SceneSpec(seed=25, n_static=200, n_frames_per_epoch=4))
+        with pytest.raises(ValueError, match=f"{term} must be finite and >= 0"):
+            mock_joint_inference(scene, all_frames_keyframes(scene), **{term: value})
+
     def test_keyframe_index_out_of_range(self):
         scene = generate_scene(SceneSpec(seed=24, n_static=200, n_frames_per_epoch=4))
         from cloudchange import KeyframeSet
 
-        bad = (KeyframeSet(1, (1, 9), 2), KeyframeSet(2, (1, 2), 2))
+        bad = (KeyframeSet(1, (1, 9)), KeyframeSet(2, (1, 2)))
         with pytest.raises(ValueError):
             mock_joint_inference(scene, bad)

@@ -18,7 +18,6 @@ from .cloud import (
     filter_by_median_confidence,
     lower_median,
     median_confidence_mask,
-    nn_distances,
     robust_extent,
     voxel_downsample_indices,
     voxel_grid_params,

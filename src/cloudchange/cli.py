@@ -28,7 +28,9 @@ from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
 from .errors import CloudChangeError, InvalidSpec, check_non_negative
 from .geometry import apply_transform
-from .metrics import MetricsReport, ablation_sweep, ate, combine_trajectories, rte, transform_error
+from .metrics import (
+    MetricsReport, Trajectory, ablation_sweep, ate, combine_trajectories, rte, transform_error,
+)
 from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
 from .synthetic import SceneSpec, generate_scene
 
@@ -151,6 +153,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     with _flag_checks():
         check_non_negative("--joint-sigma", args.joint_sigma)
         check_non_negative("--joint-warp", args.joint_warp)
@@ -257,8 +261,6 @@ def _cmd_eval(args) -> int:
 
     estimated = report.final_sim3()
     predicted = combine_trajectories(pred1, pred2, estimated)
-    from .metrics import Trajectory
-
     ground_truth = Trajectory(gt1.poses + gt2.poses, gt1.epoch_ids + gt2.epoch_ids)
     metrics = MetricsReport(
         ate_m=ate(predicted, ground_truth),

@@ -182,19 +182,6 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
 
 
-def nn_distances(source: PointCloud, target_index: SpatialIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor distance from every source point into the indexed cloud.
-
-    Returns:
-        (distances, indices) in source order: element i is the Euclidean
-        distance from source point i to its closest indexed point, and that
-        point's index.
-    """
-    if len(source) == 0:
-        raise EmptyCloud("nn_distances requires a non-empty source cloud")
-    return target_index.query(source.points)
-
-
 def median_confidence_mask(confidence) -> np.ndarray:
     """Boolean mask of points whose confidence strictly exceeds the median.
 

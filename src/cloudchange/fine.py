@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, build_index, lower_median, nn_distances
+from .cloud import PointCloud, SpatialIndex, build_index, lower_median
 from .errors import EmptyCloud, EmptyStaticSet
 from .geometry import Sim3Transform
 
@@ -96,7 +96,7 @@ def purify(
         raise ValueError("alpha must be non-negative")
     if len(aligned_source) == 0:
         raise EmptyCloud("cannot purify an empty cloud")
-    distances, nn_idx = nn_distances(aligned_source, target_index)
+    distances, nn_idx = target_index.query(aligned_source.points)
     median = lower_median(distances)
     threshold = alpha * median
     return PurificationResult(

@@ -47,26 +47,28 @@ class Trajectory:
     def centers(self) -> np.ndarray:
         return np.array([p.center for p in self.poses]).reshape(-1, 3)
 
+    def transformed(self, transform: Sim3Transform) -> "Trajectory":
+        """The trajectory carried through ``transform``.  Only the centers
+        stay metrically meaningful (a similarity does not act on a rigid
+        pose's scale), which is all the trajectory metrics use."""
+        poses = []
+        for pose in self.poses:
+            center = transform.apply(pose.center)
+            rotation = pose.rotation @ transform.rotation.T
+            poses.append(SE3Pose(rotation, -(rotation @ center), frame_index=pose.frame_index))
+        return Trajectory(tuple(poses), self.epoch_ids)
+
 
 def combine_trajectories(
     epoch1: Trajectory, epoch2: Trajectory, relative: Sim3Transform
 ) -> Trajectory:
     """Combined predicted trajectory in epoch 2's frame.
 
-    Epoch 1 camera centers are carried over by the estimated relative
-    transform; epoch 2 poses pass through unchanged.  Only the centers are
-    metrically meaningful afterwards (a similarity transform does not act
-    on a rigid pose's scale), which is all the trajectory metrics use.
+    Epoch 1 is carried over by the estimated relative transform; epoch 2
+    poses pass through unchanged.
     """
-    mapped = []
-    for pose in epoch1.poses:
-        center = relative.apply(pose.center)
-        rotation = pose.rotation @ relative.rotation.T
-        mapped.append(SE3Pose(rotation, -(rotation @ center), frame_index=pose.frame_index))
-    return Trajectory(
-        tuple(mapped) + tuple(epoch2.poses),
-        tuple(epoch1.epoch_ids) + tuple(epoch2.epoch_ids),
-    )
+    mapped = epoch1.transformed(relative)
+    return Trajectory(mapped.poses + epoch2.poses, mapped.epoch_ids + epoch2.epoch_ids)
 
 
 def _check_labels(predicted: Trajectory, ground_truth: Trajectory):
@@ -149,15 +151,22 @@ class MetricsReport:
         return asdict(self)
 
 
-def evaluate_scene_run(scene, result) -> MetricsReport:
-    """Metrics for a registration result on a synthetic scene."""
-    pred = combine_trajectories(
-        scene.predicted_trajectory(1), scene.predicted_trajectory(2), result.final_transform
+def _scene_trajectories(scene, relative: Sim3Transform) -> tuple:
+    """(predicted, ground truth) combined trajectories of a synthetic scene
+    under an estimated relative transform."""
+    predicted = combine_trajectories(
+        scene.predicted_trajectory(1), scene.predicted_trajectory(2), relative
     )
-    gt = Trajectory(
+    ground_truth = Trajectory(
         scene.trajectory_t1.poses + scene.trajectory_t2.poses,
         scene.trajectory_t1.epoch_ids + scene.trajectory_t2.epoch_ids,
     )
+    return predicted, ground_truth
+
+
+def evaluate_scene_run(scene, result) -> MetricsReport:
+    """Metrics for a registration result on a synthetic scene."""
+    pred, gt = _scene_trajectories(scene, result.final_transform)
     return MetricsReport(
         ate_m=ate(pred, gt),
         rte_m=rte(pred, gt),
@@ -182,39 +191,42 @@ def ablation_sweep(
     relative improvement delta_pct of full over coarse, and wall-clock
     registration times.  Columns for modes that were not requested are None.
     The keyword arguments configure the mock joint-inference error model.
-    """
-    from .pipeline import PipelineConfig, register_scene
 
+    Each budget is registered once, in full mode if requested: that run
+    computes the coarse-only result on its way, so ``time_coarse_s`` is its
+    coarse stage (``timings["coarse_s"]``) and ``time_full_s`` its whole
+    ``registration_s``.  Raises ValueError, before registering anything, on
+    empty ``modes`` or a mode outside ``pipeline.MODES``.
+    """
+    from .pipeline import MODES, PipelineConfig, register_scene
+
+    if not modes or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be a non-empty subset of {MODES}, got {tuple(modes)}")
     if config is None:
         config = PipelineConfig()
+    coarse, full = "coarse_only" in modes, "full" in modes
+    run_mode = "full" if full else "coarse_only"
     rows = []
     for k in k_values:
+        result = register_scene(
+            scene,
+            config.replace(k_keyframes=int(k), mode=run_mode),
+            joint_sigma=joint_sigma,
+            warp_amplitude=warp_amplitude,
+            epoch_bias=epoch_bias,
+            frame_drift=frame_drift,
+        )
         row = {
             "k": int(k),
-            "ate_coarse": None,
-            "ate_full": None,
+            "ate_coarse": (
+                ate(*_scene_trajectories(scene, result.coarse_relative)) if coarse else None
+            ),
+            "ate_full": evaluate_scene_run(scene, result).ate_m if full else None,
             "delta_pct": None,
-            "time_coarse_s": None,
-            "time_full_s": None,
+            "time_coarse_s": result.timings["coarse_s"] if coarse else None,
+            "time_full_s": result.timings["registration_s"] if full else None,
         }
-        for mode in modes:
-            run_config = config.replace(k_keyframes=int(k), mode=mode)
-            result = register_scene(
-                scene,
-                run_config,
-                joint_sigma=joint_sigma,
-                warp_amplitude=warp_amplitude,
-                epoch_bias=epoch_bias,
-                frame_drift=frame_drift,
-            )
-            report = evaluate_scene_run(scene, result)
-            if mode == "coarse_only":
-                row["ate_coarse"] = report.ate_m
-                row["time_coarse_s"] = result.timings["registration_s"]
-            else:
-                row["ate_full"] = report.ate_m
-                row["time_full_s"] = result.timings["registration_s"]
-        if row["ate_coarse"] is not None and row["ate_full"] is not None:
+        if coarse and full:
             if row["ate_coarse"] > 0.0:
                 row["delta_pct"] = 100.0 * (row["ate_coarse"] - row["ate_full"]) / row["ate_coarse"]
             else:

@@ -47,8 +47,8 @@ class PipelineConfig:
 
     Attributes:
         k_keyframes: keyframe budget per epoch.
-        correspondence_cap: maximum correspondence pairs per epoch fit.
-        alpha: static-set threshold multiplier for the fine stage.
+        correspondence_cap: maximum correspondence pairs per epoch fit, >= 3.
+        alpha: static-set threshold multiplier for the fine stage, finite, > 0.
         grid_resolution: adaptive voxel grid resolution, at most
             ``cloud.MAX_GRID_RESOLUTION``.
         seed: non-negative seed for the correspondence subsampling generator.
@@ -63,13 +63,14 @@ class PipelineConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if self.k_keyframes < 1 or self.correspondence_cap < 1:
-            raise ValueError("k_keyframes and correspondence_cap must be >= 1")
+        # A similarity fit needs 3 pairs, so a smaller cap can never succeed.
+        if self.k_keyframes < 1 or self.correspondence_cap < 3:
+            raise ValueError("k_keyframes must be >= 1 and correspondence_cap >= 3")
         check_grid_resolution(self.grid_resolution)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < float("inf"):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -287,15 +287,7 @@ class BiTemporalScene:
         the inverse ground-truth transform.
         """
         world_traj = self.trajectory_t1 if epoch_id == 1 else self.trajectory_t2
-        into_epoch = self.epoch_transforms[epoch_id - 1].inverse()
-        poses = []
-        for pose in world_traj.poses:
-            center = into_epoch.apply(pose.center)
-            rotation = pose.rotation @ into_epoch.rotation.T
-            poses.append(
-                SE3Pose(rotation, -(rotation @ center), frame_index=pose.frame_index)
-            )
-        return Trajectory(tuple(poses), tuple(world_traj.epoch_ids))
+        return world_traj.transformed(self.epoch_transforms[epoch_id - 1].inverse())
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -70,8 +70,9 @@ class TestSynth:
             {"change_spec": [{"kind": "added"}]},
             {"n_static": "many"},
             {"n_statc": 500},
+            {"seed": -1},
         ],
-        ids=["change_without_n_points", "non_integer_n_static", "unknown_key"],
+        ids=["change_without_n_points", "non_integer_n_static", "unknown_key", "negative_seed"],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, overrides):
         spec_path = tmp_path / "spec.json"
@@ -134,6 +135,9 @@ class TestRegister:
             pytest.param("--cap", "0", id="--cap"),
             pytest.param("--grid", "0", id="--grid"),
             pytest.param("--alpha", "0", id="--alpha"),
+            pytest.param("--alpha", "inf", id="--alpha-inf"),
+            pytest.param("--cap", "1", id="--cap-1"),
+            pytest.param("--cap", "2", id="--cap-2"),
             pytest.param("--grid", "3000000", id="--grid-3000000"),
             pytest.param("--seed", "-1", id="--seed--1"),
         ],
@@ -391,6 +395,12 @@ class TestNumericFlagChecks:
         assert code == 1
         line = _assert_one_error_line(capsys, "synth")
         assert f"{flags[0]} must be finite and >= 0" in line
+        assert not out.exists()
+
+    def test_synth_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be >= 0" in _assert_one_error_line(capsys, "synth")
         assert not out.exists()
 
     @pytest.mark.parametrize(

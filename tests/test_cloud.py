@@ -12,7 +12,6 @@ from cloudchange import (
     filter_by_median_confidence,
     lower_median,
     median_confidence_mask,
-    nn_distances,
     robust_extent,
     voxel_downsample_indices,
     voxel_grid_params,
@@ -335,28 +334,23 @@ class TestSurfaceIndexExactness:
 class TestNNDistances:
     def test_identical_clouds_all_zero(self, rng):
         cloud = PointCloud(rng.normal(size=(50, 3)))
-        dist, idx = nn_distances(cloud, build_index(cloud))
+        dist, idx = build_index(cloud).query(cloud.points)
         assert (dist == 0.0).all()
         assert (idx == np.arange(50)).all()
 
     def test_known_offset(self):
         target = PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         source = PointCloud([[0.5, 0.0, 0.0]])
-        dist, idx = nn_distances(source, build_index(target))
+        dist, idx = build_index(target).query(source.points)
         assert dist[0] == pytest.approx(0.5)
         assert idx[0] == 0
 
     def test_matches_brute_force_exactly(self, rng):
         src = PointCloud(rng.normal(size=(500, 3)))
         tgt_pts = rng.normal(size=(500, 3))
-        dist, idx = nn_distances(src, build_index(PointCloud(tgt_pts)))
+        dist, idx = build_index(PointCloud(tgt_pts)).query(src.points)
         all_d = np.sqrt(
             np.sum((src.points[:, None, :] - tgt_pts[None, :, :]) ** 2, axis=2)
         )
         assert (idx == np.argmin(all_d, axis=1)).all()
         assert (dist == all_d[np.arange(500), idx]).all()
-
-    def test_empty_source_raises(self, rng):
-        index = build_index(PointCloud(rng.normal(size=(5, 3))))
-        with pytest.raises(EmptyCloud):
-            nn_distances(PointCloud(np.zeros((0, 3))), index)

@@ -14,7 +14,6 @@ from cloudchange import (
     build_index,
     fine_stage,
     lower_median,
-    nn_distances,
     purify,
     refine_translation,
 )
@@ -189,8 +188,8 @@ class TestFineStage:
             result = fine_stage(source, target, coarse, min_static=1)
             final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
             index = build_index(target)
-            d_final, _ = nn_distances(apply_transform(final, source), index)
-            d_coarse, _ = nn_distances(apply_transform(coarse, source), index)
+            d_final, _ = index.query(apply_transform(final, source).points)
+            d_coarse, _ = index.query(apply_transform(coarse, source).points)
             assert lower_median(d_final) <= lower_median(d_coarse)
 
     def test_scale_rotation_bitwise_locked(self, rng):
@@ -222,8 +221,8 @@ class TestFineStage:
         )
         final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
         index = build_index(target)
-        d_final, _ = nn_distances(apply_transform(final, source), index)
-        d_coarse, _ = nn_distances(apply_transform(coarse, source), index)
+        d_final, _ = index.query(apply_transform(final, source).points)
+        d_coarse, _ = index.query(apply_transform(coarse, source).points)
         assert lower_median(d_final) <= lower_median(d_coarse)
         assert (final.rotation == coarse.rotation).all()
 

@@ -217,6 +217,44 @@ class TestAblationSweep:
         assert [row["k"] for row in rows] == [2, 5]
         assert all(row["ate_full"] is None for row in rows)
 
+    def test_both_modes_register_each_budget_once(self, sweep_scene, monkeypatch):
+        import cloudchange.pipeline as pipeline_module
+
+        calls = {"register_scene": 0, "fine_stage": 0}
+        for name in calls:
+            original = getattr(pipeline_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline_module, name, counting)
+        rows = ablation_sweep(sweep_scene, [2, 3, 5], joint_sigma=0.01)
+        assert calls == {"register_scene": 3, "fine_stage": 3}
+        assert all(row["ate_coarse"] is not None and row["ate_full"] is not None for row in rows)
+
+    def test_coarse_column_equals_a_coarse_only_run(self, sweep_scene):
+        from cloudchange import PipelineConfig, register_scene
+
+        config = PipelineConfig(seed=3)
+        mock = {"joint_sigma": 0.01, "epoch_bias": 0.005}
+        rows = ablation_sweep(sweep_scene, [2, 5], config=config, **mock)
+        for row in rows:
+            coarse_only = config.replace(k_keyframes=row["k"], mode="coarse_only")
+            expected = evaluate_scene_run(sweep_scene, register_scene(sweep_scene, coarse_only, **mock))
+            assert row["ate_coarse"] == expected.ate_m
+
+    @pytest.mark.parametrize("modes", [(), ("fast",)], ids=["empty", "unknown"])
+    def test_bad_modes_raise_before_registering(self, sweep_scene, monkeypatch, modes):
+        import cloudchange.pipeline as pipeline_module
+
+        def fail(*args, **kwargs):
+            raise AssertionError("register_scene called")
+
+        monkeypatch.setattr(pipeline_module, "register_scene", fail)
+        with pytest.raises(ValueError, match="modes"):
+            ablation_sweep(sweep_scene, [2], modes=modes)
+
 
 class TestMetricsReport:
     def test_rejects_negative_errors(self):

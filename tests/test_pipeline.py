@@ -65,6 +65,11 @@ class TestPipelineConfig:
             PipelineConfig(mode="fast")
         with pytest.raises(ValueError):
             PipelineConfig(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            PipelineConfig(alpha=float("inf"))
+        with pytest.raises(ValueError, match="correspondence_cap"):
+            PipelineConfig(correspondence_cap=2)
+        assert PipelineConfig(correspondence_cap=3).correspondence_cap == 3
 
 
 class TestRegisterScene:

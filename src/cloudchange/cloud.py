@@ -6,7 +6,8 @@ instances can be shared freely across workers; every coordinate and
 confidence must be finite.  A cloud knows nothing of the frames it came
 from: an epoch is a list of per-frame clouds.  Spatial queries go through
 :class:`SpatialIndex`, a thin wrapper around a sliding-midpoint KD-tree
-that always answers with the exact Euclidean nearest neighbor.  The clouds
+that answers with the exact Euclidean nearest neighbor, optionally only for
+query points whose neighbor lies within a search bound.  The clouds
 are surface samples, and many queries land off those surfaces (changed
 points), which sliding-midpoint splits answer far faster than median splits.
 """
@@ -145,7 +146,9 @@ class SpatialIndex:
 
     Immutable after construction.  Distances are recomputed from the matched
     coordinates with one canonical expression so that an exhaustive scan
-    using the same expression reproduces them bit for bit.
+    using the same expression reproduces them bit for bit, bounded search or
+    not.  Among neighbors at exactly the same distance the tree may return
+    any one, and a search bound can change which.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -160,8 +163,17 @@ class SpatialIndex:
     def points(self) -> np.ndarray:
         return self._points
 
-    def query(self, query_points) -> tuple[np.ndarray, np.ndarray]:
-        """Exact nearest neighbor of each query point.
+    def query(self, query_points, upper_bound: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+        """Exact nearest neighbor of each query point, searched within a bound.
+
+        With the default unbounded search every point gets its nearest
+        neighbor.  A finite ``upper_bound`` lets the tree prune every cell
+        farther away (the bounds-overlap-ball test of Friedman, Bentley &
+        Finkel, 1977): a point whose nearest neighbor lies at or beyond the
+        bound gets distance ``inf`` and index ``len(self.points)``, the
+        tree's own sentinel.  Every finite answer is the exact one and lies
+        below the bound, and a neighbor closer than the bound by more than
+        the tree's rounding (a few ulps) is always found.
 
         Returns:
             (distances, indices): both (m,) arrays, ordered like the queries.
@@ -169,9 +181,21 @@ class SpatialIndex:
         q = np.asarray(query_points, dtype=np.float64)
         single = q.ndim == 1
         q = np.atleast_2d(q)
-        _, idx = self._tree.query(q, k=1, workers=-1)
+        tree_bound = upper_bound
+        if 0.0 < upper_bound and upper_bound * upper_bound < np.finfo(np.float64).tiny:
+            # The tree compares squared distances; a squared bound this small
+            # loses its precision, so search unbounded and cut below instead.
+            tree_bound = np.inf
+        _, idx = self._tree.query(q, k=1, distance_upper_bound=tree_bound, workers=-1)
         idx = np.asarray(idx, dtype=np.int64)
-        dist = np.sqrt(np.sum((q - self.points[idx]) ** 2, axis=1))
+        n = len(self._points)
+        found = idx < n
+        dist = np.sqrt(np.sum((q - self.points[np.where(found, idx, 0)]) ** 2, axis=1))
+        if upper_bound != np.inf:
+            # The canonical distance may round up to the bound where the tree's did not.
+            found &= dist < upper_bound
+            dist[~found] = np.inf
+            idx[~found] = n
         if single:
             return dist[0], idx[0]
         return dist, idx
@@ -287,9 +311,15 @@ def voxel_downsample_indices(
     if grid is None:
         grid = voxel_grid_params(cloud, grid_resolution)
     keys = grid.keys(cloud.points)
-    order = np.lexsort((np.arange(len(cloud)), -cloud.confidence, keys))
+    # A stable sort keeps each voxel's points in ascending index order, so the
+    # first point at the voxel's maximum confidence is the lowest-index one.
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    first = np.ones(len(cloud), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.sort(order[first])
+    new_voxel = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    voxel = np.cumsum(new_voxel) - 1
+    conf = cloud.confidence[order]
+    best = np.maximum.reduceat(conf, np.flatnonzero(new_voxel))
+    candidates = np.flatnonzero(conf == best[voxel])
+    first = np.r_[True, voxel[candidates[1:]] != voxel[candidates[:-1]]]
+    return np.sort(order[candidates[first]])
 

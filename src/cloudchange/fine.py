@@ -10,6 +10,19 @@ stay locked at their coarse values.  A final residual self-check accepts the
 refined translation only if it strictly lowers the median nearest-neighbor
 distance over all points, which makes the stage a no-op in the worst case
 rather than a regression.
+
+Both full-cloud queries need only the near part of the answer, so they search
+within a bound (see :meth:`SpatialIndex.query`) and the far points, the most
+expensive ones, come back as ``inf``.  Purify bounds its search at twice
+alpha times a median guessed from a strided sample; the self-check bounds it
+at the coarse median plus the length of the translation update, which by the
+triangle inequality no refined median exceeds.  Each result is kept only when
+the median (and purify's threshold) lies strictly below the bound, with a
+relative slack for the tree's rounding; then every ``inf`` point ranks above
+the median and outside the static set, so the medians, the static set, its
+neighbors (up to ties at exactly equal distance, see :class:`SpatialIndex`)
+and the decision equal those of an unbounded search.  Otherwise the query is
+repeated without a bound.
 """
 
 from __future__ import annotations
@@ -19,10 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, build_index, lower_median
-from .errors import EmptyCloud, EmptyStaticSet
+from .errors import EmptyCloud, EmptyStaticSet, check_non_negative
 from .geometry import Sim3Transform
 
 MIN_STATIC_POINTS = 100
+
+# Purify guesses its median from every 16th aligned point.
+_SAMPLE_STRIDE = 16
+# Relative margin between a bounded query's bound and the largest distance it
+# must answer exactly; far above the tree's few-ulp rounding of the bound.
+_BOUND_SLACK = 1e-9
+
+
+def _below_bound(value: float, bound: float) -> bool:
+    """True when ``value`` lies below ``bound`` by more than the rounding slack."""
+    return value * (1.0 + _BOUND_SLACK) < bound
 
 
 @dataclass(frozen=True)
@@ -31,9 +55,12 @@ class PurificationResult:
 
     Attributes:
         distances: (n,) nearest-neighbor distance of each aligned source
-            point into the target cloud, in target-frame units.
+            point into the target cloud, in target-frame units; ``inf`` for
+            points beyond the search bound, which lies above the threshold
+            and the median.
         nn_indices: (n,) index of each point's nearest target point, frozen
-            here so the translation refinement reuses the same assignments.
+            here so the translation refinement reuses the same assignments;
+            ``len(target)`` for the points beyond the search bound.
         static_mask: (n,) True where distance < threshold.
         median_distance: lower-midpoint median of the distances.
         threshold: alpha * median_distance.
@@ -90,15 +117,22 @@ def purify(
     threshold to the scene's own residual level.
 
     Raises:
+        ValueError: if ``alpha`` is NaN, infinite or negative.
         EmptyCloud: on an empty source cloud.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    check_non_negative("alpha", alpha)
     if len(aligned_source) == 0:
         raise EmptyCloud("cannot purify an empty cloud")
-    distances, nn_idx = target_index.query(aligned_source.points)
+    points = aligned_source.points
+    guess, _ = target_index.query(points[::_SAMPLE_STRIDE])
+    bound = 2.0 * alpha * lower_median(guess)
+    distances, nn_idx = target_index.query(points, bound)
     median = lower_median(distances)
     threshold = alpha * median
+    if not (_below_bound(median, bound) and _below_bound(threshold, bound)):
+        distances, nn_idx = target_index.query(points)
+        median = lower_median(distances)
+        threshold = alpha * median
     return PurificationResult(
         distances=distances,
         nn_indices=nn_idx,
@@ -171,8 +205,13 @@ def fine_stage(
 
     candidate = refine_translation(source, index, coarse, purification)
     shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
-    refined_distances, _ = index.query(shifted)
+    # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.
+    bound = coarse_median + float(np.linalg.norm(candidate - coarse.translation))
+    refined_distances, _ = index.query(shifted, bound)
     refined_median = lower_median(refined_distances)
+    if not _below_bound(refined_median, bound):
+        refined_distances, _ = index.query(shifted)
+        refined_median = lower_median(refined_distances)
 
     if refined_median < coarse_median:
         return FineResult(

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random transforms and small scenes."""
+"""Shared helpers for the test suite: random transforms, small scenes and the
+``hypothesis`` settings profile."""
 
 from __future__ import annotations
 
@@ -6,8 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cloudchange import Sim3Transform
+
+# Property tests stay bounded, and a loaded machine must not turn a slow
+# example into a failure.
+settings.register_profile("cloudchange", max_examples=60, deadline=None)
+settings.load_profile("cloudchange")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cloudchange import (
     EmptyCloud,
@@ -16,7 +19,7 @@ from cloudchange import (
     voxel_downsample_indices,
     voxel_grid_params,
 )
-from cloudchange.cloud import MAX_GRID_RESOLUTION
+from cloudchange.cloud import MAX_GRID_RESOLUTION, VoxelGrid
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 
@@ -240,6 +243,44 @@ class TestVoxelDownsample:
         assert (grid.keys(cloud.points) >= 0).all()
 
 
+def _lexsort_voxel_indices(cloud: PointCloud, grid: VoxelGrid) -> np.ndarray:
+    """Reference selection: one 3-key lexsort by voxel, falling confidence, index."""
+    keys = grid.keys(cloud.points)
+    order = np.lexsort((np.arange(len(cloud)), -cloud.confidence, keys))
+    sorted_keys = keys[order]
+    first = np.ones(len(cloud), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.sort(order[first])
+
+
+@st.composite
+def _tied_clouds(draw):
+    """Clouds on a coarse lattice with few confidence levels: many points share
+    a voxel, many share a confidence, and some share their coordinates."""
+    n = draw(st.integers(1, 200))
+    pts = draw(arrays(np.float64, (n, 3), elements=st.integers(0, 6).map(lambda v: 0.25 * v)))
+    conf = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.0])))
+    return PointCloud(pts, conf)
+
+
+class TestVoxelSelectionMatchesLexsort:
+    @given(cloud=_tied_clouds(), resolution=st.integers(1, 8))
+    def test_adaptive_grid(self, cloud, resolution):
+        grid = voxel_grid_params(cloud, resolution)
+        np.testing.assert_array_equal(
+            voxel_downsample_indices(cloud, grid=grid), _lexsort_voxel_indices(cloud, grid)
+        )
+
+    def test_zero_voxel_size_keeps_first_maximum(self):
+        pts = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        conf = np.tile([0.2, 0.9, 0.9, 0.4], 16)
+        cloud = PointCloud(pts, conf)
+        grid = VoxelGrid(voxel_size=0.0, origin=np.zeros(3), dims=np.ones(3))
+        keep = voxel_downsample_indices(cloud, grid=grid)
+        np.testing.assert_array_equal(keep, _lexsort_voxel_indices(cloud, grid))
+        assert keep.tolist() == [1]
+
+
 class TestSpatialIndex:
     def test_single_point_cloud(self):
         index = build_index(PointCloud([[1.0, 2.0, 3.0]]))
@@ -269,6 +310,52 @@ class TestSpatialIndex:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
             build_index(PointCloud(np.zeros((0, 3))))
+
+
+_coordinates = st.one_of(
+    st.integers(-4, 4).map(float), st.floats(-8.0, 8.0, allow_subnormal=False)
+)
+
+
+class TestBoundedQuery:
+    """A bounded query answers exactly inside the bound and ``inf`` beyond it."""
+
+    @given(
+        points=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_coordinates),
+        queries=st.one_of(
+            arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)), elements=_coordinates),
+            arrays(np.float64, 3, elements=_coordinates),
+        ),
+        bound=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.just(np.inf)),
+    )
+    # Pinned: a zero bound, a single query point just beyond and just inside
+    # the bound, and a bound whose square underflows to 0.0.
+    @example(points=np.eye(3), queries=np.eye(3), bound=0.0)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros(3), bound=3.74)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros(3), bound=3.75)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.array([1.0, 2.0, 3.0]), bound=1e-200)
+    def test_matches_unbounded_and_brute_force(self, points, queries, bound):
+        index = build_index(PointCloud(points))
+        dist, idx = index.query(queries, bound)
+        exact_dist, exact_idx = index.query(queries)
+        assert np.shape(dist) == np.shape(exact_dist) == np.shape(idx)
+        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+        exact_dist, exact_idx = np.atleast_1d(exact_dist), np.atleast_1d(exact_idx)
+        all_d = _exhaustive_distances(np.atleast_2d(queries), points)
+        found = np.isfinite(dist)
+        # Inside the bound: the unbounded answer, bit for bit.  Only among
+        # neighbors at exactly the same distance may the index differ.
+        assert (dist[found] == exact_dist[found]).all()
+        assert (dist[found] < bound).all()
+        rows = np.flatnonzero(found)
+        assert (all_d[rows, idx[found]] == exact_dist[found]).all()
+        unique = (all_d[rows] == exact_dist[found, None]).sum(axis=1) == 1
+        assert (idx[found][unique] == exact_idx[found][unique]).all()
+        # At or beyond the bound: inf with the sentinel index.
+        assert (idx[~found] == len(points)).all()
+        assert np.isinf(dist[exact_dist >= bound]).all()
+        # Clear of the bound by more than rounding, every neighbor is found.
+        assert found[exact_dist * (1.0 + 1e-9) < bound].all()
 
 
 def _surface_index_and_queries():

@@ -17,6 +17,7 @@ from cloudchange import (
     purify,
     refine_translation,
 )
+from cloudchange.cloud import SpatialIndex
 from cloudchange.fine import MIN_STATIC_POINTS
 
 from conftest import random_rotation, random_sim3
@@ -59,6 +60,12 @@ class TestPurify:
         index = build_index(PointCloud(rng.normal(size=(5, 3))))
         with pytest.raises(EmptyCloud):
             purify(PointCloud(np.zeros((0, 3))), index)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_invalid_alpha_rejected(self, rng, alpha):
+        pts = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match="alpha"):
+            purify(PointCloud(pts), build_index(PointCloud(pts)), alpha=alpha)
 
     def test_threshold_invariant(self, rng):
         src = PointCloud(rng.normal(size=(200, 3)))
@@ -287,3 +294,146 @@ class TestFineStage:
             else:
                 assert result.refined_median_residual < result.coarse_median_residual
         assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def _exact_reference(source, target, coarse, alpha, min_static):
+    """The fine stage computed with unbounded queries only.
+
+    Returns the expected FineResult fields and the purification's median,
+    threshold, static mask and static neighbors.
+    """
+    index = build_index(target)
+    distances, nn_idx = index.query(coarse.apply(source.points))
+    median = lower_median(distances)
+    threshold = alpha * median
+    static = distances < threshold
+    purification = (median, threshold, static, nn_idx[static])
+    n_static = int(static.sum())
+    if n_static < min_static:
+        return (coarse.translation, False, median, median, n_static), purification
+    rotated = coarse.scale * (source.points[static] @ coarse.rotation.T)
+    candidate = np.mean(index.points[nn_idx[static]] - rotated, axis=0)
+    shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
+    refined, _ = index.query(shifted)
+    refined_median = lower_median(refined)
+    accepted = refined_median < median
+    translation = candidate if accepted else coarse.translation
+    return (translation, accepted, median, refined_median, n_static), purification
+
+
+def _record_bounds(monkeypatch) -> list:
+    """Record the search bound of every SpatialIndex.query call."""
+    bounds = []
+    query = SpatialIndex.query
+
+    def recording(self, query_points, upper_bound=np.inf):
+        bounds.append(upper_bound)
+        return query(self, query_points, upper_bound)
+
+    monkeypatch.setattr(SpatialIndex, "query", recording)
+    return bounds
+
+
+def _purify_fallback_scene():
+    """Every 16th source point sits 0.01 from the target, the rest 1.0 away.
+
+    Purify's strided sample then guesses a median of 0.01 and bounds its
+    search at 2 * 3 * 0.01, below the true median of 1.0.
+    """
+    target = np.stack(np.meshgrid(*[np.arange(8.0) * 10.0] * 3, indexing="ij"), -1).reshape(-1, 3)
+    offsets = np.full(len(target), 1.0)
+    offsets[::16] = 0.01
+    source = target + offsets[:, None] * np.array([0.0, 0.0, 1.0])
+    return PointCloud(source), PointCloud(target)
+
+
+def _self_check_fallback_scene():
+    """A rejected refinement whose median reaches the self-check's bound.
+
+    Under alpha = 1 the 40 points 0.25 above their targets are static and the
+    60 points 1.0 below theirs (the median) are not.  The candidate moves
+    every point down by 0.25, so the refined median is 1.25: exactly the
+    coarse median plus the length of the update, the self-check's bound.
+    """
+    axis = np.arange(10.0) * 10.0
+    target = np.stack(np.meshgrid(axis, axis, [0.0], indexing="ij"), -1).reshape(-1, 3)
+    shift = np.where(np.arange(100) < 40, 0.25, -1.0)
+    source = target + shift[:, None] * np.array([0.0, 0.0, 1.0])
+    return PointCloud(source), PointCloud(target)
+
+
+class TestBoundedQueriesMatchExactReference:
+    """The bounded fine stage reproduces the unbounded one bit for bit."""
+
+    def _assert_matches(self, source, target, coarse, alpha=3.0, min_static=MIN_STATIC_POINTS):
+        """Compare with the exact reference; return the result and its query bounds."""
+        expected, (median, threshold, static, static_nn) = _exact_reference(
+            source, target, coarse, alpha, min_static
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            bounds = _record_bounds(monkeypatch)
+            result = fine_stage(source, target, coarse, alpha=alpha, min_static=min_static)
+        assert result.translation.tobytes() == np.asarray(expected[0], dtype=np.float64).tobytes()
+        assert (
+            result.accepted_refinement,
+            result.coarse_median_residual,
+            result.refined_median_residual,
+            result.n_static,
+        ) == expected[1:]
+        purification = purify(
+            source.with_points(coarse.apply(source.points)), build_index(target), alpha
+        )
+        assert purification.median_distance == median
+        assert purification.threshold == threshold
+        np.testing.assert_array_equal(purification.static_mask, static)
+        np.testing.assert_array_equal(purification.nn_indices[static], static_nn)
+        return result, bounds
+
+    def test_accepted(self):
+        rng = np.random.default_rng([21, 0])
+        source = PointCloud(rng.uniform(0, 10, size=(400, 3)))
+        target = PointCloud(rng.uniform(0, 10, size=(400, 3)))
+        result, bounds = self._assert_matches(source, target, random_sim3(rng))
+        assert result.accepted_refinement
+        # Sample, then bounded purify and self-check queries, no fallback.
+        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+
+    def test_self_check_rejected(self):
+        target = np.random.default_rng([21, 1]).uniform(0, 10, size=(400, 3))
+        noise = np.random.default_rng([22, 1]).normal(scale=0.01, size=target.shape)
+        result, bounds = self._assert_matches(
+            PointCloud(target + noise), PointCloud(target), Sim3Transform.identity()
+        )
+        assert not result.accepted_refinement
+        assert result.n_static >= MIN_STATIC_POINTS
+        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+
+    def test_too_few_static(self, rng):
+        target = rng.uniform(0, 10, size=(400, 3))
+        source = PointCloud(target + rng.normal(scale=0.01, size=target.shape))
+        result, bounds = self._assert_matches(
+            source, PointCloud(target), Sim3Transform.identity(), min_static=401
+        )
+        assert result.n_static < 401
+        assert len(bounds) == 2 and np.isfinite(bounds[1])
+
+    def test_purify_falls_back_to_exact_query(self, monkeypatch):
+        source, target = _purify_fallback_scene()
+        bounds = _record_bounds(monkeypatch)
+        result = purify(source, build_index(target), alpha=3.0)
+        # Sample, bounded full query, then the exact fallback.
+        assert bounds == [np.inf, pytest.approx(0.06), np.inf]
+        assert result.median_distance == pytest.approx(1.0)
+        assert np.isfinite(result.distances).all()
+        self._assert_matches(source, target, Sim3Transform.identity())
+
+    def test_self_check_falls_back_to_exact_query(self):
+        source, target = _self_check_fallback_scene()
+        result, bounds = self._assert_matches(
+            source, target, Sim3Transform.identity(), alpha=1.0, min_static=40
+        )
+        # Sample and bounded purify query, then the bounded self-check and
+        # its exact fallback.
+        assert bounds[2:] == [1.25, np.inf]
+        assert not result.accepted_refinement
+        assert result.refined_median_residual == 1.25

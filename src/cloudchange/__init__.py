@@ -26,7 +26,6 @@ from .coarse import (
     EpochAlignment,
     JointReconstruction,
     build_keyframe_correspondences,
-    coarse_relative_transform,
     estimate_epoch_alignment,
 )
 from .errors import (

@@ -101,8 +101,13 @@ def write_trajectory(path, trajectory: Trajectory):
 
 def read_trajectory(path) -> Trajectory:
     data = read_json(path)
+    entries = _require(data, "poses", path)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: poses must be a list, got {type(entries).__name__}")
     poses, epochs = [], []
-    for i, entry in enumerate(_require(data, "poses", path)):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{path}: pose {i} must be an object, got {type(entry).__name__}")
         for key in ("epoch_id", "frame_index", "rotation", "translation"):
             if key not in entry:
                 raise SchemaError(f"{path}: pose {i} missing field {key!r}")
@@ -114,10 +119,13 @@ def read_trajectory(path) -> Trajectory:
                     frame_index=int(entry["frame_index"]),
                 )
             )
-        except ValueError as exc:
+            epochs.append(int(entry["epoch_id"]))
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: pose {i}: {exc}") from None
-        epochs.append(int(entry["epoch_id"]))
-    return Trajectory(tuple(poses), tuple(epochs))
+    try:
+        return Trajectory(tuple(poses), tuple(epochs))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_epoch_dir(directory, frames: list, trajectory: Trajectory = None):
@@ -198,10 +206,15 @@ def read_ground_truth(path) -> dict:
     pair = _require(data, "epoch_transforms", path)
     if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError(f"{path}: epoch_transforms must hold exactly two transforms")
+    numbers = {}
+    for key, kind in (("seed", int), ("n_frames", int), ("extent", float)):
+        value = _require(data, key, path)
+        try:
+            numbers[key] = kind(value)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: {key} must be a number, got {value!r}") from None
     return {
-        "seed": int(_require(data, "seed", path)),
-        "n_frames": int(_require(data, "n_frames", path)),
-        "extent": float(_require(data, "extent", path)),
+        **numbers,
         "epoch_transforms": tuple(
             Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in pair
         ),

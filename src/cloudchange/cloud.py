@@ -290,26 +290,19 @@ def voxel_grid_params(cloud: PointCloud, grid_resolution: int) -> VoxelGrid:
     return VoxelGrid(voxel_size=delta, origin=lo, dims=dims)
 
 
-def voxel_downsample_indices(
-    cloud: PointCloud,
-    grid_resolution: int = 200,
-    *,
-    grid: VoxelGrid = None,
-) -> np.ndarray:
-    """Indices of the representative point kept for each occupied voxel.
+def voxel_downsample_indices(cloud: PointCloud, grid: VoxelGrid) -> np.ndarray:
+    """Indices of the representative point kept for each occupied voxel of ``grid``.
 
     Each voxel contributes exactly its highest-confidence point; confidence
-    ties break toward the lowest original index.  Pass ``grid`` to pin the
-    binning (e.g. to re-downsample with identical anchoring); by default it
-    is derived adaptively from the cloud via :func:`voxel_grid_params`.
+    ties break toward the lowest original index.  The grid pins the binning:
+    :func:`voxel_grid_params` derives the adaptive one from a cloud, and
+    passing the same grid again re-downsamples with identical anchoring.
 
     Returns:
         Sorted int64 array of selected original indices.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot downsample an empty cloud")
-    if grid is None:
-        grid = voxel_grid_params(cloud, grid_resolution)
     keys = grid.keys(cloud.points)
     # A stable sort keeps each voxel's points in ascending index order, so the
     # first point at the voxel's maximum confidence is the lowest-index one.

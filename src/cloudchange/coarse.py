@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloud import PointCloud, median_confidence_mask
 from .errors import MisalignedInputs, TooFewCorrespondences
-from .geometry import Sim3Transform, compose_relative, umeyama
+from .geometry import Sim3Transform, umeyama
 from .keyframes import KeyframeSet
 
 
@@ -60,8 +60,8 @@ class EpochAlignment:
 def build_keyframe_correspondences(
     per_epoch_kf_cloud: PointCloud,
     joint_kf_cloud: PointCloud,
-    cap: int = 5000,
-    seed: int = 0,
+    cap: int,
+    seed,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paired (source, target) points for the per-epoch similarity fit.
 
@@ -103,9 +103,3 @@ def estimate_epoch_alignment(
         residual_rms=rms,
     )
 
-
-def coarse_relative_transform(a1: EpochAlignment, a2: EpochAlignment) -> Sim3Transform:
-    """Relative transform mapping epoch 1's frame into epoch 2's frame."""
-    if (a1.epoch_id, a2.epoch_id) != (1, 2):
-        raise ValueError("expected alignments for epochs 1 and 2, in that order")
-    return compose_relative(a1.transform, a2.transform)

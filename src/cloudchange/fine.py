@@ -87,8 +87,9 @@ class FineResult:
     translation, whether or not it was accepted.  When too few static points
     survive no candidate is computed and it equals ``coarse_median_residual``;
     after a self-check rejection it is the rejected candidate's median, which
-    is at least the coarse one.  ``translation`` is the coarse translation
-    whenever ``accepted_refinement`` is False.
+    is at least the coarse one.  ``accepted_refinement`` is exactly
+    ``refined_median_residual < coarse_median_residual``, and
+    ``translation`` is the coarse translation whenever it is False.
     """
 
     translation: np.ndarray
@@ -108,7 +109,7 @@ class FineResult:
 
 
 def purify(
-    aligned_source: PointCloud, target_index: SpatialIndex, alpha: float = 3.0
+    aligned_source: PointCloud, target_index: SpatialIndex, alpha: float
 ) -> PurificationResult:
     """Split an aligned cloud into static background and likely changes.
 
@@ -169,17 +170,18 @@ def fine_stage(
     source: PointCloud,
     target: PointCloud,
     coarse: Sim3Transform,
-    alpha: float = 3.0,
+    alpha: float,
     min_static: int = MIN_STATIC_POINTS,
 ) -> FineResult:
     """Run the full translation refinement on downsampled epoch clouds.
 
-    Aligns ``source`` with the coarse transform, purifies the static set,
-    and computes the candidate translation.  The coarse translation is kept
-    unchanged when fewer than ``min_static`` static points survive, or when
-    the candidate fails the self-check (its median nearest-neighbor residual
-    over all points is not strictly below the coarse one).  Scale and
-    rotation are never modified.
+    Aligns ``source`` with the coarse transform and purifies the static set
+    with threshold multiplier ``alpha``.  With at least ``min_static`` static
+    points the candidate translation is refined and self-checked (median
+    nearest-neighbor residual over all points); otherwise the candidate is
+    the coarse translation with the coarse median.  It is accepted only when
+    its median lies strictly below the coarse one.  Scale and rotation are
+    never modified.
 
     Raises:
         EmptyCloud: on empty inputs.
@@ -194,36 +196,22 @@ def fine_stage(
     n_static = purification.n_static
     coarse_median = purification.median_distance
 
-    if n_static < min_static:
-        return FineResult(
-            translation=coarse.translation,
-            accepted_refinement=False,
-            coarse_median_residual=coarse_median,
-            refined_median_residual=coarse_median,
-            n_static=n_static,
-        )
-
-    candidate = refine_translation(source, index, coarse, purification)
-    shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
-    # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.
-    bound = coarse_median + float(np.linalg.norm(candidate - coarse.translation))
-    refined_distances, _ = index.query(shifted, bound)
-    refined_median = lower_median(refined_distances)
-    if not _below_bound(refined_median, bound):
-        refined_distances, _ = index.query(shifted)
+    candidate, refined_median = coarse.translation, coarse_median
+    if n_static >= min_static:
+        candidate = refine_translation(source, index, coarse, purification)
+        shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
+        # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.
+        bound = coarse_median + float(np.linalg.norm(candidate - coarse.translation))
+        refined_distances, _ = index.query(shifted, bound)
         refined_median = lower_median(refined_distances)
+        if not _below_bound(refined_median, bound):
+            refined_distances, _ = index.query(shifted)
+            refined_median = lower_median(refined_distances)
 
-    if refined_median < coarse_median:
-        return FineResult(
-            translation=candidate,
-            accepted_refinement=True,
-            coarse_median_residual=coarse_median,
-            refined_median_residual=refined_median,
-            n_static=n_static,
-        )
+    accepted = refined_median < coarse_median
     return FineResult(
-        translation=coarse.translation,
-        accepted_refinement=False,
+        translation=candidate if accepted else coarse.translation,
+        accepted_refinement=accepted,
         coarse_median_residual=coarse_median,
         refined_median_residual=refined_median,
         n_static=n_static,

@@ -76,10 +76,6 @@ class Sim3Transform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Sim3Transform":
-        return Sim3Transform(1.0, np.eye(3), np.zeros(3))
-
     def to_dict(self) -> dict:
         """JSON-ready form: scale, row-major rotation rows, translation."""
         return {

@@ -178,8 +178,8 @@ def evaluate_scene_run(scene, result) -> MetricsReport:
 def ablation_sweep(
     scene,
     k_values,
-    modes=("coarse_only", "full"),
-    config=None,
+    modes,
+    config,
     joint_sigma: float = 0.0,
     warp_amplitude: float = 0.0,
     epoch_bias: float = 0.0,
@@ -190,7 +190,8 @@ def ablation_sweep(
     Returns one row per budget with the coarse-only and full ATE, the
     relative improvement delta_pct of full over coarse, and wall-clock
     registration times.  Columns for modes that were not requested are None.
-    The keyword arguments configure the mock joint-inference error model.
+    ``config`` sets all but each row's budget and mode; the keyword
+    arguments configure the mock joint-inference error model.
 
     Each budget is registered once, in full mode if requested: that run
     computes the coarse-only result on its way, so ``time_coarse_s`` is its
@@ -198,12 +199,10 @@ def ablation_sweep(
     ``registration_s``.  Raises ValueError, before registering anything, on
     empty ``modes`` or a mode outside ``pipeline.MODES``.
     """
-    from .pipeline import MODES, PipelineConfig, register_scene
+    from .pipeline import MODES, register_scene
 
     if not modes or not set(modes) <= set(MODES):
         raise ValueError(f"modes must be a non-empty subset of {MODES}, got {tuple(modes)}")
-    if config is None:
-        config = PipelineConfig()
     coarse, full = "coarse_only" in modes, "full" in modes
     run_mode = "full" if full else "coarse_only"
     rows = []

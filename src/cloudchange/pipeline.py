@@ -22,17 +22,17 @@ from .cloud import (
     check_grid_resolution,
     median_confidence_mask,
     voxel_downsample_indices,
+    voxel_grid_params,
 )
 from .coarse import (
     EpochAlignment,
     JointReconstruction,
     build_keyframe_correspondences,
-    coarse_relative_transform,
     estimate_epoch_alignment,
 )
 from .errors import MisalignedInputs, SchemaError
 from .fine import FineResult, fine_stage
-from .geometry import Sim3Transform
+from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
 from .metrics import MetricsReport
 
@@ -154,22 +154,22 @@ def register_epochs(
             seed=[config.seed, kf.epoch_id],
         )
         alignments.append(estimate_epoch_alignment(source, target, epoch_id=kf.epoch_id))
-    coarse = coarse_relative_transform(alignments[0], alignments[1])
+    coarse = compose_relative(alignments[0].transform, alignments[1].transform)
     coarse_elapsed = time.perf_counter() - start
 
-    full1 = PointCloud.concatenate(frames1)
-    full2 = PointCloud.concatenate(frames2)
-    cloud_stats = {"t1_total": len(full1), "t2_total": len(full2)}
+    cloud_stats = {"t1_total": sum(map(len, frames1)), "t2_total": sum(map(len, frames2))}
 
     fine = None
     final = coarse
     fine_elapsed = 0.0
     if config.mode == "full":
+        full = (PointCloud.concatenate(frames1), PointCloud.concatenate(frames2))
         start = time.perf_counter()
         downsampled = []
-        for label, cloud in (("t1", full1), ("t2", full2)):
+        for label, cloud in zip(("t1", "t2"), full):
             filtered = cloud.select(median_confidence_mask(cloud.confidence))
-            voxel_keep = voxel_downsample_indices(filtered, config.grid_resolution)
+            grid = voxel_grid_params(filtered, config.grid_resolution)
+            voxel_keep = voxel_downsample_indices(filtered, grid)
             downsampled.append(filtered.select(voxel_keep))
             cloud_stats[f"{label}_filtered"] = len(filtered)
             cloud_stats[f"{label}_downsampled"] = len(voxel_keep)
@@ -270,34 +270,31 @@ class RunReport:
 
     @staticmethod
     def from_registration(result: RegistrationResult, inputs: dict = None) -> "RunReport":
-        report = RunReport(config=dict(result.config_echo), inputs=inputs)
-        report.record_registration(result)
-        return report
+        fine = result.fine
+        return RunReport(
+            config=dict(result.config_echo),
+            coarse={
+                "epoch1": _alignment_dict(result.alignment1),
+                "epoch2": _alignment_dict(result.alignment2),
+                "relative": result.coarse_relative.to_dict(),
+            },
+            fine=None if fine is None else {
+                "translation": fine.translation.tolist(),
+                "accepted_refinement": bool(fine.accepted_refinement),
+                "coarse_median_residual": fine.coarse_median_residual,
+                "refined_median_residual": fine.refined_median_residual,
+                "n_static": fine.n_static,
+            },
+            final_transform=result.final_transform.to_dict(),
+            cloud_stats=dict(result.cloud_stats),
+            inputs=inputs,
+            timing=dict(result.timings),
+        )
 
-    def record_registration(self, result: RegistrationResult):
-        self.coarse = {
-            "epoch1": _alignment_dict(result.alignment1),
-            "epoch2": _alignment_dict(result.alignment2),
-            "relative": result.coarse_relative.to_dict(),
-        }
-        if result.fine is not None:
-            self.fine = {
-                "translation": result.fine.translation.tolist(),
-                "accepted_refinement": bool(result.fine.accepted_refinement),
-                "coarse_median_residual": result.fine.coarse_median_residual,
-                "refined_median_residual": result.fine.refined_median_residual,
-                "n_static": result.fine.n_static,
-            }
-        self.final_transform = result.final_transform.to_dict()
-        self.cloud_stats = dict(result.cloud_stats)
-        self.timing = dict(self.timing or {})
-        self.timing.update(result.timings)
-
-    def record_changes(self, stats: dict, elapsed: float = None):
+    def record_changes(self, stats: dict, elapsed: float):
         self.changes = dict(stats)
-        if elapsed is not None:
-            self.timing = dict(self.timing or {})
-            self.timing["detect_s"] = elapsed
+        self.timing = dict(self.timing or {})
+        self.timing["detect_s"] = elapsed
 
     def record_metrics(self, metrics: MetricsReport):
         self.metrics = metrics.to_dict()

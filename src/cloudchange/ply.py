@@ -110,18 +110,18 @@ def _parse_header(raw: bytes, path) -> tuple:
                 raise ParseError(f"{path}: malformed element line {line!r}", line=lineno)
             try:
                 count = int(tokens[2])
+                if count < 0:
+                    raise ValueError(count)
             except ValueError:
                 raise ParseError(f"{path}: bad element count in {line!r}", line=lineno) from None
             elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError(f"{path}: property before any element", line=lineno)
-            if tokens[1] == "list":
-                elements[-1][2].append(("list", tokens[-1]))
-            else:
-                if len(tokens) != 3:
-                    raise ParseError(f"{path}: malformed property line {line!r}", line=lineno)
-                elements[-1][2].append((tokens[1], tokens[2]))
+            # "property <type> <name>" or "property list <count type> <type> <name>".
+            if len(tokens) != (5 if tokens[1:2] == ["list"] else 3):
+                raise ParseError(f"{path}: malformed property line {line!r}", line=lineno)
+            elements[-1][2].append((tokens[1], tokens[-1]))
     if fmt is None:
         raise ParseError(f"{path}: header has no format line", line=1)
     return fmt, elements, body_offset, len(lines) + 1

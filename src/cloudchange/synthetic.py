@@ -108,8 +108,6 @@ class SceneSpec:
             own arc.
         epoch_transforms: ground-truth epoch-to-world similarity transforms;
             drawn from the seed (scales in [0.2, 5]) when omitted.
-        gt_relative: derived transform mapping epoch 1's frame into epoch
-            2's; validated against the epoch transforms when provided.
     """
 
     seed: int
@@ -121,7 +119,6 @@ class SceneSpec:
     edge_noise_elongation: float = 0.1
     shared_trajectories: bool = False
     epoch_transforms: tuple = None
-    gt_relative: Sim3Transform = None
 
     def __post_init__(self):
         if self.seed < 0:
@@ -143,19 +140,6 @@ class SceneSpec:
             if len(pair) != 2:
                 raise InvalidSpec("epoch_transforms must hold exactly two transforms")
             object.__setattr__(self, "epoch_transforms", pair)
-            derived = compose_relative(pair[0], pair[1])
-            if self.gt_relative is None:
-                object.__setattr__(self, "gt_relative", derived)
-            else:
-                if (
-                    abs(self.gt_relative.scale - derived.scale) > 1e-12 * derived.scale
-                    or np.abs(self.gt_relative.rotation - derived.rotation).max() > 1e-12
-                    or np.abs(self.gt_relative.translation - derived.translation).max()
-                    > 1e-12 * (1.0 + np.abs(derived.translation).max())
-                ):
-                    raise InvalidSpec("gt_relative does not match the epoch transforms")
-        elif self.gt_relative is not None:
-            raise InvalidSpec("gt_relative given without epoch_transforms")
 
     def to_dict(self) -> dict:
         """JSON-ready generator parameters.
@@ -258,7 +242,8 @@ class BiTemporalScene:
 
     @property
     def gt_relative(self) -> Sim3Transform:
-        return self.spec.gt_relative
+        """Transform mapping epoch 1's frame into epoch 2's."""
+        return compose_relative(*self.epoch_transforms)
 
     @property
     def epoch_transforms(self) -> tuple:
@@ -490,7 +475,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
     transforms_rng = np.random.default_rng([spec.seed, _SALT_TRANSFORMS])
     if spec.epoch_transforms is None:
         pair = (_random_sim3(transforms_rng), _random_sim3(transforms_rng))
-        spec = replace(spec, epoch_transforms=pair, gt_relative=None)
+        spec = replace(spec, epoch_transforms=pair)
 
     labels_by_epoch = {1: labels_1, 2: labels_2}
     clouds, worlds, edges, trajectories, origins, bounds = [], [], [], [], [], []

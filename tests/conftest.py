@@ -27,6 +27,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def identity_sim3() -> Sim3Transform:
+    return Sim3Transform(1.0, np.eye(3), np.zeros(3))
+
+
 def random_sim3(rng: np.random.Generator, scale_range=(0.2, 5.0)) -> Sim3Transform:
     lo, hi = scale_range
     scale = math.exp(rng.uniform(math.log(lo), math.log(hi)))

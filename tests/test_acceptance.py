@@ -33,6 +33,7 @@ from cloudchange import (
     robust_extent,
     umeyama,
     voxel_downsample_indices,
+    voxel_grid_params,
 )
 from cloudchange.cli import main as cli_main
 from cloudchange.metrics import ate, combine_trajectories, transform_error
@@ -211,7 +212,7 @@ def test_criterion_05_fine_stage_recovery():
         delta = rng.uniform(0.01, 0.05) * extent * direction
         coarse = Sim3Transform(1.0, np.eye(3), delta)
 
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         tolerance = max(1e-6, 3.0 * sigma_fraction / math.sqrt(max(result.n_static, 1)))
         if result.accepted_refinement and (
             np.linalg.norm(result.translation) < tolerance * extent
@@ -224,7 +225,7 @@ def test_criterion_05_fine_stage_recovery():
 def _downsampled_with_labels(cloud, labels, grid_resolution):
     keep = np.nonzero(median_confidence_mask(cloud.confidence))[0]
     filtered = cloud.select(keep)
-    voxel_keep = voxel_downsample_indices(filtered, grid_resolution)
+    voxel_keep = voxel_downsample_indices(filtered, voxel_grid_params(filtered, grid_resolution))
     return filtered.select(voxel_keep), labels[keep[voxel_keep]]
 
 
@@ -261,7 +262,7 @@ def test_criterion_06_purification_purity():
     rng = np.random.default_rng(2099)
     pts = rng.uniform(0.0, 10.0, size=(99, 3))
     coarse = Sim3Transform(1.0, np.eye(3), np.array([0.05, -0.02, 0.01]))
-    result = fine_stage(PointCloud(pts), PointCloud(pts), coarse)
+    result = fine_stage(PointCloud(pts), PointCloud(pts), coarse, alpha=3.0)
     assert not result.accepted_refinement
     assert (result.translation == coarse.translation).all()
     _report(6, "Purification purity", "20/20 scenes >= 95%, 99-point guard holds")
@@ -368,7 +369,12 @@ def test_criterion_08b_ablation_table_never_negative(sweep_scene):
     from cloudchange.metrics import ablation_sweep
 
     rows = ablation_sweep(
-        sweep_scene, [2, 3, 5, 9, 20, 30], joint_sigma=0.02, epoch_bias=0.012
+        sweep_scene,
+        [2, 3, 5, 9, 20, 30],
+        ("coarse_only", "full"),
+        PipelineConfig(),
+        joint_sigma=0.02,
+        epoch_bias=0.012,
     )
     for row in rows:
         assert row["delta_pct"] >= 0.0, f"K={row['k']} delta {row['delta_pct']:.3f}"

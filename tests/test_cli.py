@@ -223,6 +223,70 @@ def test_malformed_report_is_data_error(scene_dir, report_data, tmp_path, capsys
     _assert_one_error_line(capsys, command)
 
 
+def _set(path: str, *keys_and_value):
+    """Edit of one JSON file: set the value at a key path."""
+
+    def edit(data):
+        *keys, last, value = keys_and_value
+        node = data
+        for key in keys:
+            node = node[key]
+        node[last] = value
+
+    return path, edit
+
+
+def _repeat_first_frame_index(data):
+    data["poses"][1]["frame_index"] = data["poses"][0]["frame_index"]
+
+
+MALFORMED_EVAL_INPUTS = {
+    "poses_not_a_list": _set("e1/trajectory.json", "poses", 5),
+    "pose_not_an_object": _set("e1/trajectory.json", "poses", 0, 5),
+    "non_integer_epoch_id": _set("gt_trajectories/e2.json", "poses", 3, "epoch_id", "two"),
+    "null_frame_index": _set("e2/trajectory.json", "poses", 0, "frame_index", None),
+    "frames_not_increasing": ("e1/trajectory.json", _repeat_first_frame_index),
+    "seed_not_a_number": _set("gt.json", "seed", "seven"),
+    "n_frames_not_a_number": _set("gt.json", "n_frames", None),
+    "extent_not_a_number": _set("gt.json", "extent", [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EVAL_INPUTS))
+def test_malformed_eval_input_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
+    scene = tmp_path / "scene"
+    for name in ("gt.json", "e1/trajectory.json", "e2/trajectory.json", "gt_trajectories"):
+        (scene / name).parent.mkdir(parents=True, exist_ok=True)
+        copy = shutil.copytree if (scene_dir / name).is_dir() else shutil.copyfile
+        copy(scene_dir / name, scene / name)
+    name, edit = MALFORMED_EVAL_INPUTS[case]
+    data = json.loads((scene / name).read_text())
+    edit(data)
+    (scene / name).write_text(json.dumps(data))
+    report_path = tmp_path / "r.json"
+    report_path.write_text(json.dumps(report_data))
+    argv = ["eval", "--report", str(report_path), "--scene", str(scene),
+            "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert name in _assert_one_error_line(capsys, "eval")
+
+
+MALFORMED_PLY_HEADERS = {
+    "bare_property": "element vertex 1\nproperty float x\nproperty\n",
+    "negative_count": "element vertex -2\nproperty float x\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLY_HEADERS))
+def test_malformed_ply_header_is_data_error(tmp_path, capsys, case):
+    path = tmp_path / "bad.ply"
+    path.write_text(f"ply\nformat ascii 1.0\n{MALFORMED_PLY_HEADERS[case]}end_header\n0\n")
+    argv = ["detect", "--aligned-ply", str(path), "--target-ply", str(path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "(line " in _assert_one_error_line(capsys, "detect")
+
+
 class TestDetect:
     def test_detect_from_report(self, scene_dir, tmp_path):
         report_path = tmp_path / "r.json"

@@ -135,7 +135,7 @@ class TestRobustExtent:
 class TestVoxelDownsample:
     def test_single_point_unchanged(self):
         cloud = PointCloud([[1.0, 2.0, 3.0]], [0.4])
-        out = cloud.select(voxel_downsample_indices(cloud, 200))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 200)))
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_keeps_max_confidence_in_voxel(self):
@@ -143,7 +143,7 @@ class TestVoxelDownsample:
             [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]],
             [0.3, 0.9, 0.5],
         )
-        out = cloud.select(voxel_downsample_indices(cloud, 4))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 4)))
         assert len(out) == 2
         assert 0.9 in out.confidence and 0.3 not in out.confidence
 
@@ -173,7 +173,7 @@ class TestVoxelDownsample:
         )
         pts = np.vstack([base, extras])
         conf = np.concatenate([np.full(992, 0.5), [0.9, 0.8, 0.9, 0.8]])
-        keep = voxel_downsample_indices(PointCloud(pts, conf), 200, grid=grid)
+        keep = voxel_downsample_indices(PointCloud(pts, conf), grid)
         # Pair one merges; only the higher-confidence member survives.
         assert 992 in keep and 993 not in keep
         # Pair two straddles a voxel boundary; both survive.
@@ -184,7 +184,7 @@ class TestVoxelDownsample:
             [[0.0, 0.0, 0.0], [0.001, 0.0, 0.0], [9.0, 9.0, 9.0]],
             [0.7, 0.7, 0.2],
         )
-        keep = voxel_downsample_indices(cloud, 4)
+        keep = voxel_downsample_indices(cloud, voxel_grid_params(cloud, 4))
         assert 0 in keep and 1 not in keep
 
     def test_idempotent_under_pinned_grid(self, rng):
@@ -213,19 +213,19 @@ class TestVoxelDownsample:
 
     def test_all_coincident_collapses_to_one_point(self):
         cloud = PointCloud(np.ones((50, 3)), np.linspace(0.1, 0.9, 50))
-        out = cloud.select(voxel_downsample_indices(cloud, 200))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 200)))
         assert len(out) == 1
         assert out.confidence[0] == pytest.approx(0.9)
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
-            voxel_downsample_indices(PointCloud(np.zeros((0, 3))), 10)
+            voxel_downsample_indices(PointCloud(np.zeros((0, 3))), VoxelGrid(1.0, np.zeros(3), np.ones(3)))
 
     def test_outliers_clamped_not_dropped(self, rng):
         pts = rng.uniform(0.0, 10.0, size=(500, 3))
         pts[0] = [1e4, 1e4, 1e4]
         cloud = PointCloud(pts, np.full(500, 0.5))
-        out = cloud.select(voxel_downsample_indices(cloud, 20))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 20)))
         # The outlier lands in a boundary voxel; total never exceeds input.
         assert 1 <= len(out) <= 500
 

@@ -10,15 +10,13 @@ from cloudchange import (
     EpochAlignment,
     MisalignedInputs,
     PointCloud,
-    Sim3Transform,
     TooFewCorrespondences,
     build_keyframe_correspondences,
-    coarse_relative_transform,
     compose_relative,
     estimate_epoch_alignment,
 )
 
-from conftest import random_sim3
+from conftest import identity_sim3, random_sim3
 
 
 def _aligned_pair(rng, n, confidence=None):
@@ -93,7 +91,7 @@ class TestEstimateEpochAlignment:
 
     def test_alignment_requires_three_correspondences(self, rng):
         with pytest.raises(ValueError):
-            EpochAlignment(1, Sim3Transform.identity(), 2, 0.0)
+            EpochAlignment(1, identity_sim3(), 2, 0.0)
 
 
 class TestCoarseRelativeTransform:
@@ -101,7 +99,7 @@ class TestCoarseRelativeTransform:
         t = random_sim3(rng)
         a1 = EpochAlignment(1, t, 100, 0.0)
         a2 = EpochAlignment(2, t, 100, 0.0)
-        rel = coarse_relative_transform(a1, a2)
+        rel = compose_relative(a1.transform, a2.transform)
         assert rel.scale == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-12)
@@ -109,16 +107,10 @@ class TestCoarseRelativeTransform:
     def test_identity_second_epoch(self, rng):
         t = random_sim3(rng)
         a1 = EpochAlignment(1, t, 50, 0.0)
-        a2 = EpochAlignment(2, Sim3Transform.identity(), 50, 0.0)
-        rel = coarse_relative_transform(a1, a2)
+        a2 = EpochAlignment(2, identity_sim3(), 50, 0.0)
+        rel = compose_relative(a1.transform, a2.transform)
         np.testing.assert_allclose(rel.rotation, t.rotation, atol=1e-15)
         assert rel.scale == t.scale
-
-    def test_epoch_order_enforced(self, rng):
-        t = random_sim3(rng)
-        a1 = EpochAlignment(1, t, 50, 0.0)
-        with pytest.raises(ValueError):
-            coarse_relative_transform(a1, a1)
 
     def test_synthetic_known_transforms(self, rng):
         # Noise-free end-to-end: fit both epochs against a shared frame and
@@ -129,7 +121,7 @@ class TestCoarseRelativeTransform:
         cloud2 = t2.inverse().apply(world)
         a1 = estimate_epoch_alignment(cloud1, world, epoch_id=1)
         a2 = estimate_epoch_alignment(cloud2, world, epoch_id=2)
-        rel = coarse_relative_transform(a1, a2)
+        rel = compose_relative(a1.transform, a2.transform)
         gt = compose_relative(t1, t2)
         assert abs(rel.scale - gt.scale) <= 1e-9 * gt.scale
         assert np.abs(rel.rotation - gt.rotation).max() <= 1e-9
@@ -143,8 +135,8 @@ class TestCoarseRelativeTransform:
         a2 = EpochAlignment(2, t2, 10, 0.0)
         b1 = EpochAlignment(1, t2, 10, 0.0)
         b2 = EpochAlignment(2, t1, 10, 0.0)
-        forward = coarse_relative_transform(a1, a2).scale
-        backward = coarse_relative_transform(b1, b2).scale
+        forward = compose_relative(a1.transform, a2.transform).scale
+        backward = compose_relative(b1.transform, b2.transform).scale
         assert forward * backward == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_robustness(self, rng):
@@ -168,7 +160,7 @@ class TestCoarseRelativeTransform:
                 world + trial_rng.normal(0.0, sigma, world.shape),
                 epoch_id=2,
             )
-            rel = coarse_relative_transform(a1, a2)
+            rel = compose_relative(a1.transform, a2.transform)
             gt = compose_relative(t1, t2)
             scale_err = abs(rel.scale / gt.scale - 1.0)
             cos = (np.trace(rel.rotation @ gt.rotation.T) - 1.0) / 2.0

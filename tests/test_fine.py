@@ -20,7 +20,7 @@ from cloudchange import (
 from cloudchange.cloud import SpatialIndex
 from cloudchange.fine import MIN_STATIC_POINTS
 
-from conftest import random_rotation, random_sim3
+from conftest import identity_sim3, random_rotation, random_sim3
 
 
 def _identity_with_translation(t):
@@ -59,7 +59,7 @@ class TestPurify:
     def test_empty_cloud(self, rng):
         index = build_index(PointCloud(rng.normal(size=(5, 3))))
         with pytest.raises(EmptyCloud):
-            purify(PointCloud(np.zeros((0, 3))), index)
+            purify(PointCloud(np.zeros((0, 3))), index, alpha=3.0)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
     def test_invalid_alpha_rejected(self, rng, alpha):
@@ -134,7 +134,7 @@ class TestRefineTranslation:
         np.testing.assert_allclose(refined, coarse.translation + delta, atol=1e-9)
 
     def test_empty_static_set_raises(self, rng):
-        coarse = Sim3Transform.identity()
+        coarse = identity_sim3()
         source = PointCloud(rng.normal(size=(10, 3)))
         index = build_index(source)
         result = purify(source, index, alpha=0.0)
@@ -147,7 +147,7 @@ class TestFineStage:
         coarse = random_sim3(rng)
         source = PointCloud(rng.normal(size=(300, 3)))
         target = apply_transform(coarse, source)
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         assert not result.accepted_refinement
         assert (result.translation == coarse.translation).all()
         assert result.coarse_median_residual == 0.0
@@ -158,7 +158,7 @@ class TestFineStage:
         pts = rng.uniform(0, 10, size=(99, 3))
         source = PointCloud(pts)
         target = PointCloud(pts + rng.normal(0, 0.01, size=(99, 3)))
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         assert result.n_static <= 99
         assert not result.accepted_refinement
         assert (result.translation == coarse.translation).all()
@@ -174,7 +174,7 @@ class TestFineStage:
         coarse = _identity_with_translation(delta)
         source = PointCloud(grid)
         target = PointCloud(grid)
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         assert result.accepted_refinement
         np.testing.assert_allclose(result.translation, gt.translation, atol=1e-9)
         assert result.refined_median_residual < result.coarse_median_residual
@@ -192,7 +192,7 @@ class TestFineStage:
             coarse = Sim3Transform(
                 1.0, np.eye(3), rng.normal(0.0, 0.5, 3)
             )
-            result = fine_stage(source, target, coarse, min_static=1)
+            result = fine_stage(source, target, coarse, alpha=3.0, min_static=1)
             final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
             index = build_index(target)
             d_final, _ = index.query(apply_transform(final, source).points)
@@ -203,7 +203,7 @@ class TestFineStage:
         source = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         target = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         coarse = random_sim3(rng)
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
         assert final.scale == coarse.scale
         assert (final.rotation == coarse.rotation).all()
@@ -221,7 +221,7 @@ class TestFineStage:
         coarse = Sim3Transform(1.0, wobble, np.array([0.1, 0.0, -0.1]))
         source = PointCloud(grid)
         target = PointCloud(grid)
-        result = fine_stage(source, target, coarse)
+        result = fine_stage(source, target, coarse, alpha=3.0)
         assert (result.translation != coarse.translation).any() or not result.accepted_refinement
         assert result.refined_median_residual <= result.coarse_median_residual or (
             not result.accepted_refinement
@@ -249,7 +249,7 @@ class TestFineStage:
             source = PointCloud(grid)
             target = PointCloud(grid + noise)
             coarse = _identity_with_translation(delta)
-            result = fine_stage(source, target, coarse)
+            result = fine_stage(source, target, coarse, alpha=3.0)
             if not result.accepted_refinement:
                 continue
             err = np.linalg.norm(result.translation - np.zeros(3))
@@ -260,9 +260,9 @@ class TestFineStage:
     def test_empty_inputs_raise(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
         with pytest.raises(EmptyCloud):
-            fine_stage(PointCloud(np.zeros((0, 3))), cloud, Sim3Transform.identity())
+            fine_stage(PointCloud(np.zeros((0, 3))), cloud, identity_sim3(), alpha=3.0)
         with pytest.raises(EmptyCloud):
-            fine_stage(cloud, PointCloud(np.zeros((0, 3))), Sim3Transform.identity())
+            fine_stage(cloud, PointCloud(np.zeros((0, 3))), identity_sim3(), alpha=3.0)
 
     def test_accepted_flag_consistency(self, rng):
         # accepted_refinement=False implies the translation IS the coarse
@@ -276,12 +276,12 @@ class TestFineStage:
             target = trial_rng.uniform(0, 10, size=(400, 3))
             cases.append((source, target, random_sim3(trial_rng), MIN_STATIC_POINTS))
             noise = np.random.default_rng([22, trial]).normal(scale=0.01, size=target.shape)
-            cases.append((target + noise, target, Sim3Transform.identity(), MIN_STATIC_POINTS))
-            cases.append((target + noise, target, Sim3Transform.identity(), len(target) + 1))
+            cases.append((target + noise, target, identity_sim3(), MIN_STATIC_POINTS))
+            cases.append((target + noise, target, identity_sim3(), len(target) + 1))
         outcomes = set()
         for source, target, coarse, min_static in cases:
             result = fine_stage(
-                PointCloud(source), PointCloud(target), coarse, min_static=min_static
+                PointCloud(source), PointCloud(target), coarse, alpha=3.0, min_static=min_static
             )
             skipped = result.n_static < min_static
             outcomes.add((result.accepted_refinement, skipped))
@@ -402,7 +402,7 @@ class TestBoundedQueriesMatchExactReference:
         target = np.random.default_rng([21, 1]).uniform(0, 10, size=(400, 3))
         noise = np.random.default_rng([22, 1]).normal(scale=0.01, size=target.shape)
         result, bounds = self._assert_matches(
-            PointCloud(target + noise), PointCloud(target), Sim3Transform.identity()
+            PointCloud(target + noise), PointCloud(target), identity_sim3()
         )
         assert not result.accepted_refinement
         assert result.n_static >= MIN_STATIC_POINTS
@@ -412,7 +412,7 @@ class TestBoundedQueriesMatchExactReference:
         target = rng.uniform(0, 10, size=(400, 3))
         source = PointCloud(target + rng.normal(scale=0.01, size=target.shape))
         result, bounds = self._assert_matches(
-            source, PointCloud(target), Sim3Transform.identity(), min_static=401
+            source, PointCloud(target), identity_sim3(), min_static=401
         )
         assert result.n_static < 401
         assert len(bounds) == 2 and np.isfinite(bounds[1])
@@ -425,12 +425,12 @@ class TestBoundedQueriesMatchExactReference:
         assert bounds == [np.inf, pytest.approx(0.06), np.inf]
         assert result.median_distance == pytest.approx(1.0)
         assert np.isfinite(result.distances).all()
-        self._assert_matches(source, target, Sim3Transform.identity())
+        self._assert_matches(source, target, identity_sim3())
 
     def test_self_check_falls_back_to_exact_query(self):
         source, target = _self_check_fallback_scene()
         result, bounds = self._assert_matches(
-            source, target, Sim3Transform.identity(), alpha=1.0, min_static=40
+            source, target, identity_sim3(), alpha=1.0, min_static=40
         )
         # Sample and bounded purify query, then the bounded self-check and
         # its exact fallback.

@@ -16,7 +16,7 @@ from cloudchange import (
 )
 from cloudchange.cloud import PointCloud
 
-from conftest import random_rotation, random_sim3
+from conftest import identity_sim3, random_rotation, random_sim3
 
 
 class TestSim3Transform:
@@ -166,7 +166,7 @@ class TestUmeyama:
 class TestComposeRelative:
     def test_identity_second_returns_first(self, rng):
         t1 = random_sim3(rng)
-        rel = compose_relative(t1, Sim3Transform.identity())
+        rel = compose_relative(t1, identity_sim3())
         assert rel.scale == pytest.approx(t1.scale, rel=1e-15)
         np.testing.assert_allclose(rel.rotation, t1.rotation, atol=1e-15)
         np.testing.assert_allclose(rel.translation, t1.translation, atol=1e-15)
@@ -199,7 +199,7 @@ class TestComposeRelative:
 class TestApplyTransform:
     def test_identity_is_bitwise(self, rng):
         cloud = PointCloud(rng.normal(size=(30, 3)), rng.uniform(0, 1, 30))
-        out = apply_transform(Sim3Transform.identity(), cloud)
+        out = apply_transform(identity_sim3(), cloud)
         assert (out.points == cloud.points).all()
 
     def test_pure_scaling(self):

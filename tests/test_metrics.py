@@ -17,6 +17,7 @@ from cloudchange import (
     rte,
 )
 from cloudchange.metrics import ablation_sweep, evaluate_scene_run, transform_error
+from cloudchange.pipeline import MODES, PipelineConfig
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 from conftest import random_rotation, random_sim3
@@ -190,7 +191,7 @@ def sweep_scene():
 class TestAblationSweep:
 
     def test_full_mode_never_degrades(self, sweep_scene):
-        rows = ablation_sweep(sweep_scene, [2, 3, 5], joint_sigma=0.01)
+        rows = ablation_sweep(sweep_scene, [2, 3, 5], MODES, PipelineConfig(), joint_sigma=0.01)
         for row in rows:
             assert row["delta_pct"] is not None
             assert row["delta_pct"] >= 0.0
@@ -207,13 +208,13 @@ class TestAblationSweep:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "fine_stage", counting)
-        ablation_sweep(sweep_scene, [2, 5], modes=("coarse_only",), joint_sigma=0.01)
+        ablation_sweep(sweep_scene, [2, 5], ("coarse_only",), PipelineConfig(), joint_sigma=0.01)
         assert calls["n"] == 0
-        ablation_sweep(sweep_scene, [2], modes=("full",), joint_sigma=0.01)
+        ablation_sweep(sweep_scene, [2], ("full",), PipelineConfig(), joint_sigma=0.01)
         assert calls["n"] == 1
 
     def test_rows_carry_requested_budgets(self, sweep_scene):
-        rows = ablation_sweep(sweep_scene, [2, 5], modes=("coarse_only",), joint_sigma=0.01)
+        rows = ablation_sweep(sweep_scene, [2, 5], ("coarse_only",), PipelineConfig(), joint_sigma=0.01)
         assert [row["k"] for row in rows] == [2, 5]
         assert all(row["ate_full"] is None for row in rows)
 
@@ -229,16 +230,16 @@ class TestAblationSweep:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(pipeline_module, name, counting)
-        rows = ablation_sweep(sweep_scene, [2, 3, 5], joint_sigma=0.01)
+        rows = ablation_sweep(sweep_scene, [2, 3, 5], MODES, PipelineConfig(), joint_sigma=0.01)
         assert calls == {"register_scene": 3, "fine_stage": 3}
         assert all(row["ate_coarse"] is not None and row["ate_full"] is not None for row in rows)
 
     def test_coarse_column_equals_a_coarse_only_run(self, sweep_scene):
-        from cloudchange import PipelineConfig, register_scene
+        from cloudchange import register_scene
 
         config = PipelineConfig(seed=3)
         mock = {"joint_sigma": 0.01, "epoch_bias": 0.005}
-        rows = ablation_sweep(sweep_scene, [2, 5], config=config, **mock)
+        rows = ablation_sweep(sweep_scene, [2, 5], MODES, config, **mock)
         for row in rows:
             coarse_only = config.replace(k_keyframes=row["k"], mode="coarse_only")
             expected = evaluate_scene_run(sweep_scene, register_scene(sweep_scene, coarse_only, **mock))
@@ -253,7 +254,7 @@ class TestAblationSweep:
 
         monkeypatch.setattr(pipeline_module, "register_scene", fail)
         with pytest.raises(ValueError, match="modes"):
-            ablation_sweep(sweep_scene, [2], modes=modes)
+            ablation_sweep(sweep_scene, [2], modes, PipelineConfig())
 
 
 class TestMetricsReport:
@@ -262,7 +263,7 @@ class TestMetricsReport:
             MetricsReport(-1.0, 0.0, {"scale_ratio_error": 0.0}, {})
 
     def test_evaluate_scene_run_roundtrip(self):
-        from cloudchange import PipelineConfig, register_scene
+        from cloudchange import register_scene
 
         scene = generate_scene(SceneSpec(seed=77, n_static=2500, n_frames_per_epoch=10))
         result = register_scene(scene, PipelineConfig(k_keyframes=4), joint_sigma=0.005)

@@ -234,6 +234,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"outside \[0, 1\] at point 1"):
             read_ply(path)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize(
+        "count, extra, line",
+        [("1", "property\n", 7), ("1", "property list\n", 7), ("-2", "", 3)],
+        ids=["bare_property", "list_without_types", "negative_count"],
+    )
+    def test_malformed_header_line_names_it(self, tmp_path, fmt, count, extra, line):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(
+            f"ply\nformat {fmt} 1.0\nelement vertex {count}\n"
+            f"property float x\nproperty float y\nproperty float z\n{extra}end_header\n".encode()
+            + bytes(12)
+        )
+        with pytest.raises(ParseError) as info:
+            read_ply(path)
+        assert info.value.line == line
+
     def test_missing_end_header(self, tmp_path):
         path = tmp_path / "noend.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")

@@ -6,12 +6,17 @@ directory* holds the keyframe clouds of both epochs in one shared frame, named
 e{epoch}_frame_NNNN.ply and pixel-aligned with the epoch frames.  A *scene
 directory* is the exported form of a synthetic bi-temporal scene: both epoch
 directories, predicted and ground-truth trajectories, a joint directory, and a
-gt.json with the ground-truth transforms and per-point change labels.
+gt.json with the two ground-truth epoch transforms (the relative transform is
+derived from them, never stored) and per-point change labels.
 
 Every JSON file read here declares a ``format_version``; readers reject
 unknown major versions with a :class:`SchemaError` naming the offending
 file.  This module owns that version, its check, and the reading and
-writing of JSON files.
+writing of JSON files.  Each reader checks its fields with
+:func:`errors.check_fields` and ignores keys it does not know, so files
+stay readable across minor versions.  :func:`read_ground_truth` decodes the
+header fields of gt.json, which ``eval`` needs; only :func:`read_scene_dir`
+decodes its per-point lists.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .coarse import JointReconstruction
-from .errors import InvalidSpec, SchemaError
+from .errors import InvalidSpec, SchemaError, check_fields
 from .geometry import SE3Pose, Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
@@ -37,17 +42,17 @@ from .synthetic import (
 
 FORMAT_VERSION = "1.0"
 
+_POSE_TYPES = {"epoch_id": int, "frame_index": int, "rotation": list, "translation": list}
+_GT_TYPES = {"seed": int, "n_frames": int, "extent": float, "epoch_transforms": list}
+# The per-point lists of gt.json: 0/1 change labels and edge flags, and each
+# point's index in generation order.
+_POINT_KEYS = ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2")
+
 
 def check_version(version, path):
     """Reject a ``format_version`` whose major part differs from ours."""
     if not isinstance(version, str) or version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise SchemaError(f"{path}: unsupported format_version {version!r}")
-
-
-def _require(mapping: dict, key: str, path) -> object:
-    if key not in mapping:
-        raise SchemaError(f"{path}: missing field {key!r}")
-    return mapping[key]
 
 
 def read_json(path) -> dict:
@@ -64,9 +69,8 @@ def read_json(path) -> dict:
         raise SchemaError(f"{path}: file not found") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    check_version(_require(data, "format_version", path), path)
+    check_fields(data, {"format_version": str}, ("format_version",), str(path), SchemaError)
+    check_version(data["format_version"], path)
     return data
 
 
@@ -100,28 +104,16 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 def read_trajectory(path) -> Trajectory:
-    data = read_json(path)
-    entries = _require(data, "poses", path)
-    if not isinstance(entries, list):
-        raise SchemaError(f"{path}: poses must be a list, got {type(entries).__name__}")
+    entries = check_fields(read_json(path), {"poses": list}, ("poses",), str(path), SchemaError)
     poses, epochs = [], []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{path}: pose {i} must be an object, got {type(entry).__name__}")
-        for key in ("epoch_id", "frame_index", "rotation", "translation"):
-            if key not in entry:
-                raise SchemaError(f"{path}: pose {i} missing field {key!r}")
+    for i, entry in enumerate(entries["poses"]):
+        what = f"{path}: pose {i}"
+        pose = check_fields(entry, _POSE_TYPES, tuple(_POSE_TYPES), what, SchemaError)
         try:
-            poses.append(
-                SE3Pose(
-                    np.asarray(entry["rotation"], dtype=np.float64),
-                    np.asarray(entry["translation"], dtype=np.float64),
-                    frame_index=int(entry["frame_index"]),
-                )
-            )
-            epochs.append(int(entry["epoch_id"]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: pose {i}: {exc}") from None
+            poses.append(SE3Pose(pose["rotation"], pose["translation"], pose["frame_index"]))
+        except ValueError as exc:
+            raise SchemaError(f"{what}: {exc}") from None
+        epochs.append(pose["epoch_id"])
     try:
         return Trajectory(tuple(poses), tuple(epochs))
     except ValueError as exc:
@@ -190,44 +182,33 @@ def scene_ground_truth_dict(scene) -> dict:
         "n_frames": scene.spec.n_frames_per_epoch,
         "extent": scene.extent,
         "epoch_transforms": [t.to_dict() for t in scene.epoch_transforms],
-        "gt_relative": scene.gt_relative.to_dict(),
-        "labels_t1": scene.labels_t1.astype(int).tolist(),
-        "labels_t2": scene.labels_t2.astype(int).tolist(),
-        "edge_t1": scene.edge_t1.astype(int).tolist(),
-        "edge_t2": scene.edge_t2.astype(int).tolist(),
-        "origin_t1": scene.origin_t1.tolist(),
-        "origin_t2": scene.origin_t2.tolist(),
+        **{key: getattr(scene, key).astype(int).tolist() for key in _POINT_KEYS},
     }
 
 
 def read_ground_truth(path) -> dict:
-    """Parse a gt.json into transforms and label arrays."""
+    """Parse a gt.json: ``seed``, ``n_frames``, ``extent`` and the two
+    ``epoch_transforms``, decoded, plus the lists of ``_POINT_KEYS`` as the
+    file holds them (``None`` when absent), which :func:`read_scene_dir`
+    decodes.  The ``gt_relative`` key of older files is ignored."""
     data = read_json(path)
-    pair = _require(data, "epoch_transforms", path)
-    if not isinstance(pair, list) or len(pair) != 2:
+    gt = check_fields(data, _GT_TYPES, tuple(_GT_TYPES), str(path), SchemaError)
+    if len(gt["epoch_transforms"]) != 2:
         raise SchemaError(f"{path}: epoch_transforms must hold exactly two transforms")
-    numbers = {}
-    for key, kind in (("seed", int), ("n_frames", int), ("extent", float)):
-        value = _require(data, key, path)
-        try:
-            numbers[key] = kind(value)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}: {key} must be a number, got {value!r}") from None
-    return {
-        **numbers,
-        "epoch_transforms": tuple(
-            Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in pair
-        ),
-        "gt_relative": Sim3Transform.from_dict(
-            _require(data, "gt_relative", path), f"{path}: gt_relative"
-        ),
-        "labels_t1": np.asarray(data.get("labels_t1", []), dtype=bool),
-        "labels_t2": np.asarray(data.get("labels_t2", []), dtype=bool),
-        "edge_t1": np.asarray(data.get("edge_t1", []), dtype=bool),
-        "edge_t2": np.asarray(data.get("edge_t2", []), dtype=bool),
-        "origin_t1": np.asarray(data.get("origin_t1", []), dtype=np.int64),
-        "origin_t2": np.asarray(data.get("origin_t2", []), dtype=np.int64),
-    }
+    gt["epoch_transforms"] = tuple(
+        Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in gt["epoch_transforms"]
+    )
+    return {**gt, **{key: data.get(key) for key in _POINT_KEYS}}
+
+
+def _point_values(values, n_points: int, high: int, what: str) -> np.ndarray:
+    """A per-point list of gt.json: ``n_points`` JSON integers in [0, high]."""
+    if not (
+        isinstance(values, list) and len(values) == n_points and set(map(type, values)) <= {int}
+        and (not values or 0 <= min(values) and max(values) <= high)
+    ):
+        raise SchemaError(f"{what} must list {n_points} integers from 0 to {high}")
+    return np.array(values, dtype=np.int64)
 
 
 def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: float = 0.0):
@@ -236,7 +217,9 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
     Layout::
 
         scene.json                  spec echo
-        gt.json                     transforms, labels, edge masks
+        gt.json                     seed, frame count, extent, both epoch
+                                    transforms; per point the change label,
+                                    edge flag and generation index
         e1/frame_NNNN.ply           per-frame epoch-1 clouds
         e1/trajectory.json          epoch-frame camera trajectory
         e2/...                      likewise for epoch 2
@@ -269,7 +252,9 @@ def read_scene_dir(directory) -> BiTemporalScene:
 
     Positions round through the PLY float32 encoding, so the rebuilt scene
     matches the original to float32 precision; re-exporting it writes
-    byte-identical cloud files.
+    byte-identical cloud files.  Each per-point list of gt.json must hold one
+    JSON integer per point of its epoch: 0 or 1, or for ``origin_*`` an index
+    below the point count; anything else raises :class:`SchemaError`.
     """
     directory = Path(directory)
     spec_path = directory / "scene.json"
@@ -279,7 +264,8 @@ def read_scene_dir(directory) -> BiTemporalScene:
         spec = SceneSpec.from_dict(spec_data)
     except InvalidSpec as exc:
         raise SchemaError(f"{spec_path}: {exc}") from None
-    gt = read_ground_truth(directory / "gt.json")
+    gt_path = directory / "gt.json"
+    gt = read_ground_truth(gt_path)
     spec = replace(spec, epoch_transforms=gt["epoch_transforms"])
 
     clouds, worlds, bounds = [], [], []
@@ -293,18 +279,20 @@ def read_scene_dir(directory) -> BiTemporalScene:
         worlds.append(spec.epoch_transforms[epoch_id - 1].apply(cloud.points))
         bounds.append(np.cumsum([0] + [len(frame) for frame in frames]))
 
+    per_point = {}
+    for key in _POINT_KEYS:
+        n_points = len(clouds[int(key[-1]) - 1])
+        is_origin = key.startswith("origin")
+        high = n_points - 1 if is_origin else 1
+        values = _point_values(gt[key], n_points, high, f"{gt_path}: {key}")
+        per_point[key] = values if is_origin else values.astype(bool)
     return BiTemporalScene(
         spec=spec,
         cloud_t1=clouds[0],
         cloud_t2=clouds[1],
         world_t1=worlds[0],
         world_t2=worlds[1],
-        labels_t1=gt["labels_t1"],
-        labels_t2=gt["labels_t2"],
-        edge_t1=gt["edge_t1"],
-        edge_t2=gt["edge_t2"],
-        origin_t1=gt["origin_t1"],
-        origin_t2=gt["origin_t2"],
+        **per_point,
         frame_bounds_t1=bounds[0],
         frame_bounds_t2=bounds[1],
         trajectory_t1=read_trajectory(directory / "gt_trajectories" / "e1.json"),

@@ -27,7 +27,7 @@ from . import bundles
 from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
 from .errors import CloudChangeError, InvalidSpec, check_non_negative
-from .geometry import apply_transform
+from .geometry import apply_transform, compose_relative
 from .metrics import (
     MetricsReport, Trajectory, ablation_sweep, ate, combine_trajectories, rte, transform_error,
 )
@@ -265,7 +265,7 @@ def _cmd_eval(args) -> int:
     metrics = MetricsReport(
         ate_m=ate(predicted, ground_truth),
         rte_m=rte(predicted, ground_truth),
-        transform_error=transform_error(estimated, gt["gt_relative"]),
+        transform_error=transform_error(estimated, compose_relative(*gt["epoch_transforms"])),
         config=report.config,
     )
     out = args.out if args.out is not None else scene_dir / "metrics.json"
@@ -330,8 +330,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (CloudChangeError, FileNotFoundError, NotADirectoryError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (CloudChangeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -175,12 +175,13 @@ class SpatialIndex:
         below the bound, and a neighbor closer than the bound by more than
         the tree's rounding (a few ulps) is always found.
 
+        Args:
+            query_points: (m, 3) array.
+
         Returns:
             (distances, indices): both (m,) arrays, ordered like the queries.
         """
         q = np.asarray(query_points, dtype=np.float64)
-        single = q.ndim == 1
-        q = np.atleast_2d(q)
         tree_bound = upper_bound
         if 0.0 < upper_bound and upper_bound * upper_bound < np.finfo(np.float64).tiny:
             # The tree compares squared distances; a squared bound this small
@@ -196,8 +197,6 @@ class SpatialIndex:
             found &= dist < upper_bound
             dist[~found] = np.inf
             idx[~found] = n
-        if single:
-            return dist[0], idx[0]
         return dist, idx
 
 

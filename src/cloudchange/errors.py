@@ -1,12 +1,60 @@
-"""Exception types and the non-negative-number check shared across the library."""
+"""Exception types and the input checks shared across the library: among them
+:func:`check_fields`, the one typed-field check of every JSON object read
+(specs, reports, trajectories, gt.json, Sim(3) transforms)."""
 
 import math
+import reprlib
+import sys
+
+import numpy as np
+
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "a list", dict: "an object"}
 
 
 def check_non_negative(name: str, value: float):
     """Reject a NaN, infinite or negative ``value`` with ValueError naming ``name``."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_fields(data, types: dict, required: tuple, what: str, error: type) -> dict:
+    """The fields of ``types`` that the JSON object ``data`` holds, each of its type.
+
+    A number is a finite JSON number and never a boolean or a string:
+    ``int`` means a JSON integer, and ``float`` also takes an integer, which
+    it returns as a float.  Keys outside ``types`` are ignored.
+
+    Raises:
+        error: naming ``what`` when ``data`` is not an object, misses a key
+            of ``required``, or holds a value of the wrong type.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{what}: expected an object, got {reprlib.repr(data)}")
+    checked = {}
+    for key, kind in types.items():
+        if key not in data:
+            if key in required:
+                raise error(f"{what}: missing field {key!r}")
+            continue
+        value = data[key]
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        if type(value) is not kind or (kind is float and not math.isfinite(value)):
+            raise error(f"{what}: {key!r} must be {_JSON_NAMES[kind]}, got {reprlib.repr(value)}")
+        checked[key] = value
+    return checked
+
+
+def check_numbers(values, name: str) -> np.ndarray:
+    """``values`` as a contiguous float64 array; ValueError naming ``name``
+    unless they are integers or floats (not booleans, strings or ragged lists)."""
+    array = np.asarray(values)
+    # numpy would read a boolean among numbers as 0 or 1.
+    mixed = isinstance(values, list) and bool in map(type, np.asarray(values, dtype=object).flat)
+    if array.dtype.kind not in "iuf" or mixed:
+        raise ValueError(f"{name} must hold numbers, got {reprlib.repr(values)}")
+    return np.ascontiguousarray(array, dtype=np.float64)
 
 
 class CloudChangeError(Exception):

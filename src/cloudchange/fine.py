@@ -171,17 +171,16 @@ def fine_stage(
     target: PointCloud,
     coarse: Sim3Transform,
     alpha: float,
-    min_static: int = MIN_STATIC_POINTS,
 ) -> FineResult:
     """Run the full translation refinement on downsampled epoch clouds.
 
     Aligns ``source`` with the coarse transform and purifies the static set
-    with threshold multiplier ``alpha``.  With at least ``min_static`` static
-    points the candidate translation is refined and self-checked (median
-    nearest-neighbor residual over all points); otherwise the candidate is
-    the coarse translation with the coarse median.  It is accepted only when
-    its median lies strictly below the coarse one.  Scale and rotation are
-    never modified.
+    with threshold multiplier ``alpha``.  With at least ``MIN_STATIC_POINTS``
+    static points (read at call time) the candidate translation is refined
+    and self-checked (median nearest-neighbor residual over all points);
+    otherwise the candidate is the coarse translation with the coarse median.
+    It is accepted only when its median lies strictly below the coarse one.
+    Scale and rotation are never modified.
 
     Raises:
         EmptyCloud: on empty inputs.
@@ -197,7 +196,7 @@ def fine_stage(
     coarse_median = purification.median_distance
 
     candidate, refined_median = coarse.translation, coarse_median
-    if n_static >= min_static:
+    if n_static >= MIN_STATIC_POINTS:
         candidate = refine_translation(source, index, coarse, purification)
         shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
         # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.

@@ -19,17 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateInput, SchemaError
+from .errors import DegenerateInput, SchemaError, check_fields, check_numbers
 
 ROTATION_TOL = 1e-9
+_SIM3_TYPES = {"scale": float, "rotation": list, "translation": list}
 
 
-def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    r = np.ascontiguousarray(np.asarray(rotation, dtype=np.float64))
+def _check_rotation(rotation) -> np.ndarray:
+    r = check_numbers(rotation, "rotation")
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be a 3x3 matrix, got shape {r.shape}")
-    err = np.linalg.norm(r.T @ r - np.eye(3))
-    if not err <= tol:
+    with np.errstate(all="ignore"):  # huge or infinite entries: err is inf or NaN
+        err = np.linalg.norm(r.T @ r - np.eye(3))
+    if not err <= ROTATION_TOL:
         raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
     if np.linalg.det(r) < 0.0:
         raise ValueError("rotation has determinant -1 (reflection)")
@@ -37,7 +39,7 @@ def _check_rotation(rotation: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarr
 
 
 def _check_translation(translation) -> np.ndarray:
-    t = np.ascontiguousarray(np.asarray(translation, dtype=np.float64)).reshape(3)
+    t = check_numbers(translation, "translation").reshape(3)
     if not np.isfinite(t).all():
         raise ValueError(f"translation must be finite, got {t.tolist()}")
     return t
@@ -92,13 +94,10 @@ class Sim3Transform:
             SchemaError: naming ``source`` when ``data`` is not an object,
                 lacks a field, or holds a value that is not a valid Sim(3).
         """
-        if not isinstance(data, dict):
-            raise SchemaError(f"{source}: expected an object, got {type(data).__name__}")
+        fields = check_fields(data, _SIM3_TYPES, tuple(_SIM3_TYPES), source, SchemaError)
         try:
-            return Sim3Transform(data["scale"], data["rotation"], data["translation"])
-        except KeyError as exc:
-            raise SchemaError(f"{source}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+            return Sim3Transform(**fields)
+        except ValueError as exc:
             raise SchemaError(f"{source}: bad transform ({exc})") from None
 
     def apply(self, points) -> np.ndarray:

@@ -30,7 +30,7 @@ from .coarse import (
     build_keyframe_correspondences,
     estimate_epoch_alignment,
 )
-from .errors import MisalignedInputs, SchemaError
+from .errors import MisalignedInputs, SchemaError, check_fields
 from .fine import FineResult, fine_stage
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
@@ -323,13 +323,10 @@ class RunReport:
                 neither an object nor null.
         """
         data = read_json(path)
-        values = {f.name: data.get(f.name) for f in fields(RunReport)}
-        if values["config"] is None:
-            raise SchemaError(f"{path}: missing field 'config'")
-        for name, value in values.items():
-            if name != "format_version" and not isinstance(value, (dict, type(None))):
-                raise SchemaError(f"{path}: section {name!r} is not an object")
-        return RunReport(**values)
+        present = {key: value for key, value in data.items() if value is not None}
+        sections = {f.name: dict for f in fields(RunReport) if f.name != "format_version"}
+        values = check_fields(present, sections, ("config",), str(path), SchemaError)
+        return RunReport(**values, format_version=data["format_version"])
 
     def final_sim3(self) -> Sim3Transform:
         if self.final_transform is None:

@@ -54,33 +54,20 @@ def write_ply(cloud: PointCloud, path, binary: bool = True):
         header.extend(f"property uchar {name}" for name in ("red", "green", "blue"))
     header.append("end_header")
 
-    xyz = cloud.points.astype("<f4")
-    conf = cloud.confidence.astype("<f4")
+    fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("confidence", "<f4")]
+    if has_color:
+        fields.extend([("red", "u1"), ("green", "u1"), ("blue", "u1")])
+    rows = np.empty(len(cloud), dtype=np.dtype(fields))
+    rows["x"], rows["y"], rows["z"] = cloud.points.astype("<f4").T
+    rows["confidence"] = cloud.confidence.astype("<f4")
+    if has_color:
+        rows["red"], rows["green"], rows["blue"] = cloud.color.T
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
         if binary:
-            fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("confidence", "<f4")]
-            if has_color:
-                fields.extend([("red", "u1"), ("green", "u1"), ("blue", "u1")])
-            rows = np.empty(len(cloud), dtype=np.dtype(fields))
-            rows["x"], rows["y"], rows["z"] = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-            rows["confidence"] = conf
-            if has_color:
-                rows["red"], rows["green"], rows["blue"] = (
-                    cloud.color[:, 0],
-                    cloud.color[:, 1],
-                    cloud.color[:, 2],
-                )
             handle.write(rows.tobytes())
         else:
-            lines = []
-            for i in range(len(cloud)):
-                parts = [f"{v:.9g}" for v in (*xyz[i], conf[i])]
-                if has_color:
-                    parts.extend(str(int(c)) for c in cloud.color[i])
-                lines.append(" ".join(parts))
-            if lines:
-                handle.write(("\n".join(lines) + "\n").encode("ascii"))
+            np.savetxt(handle, rows, fmt="%.9g %.9g %.9g %.9g" + " %d %d %d" * has_color)
 
 
 def _parse_header(raw: bytes, path) -> tuple:

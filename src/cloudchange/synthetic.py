@@ -23,7 +23,7 @@ import numpy as np
 
 from .cloud import PointCloud, robust_extent
 from .coarse import JointReconstruction
-from .errors import InvalidSpec, check_non_negative
+from .errors import InvalidSpec, check_fields, check_non_negative, check_numbers
 from .geometry import SE3Pose, Sim3Transform, compose_relative
 from .keyframes import KeyframeSet
 from .metrics import Trajectory
@@ -69,14 +69,14 @@ class ChangeSpec:
         if self.n_points < 1:
             raise InvalidSpec("each change needs at least one point")
         try:
-            displacement = tuple(float(d) for d in self.displacement)
-        except (TypeError, ValueError):
-            displacement = ()
-        if len(displacement) != 3 or not np.isfinite(displacement).all():
+            displacement = check_numbers(self.displacement, "displacement")
+        except ValueError:
+            displacement = np.empty(0)
+        if displacement.shape != (3,) or not np.isfinite(displacement).all():
             raise InvalidSpec(
                 f"displacement must be three finite numbers, got {self.displacement!r}"
             )
-        object.__setattr__(self, "displacement", displacement)
+        object.__setattr__(self, "displacement", tuple(displacement.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -162,9 +162,9 @@ class SceneSpec:
                 of the wrong JSON type, or values that violate the spec's
                 constraints.
         """
-        values = _checked(data, _SPEC_TYPES, ("seed",), "scene spec")
+        values = _spec_fields(data, _SPEC_TYPES, ("seed",), "scene spec")
         changes = tuple(
-            ChangeSpec(**_checked(c, _CHANGE_TYPES, ("kind", "n_points"), "change"))
+            ChangeSpec(**_spec_fields(c, _CHANGE_TYPES, ("kind", "n_points"), "change"))
             for c in values.get("change_spec", [])
         )
         return SceneSpec(**{**values, "change_spec": changes})
@@ -184,28 +184,12 @@ _SPEC_TYPES = {
 _CHANGE_TYPES = {"kind": str, "n_points": int, "displacement": list}
 
 
-def _checked(data, types: dict, required: tuple, what: str) -> dict:
-    """``data`` as an object holding only keys of ``types``, each value of its
-    type (integers count as floats, booleans as neither), ``required`` present."""
-    if not isinstance(data, dict):
-        raise InvalidSpec(f"{what} must be an object, got {data!r}")
+def _spec_fields(data, types: dict, required: tuple, what: str) -> dict:
+    """:func:`check_fields` for a spec, which also rejects keys outside ``types``."""
+    checked = check_fields(data, types, required, what, InvalidSpec)
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise InvalidSpec(f"unknown {what} keys {unknown}")
-    for key in required:
-        if key not in data:
-            raise InvalidSpec(f"{what} is missing {key!r}")
-    checked = {}
-    for key, value in data.items():
-        kind = types[key]
-        if kind in (int, float):
-            valid = isinstance(value, (int, kind)) and not isinstance(value, bool)
-            valid = valid and math.isfinite(value)
-        else:
-            valid = isinstance(value, kind)
-        if not valid:
-            raise InvalidSpec(f"{what} {key!r} must be {kind.__name__}, got {value!r}")
-        checked[key] = kind(value)
     return checked
 
 
@@ -285,9 +269,8 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _random_sim3(rng: np.random.Generator, scale_range=(0.2, 5.0)) -> Sim3Transform:
-    lo, hi = scale_range
-    scale = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+def _random_sim3(rng: np.random.Generator) -> Sim3Transform:
+    scale = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
     return Sim3Transform(scale, _random_rotation(rng), rng.uniform(-5.0, 5.0, 3))
 
 

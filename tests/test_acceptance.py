@@ -136,7 +136,7 @@ def test_criterion_03_coarse_stage_recovery():
     _report(3, "Coarse-stage recovery", f"{passes}/100 seeds")
 
 
-def test_criterion_04_monotonicity_guarantee():
+def test_criterion_04_monotonicity_guarantee(monkeypatch):
     """Over 200 randomized configurations, including adversarial scenes
     where every point changed, the median all-point NN residual under the
     returned translation never exceeds the coarse residual.  Exact check,
@@ -176,9 +176,10 @@ def test_criterion_04_monotonicity_guarantee():
         )
         alpha = float(rng.uniform(2.0, 4.0))
         min_static = 1 if rng.uniform() < 0.5 else 100
+        monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
         source = PointCloud(source_pts)
         target = PointCloud(target_pts)
-        result = fine_stage(source, target, coarse, alpha=alpha, min_static=min_static)
+        result = fine_stage(source, target, coarse, alpha=alpha)
 
         final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
         index = build_index(target)

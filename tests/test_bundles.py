@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cloudchange import PointCloud, SchemaError
+from cloudchange import CloudChangeError, PointCloud, SchemaError, compose_relative
 from cloudchange.bundles import (
     read_epoch_dir,
     read_ground_truth,
@@ -17,6 +19,7 @@ from cloudchange.bundles import (
     write_scene_dir,
     write_trajectory,
 )
+from cloudchange.pipeline import PipelineConfig, RunReport
 from cloudchange.synthetic import (
     ChangeSpec,
     SceneSpec,
@@ -137,8 +140,9 @@ class TestSceneDirectory:
         write_scene_dir(scene, tmp_path / "s")
         gt = read_ground_truth(tmp_path / "s" / "gt.json")
         assert gt["seed"] == scene.spec.seed
-        assert gt["labels_t2"].sum() == scene.labels_t2.sum()
-        assert gt["gt_relative"].scale == pytest.approx(scene.gt_relative.scale, rel=1e-12)
+        assert sum(gt["labels_t2"]) == scene.labels_t2.sum()
+        # JSON floats round-trip exactly, so the derived transform is bit-identical.
+        assert compose_relative(*gt["epoch_transforms"]).to_dict() == scene.gt_relative.to_dict()
 
     def test_oracle_joint_matches_exported_clouds(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
@@ -182,3 +186,83 @@ class TestSceneDirectory:
         write_scene_dir(scene, tmp_path / "s")
         with pytest.raises(SchemaError, match="nope.json"):
             read_ground_truth(tmp_path / "s" / "nope.json")
+
+
+# Any JSON value: null, booleans, integers of any size, floats including NaN
+# and infinities, strings, and small lists and objects of these.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _one_field_edits(draw, document):
+    """``document`` with the value at one drawn key path replaced."""
+    path, node = [], document
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return _replaced(document, path, draw(_JSON_VALUES))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+# Reader under test: the JSON file it reads, relative to the scene directory,
+# and how to run it on that directory and file.
+JSON_READERS = {
+    "read_trajectory": ("e1/trajectory.json", lambda scene, path: read_trajectory(path)),
+    "read_ground_truth": ("gt.json", lambda scene, path: read_ground_truth(path)),
+    "read_scene_dir[gt]": ("gt.json", lambda scene, path: read_scene_dir(scene)),
+    "read_scene_dir[spec]": ("scene.json", lambda scene, path: read_scene_dir(scene)),
+    "read_scene_dir[trajectory]": (
+        "gt_trajectories/e2.json", lambda scene, path: read_scene_dir(scene)
+    ),
+    "final_sim3": ("report.json", lambda scene, path: RunReport.read(path).final_sim3()),
+    "SceneSpec.from_dict": (
+        "spec.json", lambda scene, path: SceneSpec.from_dict(json.loads(path.read_text()))
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def json_scene(tmp_path_factory):
+    """A small exported scene plus a run report and a bare spec file."""
+    scene = generate_scene(
+        SceneSpec(seed=5, n_static=200, n_frames_per_epoch=3, change_spec=(ChangeSpec("moved", 20),))
+    )
+    directory = tmp_path_factory.mktemp("fuzz") / "s"
+    write_scene_dir(scene, directory)
+    config = PipelineConfig().to_dict()
+    RunReport(config=config, final_transform=scene.gt_relative.to_dict()).write(
+        directory / "report.json"
+    )
+    (directory / "spec.json").write_text(json.dumps(scene.spec.to_dict()))
+    return directory
+
+
+class TestFuzzedJsonReaders:
+    """A one-field edit of a valid file either reads or raises a library error."""
+
+    @pytest.mark.parametrize("reader", sorted(JSON_READERS))
+    @given(data=st.data())
+    def test_returns_or_raises_library_error(self, json_scene, reader, data):
+        name, read = JSON_READERS[reader]
+        path = json_scene / name
+        original = path.read_text()
+        path.write_text(json.dumps(data.draw(_one_field_edits(json.loads(original)))))
+        try:
+            read(json_scene, path)
+        except CloudChangeError:
+            pass
+        finally:
+            path.write_text(original)

@@ -9,8 +9,8 @@ import shutil
 import numpy as np
 import pytest
 
-from cloudchange import Sim3Transform
-from cloudchange.bundles import read_trajectory
+from cloudchange import compose_relative
+from cloudchange.bundles import read_ground_truth, read_trajectory
 from cloudchange.cli import main
 from cloudchange.pipeline import RunReport
 from cloudchange.synthetic import ChangeSpec, SceneSpec
@@ -98,8 +98,7 @@ class TestRegister:
         assert code == 0
         report = RunReport.read(report_path)
         estimated = report.final_sim3()
-        gt = json.loads((scene_dir / "gt.json").read_text())["gt_relative"]
-        expected = Sim3Transform.from_dict(gt)
+        expected = compose_relative(*read_ground_truth(scene_dir / "gt.json")["epoch_transforms"])
         assert abs(estimated.scale / expected.scale - 1.0) < 1e-3
         assert np.linalg.norm(estimated.translation - expected.translation) < 1e-2
 
@@ -205,6 +204,8 @@ MALFORMED_REPORTS = {
     ),
     "no_final_transform": lambda r: {k: v for k, v in r.items() if k != "final_transform"},
     "top_level_list": lambda r: [r],
+    "string_scale": lambda r: _with_transform(r, scale="2"),
+    "boolean_scale": lambda r: _with_transform(r, scale=True),
 }
 
 
@@ -240,6 +241,15 @@ def _repeat_first_frame_index(data):
     data["poses"][1]["frame_index"] = data["poses"][0]["frame_index"]
 
 
+# gt.json edits that every reader of the file must reject.
+MALFORMED_GT_HEADERS = {
+    "boolean_extent": _set("gt.json", "extent", True),
+    "fractional_seed": _set("gt.json", "seed", 2.7),
+    "string_transform_scale": _set("gt.json", "epoch_transforms", 0, "scale", "2"),
+    "boolean_transform_scale": _set("gt.json", "epoch_transforms", 1, "scale", True),
+    "overflowing_rotation": _set("gt.json", "epoch_transforms", 0, "rotation", 0, 0, 1e308),
+}
+
 MALFORMED_EVAL_INPUTS = {
     "poses_not_a_list": _set("e1/trajectory.json", "poses", 5),
     "pose_not_an_object": _set("e1/trajectory.json", "poses", 0, 5),
@@ -249,26 +259,108 @@ MALFORMED_EVAL_INPUTS = {
     "seed_not_a_number": _set("gt.json", "seed", "seven"),
     "n_frames_not_a_number": _set("gt.json", "n_frames", None),
     "extent_not_a_number": _set("gt.json", "extent", [1.0]),
+    # Values a lenient reader would truncate or coerce.
+    "fractional_frame_index": _set("e1/trajectory.json", "poses", 0, "frame_index", 1.7),
+    "fractional_epoch_id": _set("e2/trajectory.json", "poses", 0, "epoch_id", 1.2),
+    "boolean_frame_index": _set("gt_trajectories/e1.json", "poses", 0, "frame_index", True),
+    "string_translation": _set("e2/trajectory.json", "poses", 2, "translation", ["1", "2", "3"]),
+    "boolean_in_translation": _set("e1/trajectory.json", "poses", 0, "translation", 1, True),
+    **MALFORMED_GT_HEADERS,
 }
 
+_EVAL_FILES = ("gt.json", "e1/trajectory.json", "e2/trajectory.json", "gt_trajectories")
 
+
+def _copy_scene_files(scene_dir, target, names):
+    for name in names:
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        copy = shutil.copytree if (scene_dir / name).is_dir() else shutil.copyfile
+        copy(scene_dir / name, target / name)
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+# A warning would print a second stderr line.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(MALFORMED_EVAL_INPUTS))
 def test_malformed_eval_input_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
     scene = tmp_path / "scene"
-    for name in ("gt.json", "e1/trajectory.json", "e2/trajectory.json", "gt_trajectories"):
-        (scene / name).parent.mkdir(parents=True, exist_ok=True)
-        copy = shutil.copytree if (scene_dir / name).is_dir() else shutil.copyfile
-        copy(scene_dir / name, scene / name)
+    _copy_scene_files(scene_dir, scene, _EVAL_FILES)
     name, edit = MALFORMED_EVAL_INPUTS[case]
-    data = json.loads((scene / name).read_text())
-    edit(data)
-    (scene / name).write_text(json.dumps(data))
+    _edit_json(scene / name, edit)
     report_path = tmp_path / "r.json"
     report_path.write_text(json.dumps(report_data))
     argv = ["eval", "--report", str(report_path), "--scene", str(scene),
             "--out", str(tmp_path / "m.json")]
     assert main(argv) == 2
     assert name in _assert_one_error_line(capsys, "eval")
+
+
+def _set_all(path: str, key: str, value):
+    """Edit of one JSON file: every element of the list at ``key`` set to ``value``."""
+    return path, lambda data: data.update({key: [value] * len(data[key])})
+
+
+MALFORMED_ABLATE_INPUTS = {
+    **MALFORMED_GT_HEADERS,
+    "string_origin": _set("gt.json", "origin_t1", ["x"]),
+    "label_out_of_range": _set_all("gt.json", "labels_t1", 2),
+    "boolean_edge_flags": _set_all("gt.json", "edge_t2", True),
+    "missing_labels": ("gt.json", lambda data: data.pop("labels_t1")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_ABLATE_INPUTS))
+def test_malformed_ablate_input_is_data_error(scene_dir, tmp_path, capsys, case):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    name, edit = MALFORMED_ABLATE_INPUTS[case]
+    _edit_json(scene / name, edit)
+    out = tmp_path / "t.csv"
+    assert main(["ablate", "--scene", str(scene), "--k-list", "2", "--out", str(out)]) == 2
+    assert name in _assert_one_error_line(capsys, "ablate")
+    assert not out.exists()
+
+
+def _bad_path_argv(case, scene_dir, report, a_file, a_dir, out):
+    epochs = ["--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2")]
+    return {
+        "synth_out_is_file": ["synth", "--seed", "1", "--out", a_file],
+        "detect_out_is_file": ["detect", *epochs, "--report", report, "--out", a_file],
+        "register_report_is_dir": [
+            "register", *epochs, "--joint", str(scene_dir / "joint"), "--report", a_dir
+        ],
+        "eval_out_is_dir": ["eval", "--report", report, "--scene", str(scene_dir), "--out", a_dir],
+        "ablate_out_is_dir": ["ablate", "--scene", str(scene_dir), "--k-list", "2", "--out", a_dir],
+        "eval_report_is_dir": ["eval", "--report", a_dir, "--scene", str(scene_dir), "--out", out],
+        "detect_aligned_ply_is_dir": [
+            "detect", "--aligned-ply", a_dir, "--target-ply", a_file, "--out", out
+        ],
+        "synth_spec_is_dir": ["synth", "--spec", a_dir, "--out", out],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "synth_out_is_file", "detect_out_is_file", "register_report_is_dir", "eval_out_is_dir",
+        "ablate_out_is_dir", "eval_report_is_dir", "detect_aligned_ply_is_dir", "synth_spec_is_dir",
+    ],
+)
+def test_path_of_the_wrong_kind_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(report_data))
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("not a directory\n")
+    a_dir.mkdir()
+    argv = _bad_path_argv(case, scene_dir, str(report), str(a_file), str(a_dir), str(tmp_path / "o"))
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, argv[0])
 
 
 MALFORMED_PLY_HEADERS = {
@@ -309,14 +401,14 @@ class TestDetect:
 
     def test_detect_from_aligned_plys(self, scene_dir, tmp_path):
         from cloudchange import apply_transform
-        from cloudchange.bundles import read_epoch_dir, read_ground_truth
+        from cloudchange.bundles import read_epoch_dir
         from cloudchange.cloud import PointCloud
         from cloudchange.ply import write_ply
 
         gt = read_ground_truth(scene_dir / "gt.json")
         t1 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e1"))
         t2 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e2"))
-        aligned = apply_transform(gt["gt_relative"], t1)
+        aligned = apply_transform(compose_relative(*gt["epoch_transforms"]), t1)
         write_ply(aligned, tmp_path / "aligned.ply")
         write_ply(t2, tmp_path / "target.ply")
         out = tmp_path / "ch"
@@ -390,6 +482,30 @@ class TestEval:
         assert metrics["ate_m"] < 1e-2
         assert metrics["transform_error"]["scale_ratio_error"] < 1e-3
         assert json.loads(report_path.read_text())["metrics"] is not None
+
+    def test_reads_only_the_transforms_of_ground_truth(self, scene_dir, report_data, tmp_path):
+        # eval derives the relative transform from the two epoch transforms
+        # and never decodes the per-point lists; a gt.json that still holds
+        # the gt_relative key of older versions reads the same.
+        report_path = tmp_path / "r.json"
+        report_path.write_text(json.dumps(report_data))
+        full = tmp_path / "full.json"
+        argv = ["eval", "--report", str(report_path), "--scene"]
+        assert main([*argv, str(scene_dir), "--out", str(full)]) == 0
+        scene = tmp_path / "scene"
+        _copy_scene_files(scene_dir, scene, _EVAL_FILES)
+        gt = read_ground_truth(scene / "gt.json")
+        relative = compose_relative(*gt["epoch_transforms"]).to_dict()
+
+        def strip(data):
+            for key in ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2"):
+                del data[key]
+            data["gt_relative"] = relative
+
+        _edit_json(scene / "gt.json", strip)
+        lean = tmp_path / "lean.json"
+        assert main([*argv, str(scene), "--out", str(lean)]) == 0
+        assert lean.read_bytes() == full.read_bytes()
 
 
 class TestAblate:

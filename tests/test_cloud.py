@@ -284,16 +284,16 @@ class TestVoxelSelectionMatchesLexsort:
 class TestSpatialIndex:
     def test_single_point_cloud(self):
         index = build_index(PointCloud([[1.0, 2.0, 3.0]]))
-        dist, idx = index.query([0.0, 0.0, 0.0])
-        assert idx == 0
-        assert dist == pytest.approx(np.sqrt(14.0))
+        dist, idx = index.query([[0.0, 0.0, 0.0]])
+        assert idx.tolist() == [0]
+        assert dist[0] == pytest.approx(np.sqrt(14.0))
 
     def test_query_at_stored_point_is_zero(self, rng):
         pts = rng.normal(size=(100, 3))
         index = build_index(PointCloud(pts))
-        dist, idx = index.query(pts[17])
-        assert dist == 0.0
-        assert idx == 17
+        dist, idx = index.query(pts[17:18])
+        assert dist.tolist() == [0.0]
+        assert idx.tolist() == [17]
 
     def test_matches_linear_scan_bit_for_bit(self, rng):
         pts = rng.normal(size=(1000, 3))
@@ -324,24 +324,22 @@ class TestBoundedQuery:
         points=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_coordinates),
         queries=st.one_of(
             arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)), elements=_coordinates),
-            arrays(np.float64, 3, elements=_coordinates),
+            arrays(np.float64, (1, 3), elements=_coordinates),
         ),
         bound=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.just(np.inf)),
     )
     # Pinned: a zero bound, a single query point just beyond and just inside
     # the bound, and a bound whose square underflows to 0.0.
     @example(points=np.eye(3), queries=np.eye(3), bound=0.0)
-    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros(3), bound=3.74)
-    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros(3), bound=3.75)
-    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.array([1.0, 2.0, 3.0]), bound=1e-200)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros((1, 3)), bound=3.74)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.zeros((1, 3)), bound=3.75)
+    @example(points=np.array([[1.0, 2.0, 3.0]]), queries=np.array([[1.0, 2.0, 3.0]]), bound=1e-200)
     def test_matches_unbounded_and_brute_force(self, points, queries, bound):
         index = build_index(PointCloud(points))
         dist, idx = index.query(queries, bound)
         exact_dist, exact_idx = index.query(queries)
-        assert np.shape(dist) == np.shape(exact_dist) == np.shape(idx)
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        exact_dist, exact_idx = np.atleast_1d(exact_dist), np.atleast_1d(exact_idx)
-        all_d = _exhaustive_distances(np.atleast_2d(queries), points)
+        assert dist.shape == exact_dist.shape == idx.shape == (len(queries),)
+        all_d = _exhaustive_distances(queries, points)
         found = np.isfinite(dist)
         # Inside the bound: the unbounded answer, bit for bit.  Only among
         # neighbors at exactly the same distance may the index differ.

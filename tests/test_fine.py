@@ -179,10 +179,11 @@ class TestFineStage:
         np.testing.assert_allclose(result.translation, gt.translation, atol=1e-9)
         assert result.refined_median_residual < result.coarse_median_residual
 
-    def test_adversarial_scene_never_degrades(self):
+    def test_adversarial_scene_never_degrades(self, monkeypatch):
         # Scenes where every point moved: whatever the candidate translation
         # is, the returned translation's median residual never exceeds the
         # coarse one.  Verified over 100 seeded adversarial scenes.
+        monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", 1)
         for trial in range(100):
             rng = np.random.default_rng([7, trial])
             n = 300
@@ -192,7 +193,7 @@ class TestFineStage:
             coarse = Sim3Transform(
                 1.0, np.eye(3), rng.normal(0.0, 0.5, 3)
             )
-            result = fine_stage(source, target, coarse, alpha=3.0, min_static=1)
+            result = fine_stage(source, target, coarse, alpha=3.0)
             final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
             index = build_index(target)
             d_final, _ = index.query(apply_transform(final, source).points)
@@ -264,7 +265,7 @@ class TestFineStage:
         with pytest.raises(EmptyCloud):
             fine_stage(cloud, PointCloud(np.zeros((0, 3))), identity_sim3(), alpha=3.0)
 
-    def test_accepted_flag_consistency(self, rng):
+    def test_accepted_flag_consistency(self, rng, monkeypatch):
         # accepted_refinement=False implies the translation IS the coarse
         # translation, bit for bit.  Random pairs are accepted; noisy copies
         # under the identity often fail the self-check; a static minimum
@@ -280,9 +281,8 @@ class TestFineStage:
             cases.append((target + noise, target, identity_sim3(), len(target) + 1))
         outcomes = set()
         for source, target, coarse, min_static in cases:
-            result = fine_stage(
-                PointCloud(source), PointCloud(target), coarse, alpha=3.0, min_static=min_static
-            )
+            monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
+            result = fine_stage(PointCloud(source), PointCloud(target), coarse, alpha=3.0)
             skipped = result.n_static < min_static
             outcomes.add((result.accepted_refinement, skipped))
             if not result.accepted_refinement:
@@ -372,7 +372,8 @@ class TestBoundedQueriesMatchExactReference:
         )
         with pytest.MonkeyPatch.context() as monkeypatch:
             bounds = _record_bounds(monkeypatch)
-            result = fine_stage(source, target, coarse, alpha=alpha, min_static=min_static)
+            monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
+            result = fine_stage(source, target, coarse, alpha=alpha)
         assert result.translation.tobytes() == np.asarray(expected[0], dtype=np.float64).tobytes()
         assert (
             result.accepted_refinement,

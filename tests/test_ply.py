@@ -56,6 +56,38 @@ class TestRoundTrip:
         np.testing.assert_array_equal(read_ply(pa).points, read_ply(pb).points)
 
 
+def _reference_ascii_body(cloud) -> bytes:
+    """The ASCII vertex rows formatted one value at a time, as the writer did
+    before it formatted its binary row table with ``np.savetxt``."""
+    xyz = cloud.points.astype("<f4")
+    conf = cloud.confidence.astype("<f4")
+    lines = []
+    for i in range(len(cloud)):
+        parts = [f"{v:.9g}" for v in (*xyz[i], conf[i])]
+        if cloud.color is not None:
+            parts.extend(str(int(c)) for c in cloud.color[i])
+        lines.append(" ".join(parts))
+    return ("\n".join(lines) + "\n").encode("ascii") if lines else b""
+
+
+def _extreme_cloud(color: bool) -> PointCloud:
+    points = [[-0.0, 1e-45, 3.4e38], [0.0, -1e-45, -3.4e38], [1 / 3, 2 / 3, 1e-7], [1e6, -2.5, 7.0]]
+    col = np.array([[0, 255, 7], [255, 0, 1], [12, 34, 56], [1, 2, 3]], np.uint8) if color else None
+    return PointCloud(points, [0.0, 1.0, 0.5, 1 / 3], color=col)
+
+
+class TestAsciiWrite:
+    @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 3000, None], ids=["0", "1", "7", "3000", "extreme"])
+    def test_matches_per_value_reference(self, rng, tmp_path, n, color):
+        cloud = _extreme_cloud(color) if n is None else _random_cloud(rng, n=n, color=color)
+        path = tmp_path / "a.ply"
+        write_ply(cloud, path, binary=False)
+        data = path.read_bytes()
+        body = data[data.index(b"end_header\n") + len(b"end_header\n") :]
+        assert body == _reference_ascii_body(cloud)
+
+
 def _reference_ascii_parse(path, n_values):
     """Per-token float() parse of an ASCII PLY body with no leading elements."""
     text = path.read_text()

@@ -55,20 +55,30 @@ def check_version(version, path):
         raise SchemaError(f"{path}: unsupported format_version {version!r}")
 
 
-def read_json(path) -> dict:
-    """Load a JSON object that declares a supported ``format_version``.
+def load_json(path):
+    """Decode a UTF-8 JSON file.
 
     Raises:
-        SchemaError: naming ``path`` when the file is missing, is not UTF-8
-            JSON, is not an object, or carries an unsupported version.
+        SchemaError: naming ``path`` when the file is missing or is not UTF-8
+            JSON.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_json(path) -> dict:
+    """Load a JSON object that declares a supported ``format_version``.
+
+    Raises:
+        SchemaError: naming ``path`` when :func:`load_json` fails, or the
+            file is not an object or carries an unsupported version.
+    """
+    data = load_json(path)
     check_fields(data, {"format_version": str}, ("format_version",), str(path), SchemaError)
     check_version(data["format_version"], path)
     return data

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from contextlib import contextmanager
@@ -160,7 +159,7 @@ def _cmd_synth(args) -> int:
         check_non_negative("--joint-warp", args.joint_warp)
     data = dict(DEFAULT_SCENE)
     if args.spec is not None:
-        overrides = json.loads(args.spec.read_text(encoding="utf-8"))
+        overrides = bundles.load_json(args.spec)
         if not isinstance(overrides, dict):
             raise InvalidSpec(f"{args.spec}: scene spec must be a JSON object")
         # A scene.json written by synth is a valid spec file.
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (CloudChangeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (CloudChangeError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

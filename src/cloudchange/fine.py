@@ -182,6 +182,10 @@ def fine_stage(
     It is accepted only when its median lies strictly below the coarse one.
     Scale and rotation are never modified.
 
+    The clouds arrive already filtered and downsampled (see
+    ``pipeline.prepare_fine_inputs``); the index over ``target`` is built
+    here, on every call, so it is part of the caller's fine-stage timing.
+
     Raises:
         EmptyCloud: on empty inputs.
     """

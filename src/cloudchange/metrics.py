@@ -193,11 +193,15 @@ def ablation_sweep(
     ``config`` sets all but each row's budget and mode; the keyword
     arguments configure the mock joint-inference error model.
 
-    Each budget is registered once, in full mode if requested: that run
-    computes the coarse-only result on its way, so ``time_coarse_s`` is its
-    coarse stage (``timings["coarse_s"]``) and ``time_full_s`` its whole
-    ``registration_s``.  Raises ValueError, before registering anything, on
-    empty ``modes`` or a mode outside ``pipeline.MODES``.
+    Each budget is registered once with ``register_scene``, in full mode if
+    requested: that run computes the coarse-only result on its way, so
+    ``time_coarse_s`` is its coarse stage (``timings["coarse_s"]``) and
+    ``time_full_s`` its whole ``registration_s``.  The mock joint and the
+    fine stage's inputs do not depend on the budget, so the scene builds
+    them on the first registration and every budget reuses them; neither
+    time column includes that preparation.  Raises ValueError, before
+    registering anything, on empty ``modes`` or a mode outside
+    ``pipeline.MODES``.
     """
     from .pipeline import MODES, register_scene
 

@@ -4,9 +4,17 @@ The registration proper is a sequential stage graph: keyframe selection,
 pixel-aligned correspondences against the joint reconstruction, one
 closed-form similarity fit per epoch, composition into the relative
 transform, and (in full mode) the purified translation refinement on the
-filtered, voxel-downsampled dense clouds.  Wall-clock timings cover only
-these stages, never file ingestion or scene generation, and live in a
-separate report section so reports stay byte-identical across runs.
+filtered, voxel-downsampled dense clouds.  Only the coarse stage depends on
+the keyframe budget; the fine stage's input clouds come from
+:func:`prepare_fine_inputs`.
+
+Wall-clock timings cover only these stages, never file ingestion or scene
+generation, and live in a separate report section so reports stay
+byte-identical across runs.  :func:`register_epochs` prepares the fine
+stage's inputs itself and times that preparation with the fine stage.
+:func:`register_scene` prepares them, and the mock joint reconstruction,
+once per scene (see :meth:`BiTemporalScene.prepared`) before it registers,
+so its timings cover the coarse stage and the refinement alone.
 """
 
 from __future__ import annotations
@@ -104,11 +112,45 @@ def _alignment_dict(a: EpochAlignment) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class FineInputs:
+    """The fine stage's input clouds, which depend on the grid resolution
+    but not on the keyframe budget.
+
+    Attributes:
+        source: epoch 1, confidence-filtered and voxel-downsampled.
+        target: epoch 2, filtered and downsampled alike.
+        cloud_stats: each epoch's point count after filtering and after
+            downsampling, under ``t1_filtered``, ``t1_downsampled``,
+            ``t2_filtered`` and ``t2_downsampled``.
+    """
+
+    source: PointCloud
+    target: PointCloud
+    cloud_stats: dict
+
+
+def prepare_fine_inputs(frames1: list, frames2: list, grid_resolution: int) -> FineInputs:
+    """Concatenate, confidence-filter and voxel-downsample each epoch's frames."""
+    downsampled, stats = [], {}
+    for label, frames in (("t1", frames1), ("t2", frames2)):
+        cloud = PointCloud.concatenate(frames)
+        filtered = cloud.select(median_confidence_mask(cloud.confidence))
+        grid = voxel_grid_params(filtered, grid_resolution)
+        voxel_keep = voxel_downsample_indices(filtered, grid)
+        downsampled.append(filtered.select(voxel_keep))
+        stats[f"{label}_filtered"] = len(filtered)
+        stats[f"{label}_downsampled"] = len(voxel_keep)
+    return FineInputs(downsampled[0], downsampled[1], stats)
+
+
 def register_epochs(
     frames1: list,
     frames2: list,
     joint: JointReconstruction,
     config: PipelineConfig = None,
+    *,
+    fine_inputs: FineInputs = None,
 ) -> RegistrationResult:
     """Register epoch 1 onto epoch 2 from per-frame clouds.
 
@@ -118,6 +160,9 @@ def register_epochs(
         joint: shared-frame keyframe clouds covering at least the keyframes
             the budget selects, pixel-aligned with the per-frame clouds.
         config: pipeline parameters; defaults apply when omitted.
+        fine_inputs: ``prepare_fine_inputs(frames1, frames2,
+            config.grid_resolution)`` made beforehand, which full mode then
+            neither rebuilds nor times; built and timed here when omitted.
 
     Raises:
         MisalignedInputs: when a selected keyframe is missing from the joint
@@ -163,17 +208,11 @@ def register_epochs(
     final = coarse
     fine_elapsed = 0.0
     if config.mode == "full":
-        full = (PointCloud.concatenate(frames1), PointCloud.concatenate(frames2))
         start = time.perf_counter()
-        downsampled = []
-        for label, cloud in zip(("t1", "t2"), full):
-            filtered = cloud.select(median_confidence_mask(cloud.confidence))
-            grid = voxel_grid_params(filtered, config.grid_resolution)
-            voxel_keep = voxel_downsample_indices(filtered, grid)
-            downsampled.append(filtered.select(voxel_keep))
-            cloud_stats[f"{label}_filtered"] = len(filtered)
-            cloud_stats[f"{label}_downsampled"] = len(voxel_keep)
-        fine = fine_stage(downsampled[0], downsampled[1], coarse, alpha=config.alpha)
+        if fine_inputs is None:
+            fine_inputs = prepare_fine_inputs(frames1, frames2, config.grid_resolution)
+        cloud_stats.update(fine_inputs.cloud_stats)
+        fine = fine_stage(fine_inputs.source, fine_inputs.target, coarse, alpha=config.alpha)
         final = Sim3Transform(coarse.scale, coarse.rotation, fine.translation)
         fine_elapsed = time.perf_counter() - start
 
@@ -204,19 +243,35 @@ def register_scene(
     """Register a synthetic scene using the mock joint-inference oracle.
 
     The keyword arguments configure the oracle's error model; see
-    ``mock_joint_inference``.
+    ``mock_joint_inference``.  What does not depend on the keyframe budget
+    is built on the first call that needs it and kept with the scene: the
+    all-frames mock joint for each error model and, in full mode, the fine
+    stage's inputs for each grid resolution.  Neither is in the returned
+    timings.
     """
     from .synthetic import all_frames_keyframes, mock_joint_inference
 
-    joint = mock_joint_inference(
-        scene,
-        all_frames_keyframes(scene),
-        sigma=joint_sigma,
-        warp_amplitude=warp_amplitude,
-        epoch_bias=epoch_bias,
-        frame_drift=frame_drift,
+    if config is None:
+        config = PipelineConfig()
+    frames1, frames2 = scene.epoch_frames(1), scene.epoch_frames(2)
+    joint = scene.prepared(
+        ("joint", joint_sigma, warp_amplitude, epoch_bias, frame_drift),
+        lambda: mock_joint_inference(
+            scene,
+            all_frames_keyframes(scene),
+            sigma=joint_sigma,
+            warp_amplitude=warp_amplitude,
+            epoch_bias=epoch_bias,
+            frame_drift=frame_drift,
+        ),
     )
-    return register_epochs(scene.epoch_frames(1), scene.epoch_frames(2), joint, config)
+    fine_inputs = None
+    if config.mode == "full":
+        fine_inputs = scene.prepared(
+            ("fine", config.grid_resolution),
+            lambda: prepare_fine_inputs(frames1, frames2, config.grid_resolution),
+        )
+    return register_epochs(frames1, frames2, joint, config, fine_inputs=fine_inputs)
 
 
 def change_statistics(change_map: ChangeMap) -> dict:
@@ -318,17 +373,18 @@ class RunReport:
         """Load a report written by :meth:`write`.
 
         Raises:
-            SchemaError: when the file is not a JSON object of a supported
-                version, lacks ``config``, or holds a section that is
-                neither an object nor null.
+            SchemaError: naming ``path`` when the file is not a JSON object
+                of a supported version, lacks ``config`` or
+                ``final_transform``, holds a section that is neither an
+                object nor null, or a final transform that is not a Sim(3).
         """
         data = read_json(path)
         present = {key: value for key, value in data.items() if value is not None}
         sections = {f.name: dict for f in fields(RunReport) if f.name != "format_version"}
-        values = check_fields(present, sections, ("config",), str(path), SchemaError)
+        required = ("config", "final_transform")
+        values = check_fields(present, sections, required, str(path), SchemaError)
+        Sim3Transform.from_dict(values["final_transform"], f"{path}: final_transform")
         return RunReport(**values, format_version=data["format_version"])
 
     def final_sim3(self) -> Sim3Transform:
-        if self.final_transform is None:
-            raise SchemaError("report has no final_transform")
         return Sim3Transform.from_dict(self.final_transform, "report final_transform")

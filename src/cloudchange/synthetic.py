@@ -223,6 +223,19 @@ class BiTemporalScene:
     trajectory_t1: Trajectory
     trajectory_t2: Trajectory
     extent: float
+    # Values derived from the scene alone and kept for its lifetime; see
+    # :meth:`prepared`.
+    _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def prepared(self, key: tuple, build):
+        """``build()``, computed on the first call with ``key`` and kept with the scene.
+
+        For values that depend only on the scene and ``key``: later calls
+        with an equal key return the first result without calling ``build``.
+        """
+        if key not in self._prepared:
+            self._prepared[key] = build()
+        return self._prepared[key]
 
     @property
     def gt_relative(self) -> Sim3Transform:
@@ -253,10 +266,14 @@ class BiTemporalScene:
 
         This plays the role of the per-epoch reconstruction's camera output:
         the ground-truth world trajectory carried into the epoch frame by
-        the inverse ground-truth transform.
+        the inverse ground-truth transform.  Built once per epoch and kept
+        with the scene, since every trajectory metric of a run starts here.
         """
         world_traj = self.trajectory_t1 if epoch_id == 1 else self.trajectory_t2
-        return world_traj.transformed(self.epoch_transforms[epoch_id - 1].inverse())
+        return self.prepared(
+            ("predicted_trajectory", epoch_id),
+            lambda: world_traj.transformed(self.epoch_transforms[epoch_id - 1].inverse()),
+        )
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:

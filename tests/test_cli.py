@@ -81,6 +81,14 @@ class TestSynth:
         assert code == 2
         _assert_one_error_line(capsys, "synth")
 
+    def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": ')
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        line = _assert_one_error_line(capsys, "synth")
+        assert f"{spec_path}: invalid JSON" in line
+
 
 def _assert_one_error_line(capsys, command):
     lines = capsys.readouterr().err.strip().splitlines()
@@ -221,7 +229,7 @@ def test_malformed_report_is_data_error(scene_dir, report_data, tmp_path, capsys
         argv = ["eval", "--report", str(report_path), "--scene", str(scene_dir),
                 "--out", str(tmp_path / "m.json")]
     assert main(argv) == 2
-    _assert_one_error_line(capsys, command)
+    assert str(report_path) in _assert_one_error_line(capsys, command)
 
 
 def _set(path: str, *keys_and_value):

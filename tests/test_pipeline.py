@@ -18,7 +18,7 @@ from cloudchange import (
     register_scene,
 )
 from cloudchange.keyframes import fps_temporal
-from cloudchange.metrics import evaluate_scene_run
+from cloudchange.metrics import ablation_sweep, evaluate_scene_run
 from cloudchange.pipeline import detect_changes
 from cloudchange.synthetic import (
     ChangeSpec,
@@ -185,6 +185,81 @@ class TestRegisterEpochs:
             register_epochs(
                 scene.epoch_frames(1), scene.epoch_frames(2), joint, PipelineConfig()
             )
+
+
+def _small_spec() -> SceneSpec:
+    return SceneSpec(
+        seed=607,
+        n_static=3000,
+        n_frames_per_epoch=10,
+        noise_sigma=0.002,
+        edge_noise_fraction=0.15,
+        change_spec=(ChangeSpec("moved", 200, (1.2, 0.5, 0.3)),),
+    )
+
+
+_MOCK = {"joint_sigma": 0.005, "epoch_bias": 0.005, "frame_drift": 0.005}
+
+
+def _report_bytes(scene, config, **mock) -> str:
+    result = register_scene(scene, config, **mock)
+    return RunReport.from_registration(result).to_json(include_timing=False)
+
+
+class TestPreparedScene:
+    """register_scene builds the mock joint and the fine stage's input clouds
+    once per scene and reuses them without changing any result."""
+
+    def test_sweep_then_register_prepares_once(self, monkeypatch):
+        import cloudchange.pipeline as pipeline_module
+        import cloudchange.synthetic as synthetic_module
+
+        calls = {"mock_joint_inference": 0, "voxel_downsample_indices": 0}
+        for module, name in (
+            (synthetic_module, "mock_joint_inference"),
+            (pipeline_module, "voxel_downsample_indices"),
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        scene = generate_scene(_small_spec())
+        config = PipelineConfig()
+        ablation_sweep(scene, [2, 3, 5], ("coarse_only", "full"), config, **_MOCK)
+        register_scene(scene, config, **_MOCK)
+        # One mock joint, and one voxel pass per epoch for one fine target.
+        assert calls == {"mock_joint_inference": 1, "voxel_downsample_indices": 2}
+
+    def test_reused_preparation_gives_the_fresh_scene_report(self):
+        used = generate_scene(_small_spec())
+        config = PipelineConfig(seed=5)
+        ablation_sweep(used, [2, 3], ("coarse_only", "full"), config, **_MOCK)
+        fresh = generate_scene(_small_spec())
+        assert _report_bytes(used, config, **_MOCK) == _report_bytes(fresh, config, **_MOCK)
+
+    @pytest.mark.parametrize(
+        "config_updates, mock_updates",
+        [
+            ({"grid_resolution": 40}, {}),
+            ({}, {"joint_sigma": 0.01}),
+            ({}, {"warp_amplitude": 0.002}),
+            ({"mode": "coarse_only"}, {"epoch_bias": 0.0}),
+        ],
+        ids=["grid_resolution", "joint_sigma", "warp_amplitude", "coarse_epoch_bias"],
+    )
+    def test_changed_settings_are_not_served_stale(self, config_updates, mock_updates):
+        used = generate_scene(_small_spec())
+        config = PipelineConfig()
+        before = _report_bytes(used, config, **_MOCK)
+        changed_config = config.replace(**config_updates)
+        changed_mock = {**_MOCK, **mock_updates}
+        after = _report_bytes(used, changed_config, **changed_mock)
+        fresh = generate_scene(_small_spec())
+        assert after == _report_bytes(fresh, changed_config, **changed_mock)
+        assert after != before
 
 
 class TestRunReport:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cloudchange import ParseError, PointCloud, UnsupportedPropertyWarning
+from cloudchange import CloudChangeError, ParseError, PointCloud, UnsupportedPropertyWarning
 from cloudchange.ply import read_ply, write_ply
 
 
@@ -337,3 +341,63 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             read_ply(path)
         assert info.value.line is not None
+
+
+# Pieces spliced into fuzzed files besides random bytes: number spellings,
+# separators and whole header lines, so that edits reach the parser's
+# branches rather than only its magic and format checks.
+_PLY_PIECES = (
+    b"0", b"7", b"-1", b" ", b"\n", b"\r\n", b".", b"e", b"_", b"nan", b"inf", b"1e400",
+    b"\x00", b"\xff", b"double", b"uchar", b"list", b"comment ", b"element face 2\n",
+    b"element vertex 3\n", b"property float x\n", b"property uchar red\n",
+    b"property list uchar int v\n", b"format ascii 1.0\n", b"end_header\n",
+)
+
+
+@st.composite
+def _byte_edits(draw, original: bytes) -> bytes:
+    """``original`` after one to three replacements, insertions, deletions
+    or truncations at random offsets."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
+        piece = draw(st.one_of(st.sampled_from(_PLY_PIECES), st.binary(min_size=1, max_size=4)))
+        if kind == "replace":
+            data[at : at + len(piece)] = piece
+        elif kind == "insert":
+            data[at:at] = piece
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 16))]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def small_plys(tmp_path_factory) -> dict:
+    """The bytes of a small valid binary PLY (with colors) and ASCII PLY."""
+    directory = tmp_path_factory.mktemp("ply_fuzz")
+    cloud = _random_cloud(np.random.default_rng(9), n=6, color=True)
+    files = {}
+    for binary in (True, False):
+        path = directory / f"valid_{binary}.ply"
+        write_ply(cloud, path, binary=binary)
+        files[binary] = path.read_bytes()
+    return {"dir": directory, **files}
+
+
+class TestFuzzedPly:
+    """A byte-edited valid file either reads or raises a library error."""
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+    @given(data=st.data())
+    def test_returns_or_raises_library_error(self, small_plys, binary, data):
+        path = small_plys["dir"] / f"edited_{binary}.ply"
+        path.write_bytes(data.draw(_byte_edits(small_plys[binary])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                read_ply(path)
+            except CloudChangeError:
+                pass

@@ -7,7 +7,11 @@ e{epoch}_frame_NNNN.ply and pixel-aligned with the epoch frames.  A *scene
 directory* is the exported form of a synthetic bi-temporal scene: both epoch
 directories, predicted and ground-truth trajectories, a joint directory, and a
 gt.json with the two ground-truth epoch transforms (the relative transform is
-derived from them, never stored) and per-point change labels.
+derived from them, never stored) and per-point change labels.  Each per-point
+field of gt.json is one standard base64 string (RFC 4648) of a little-endian
+array, one value per point of its epoch: ``uint8`` change labels and edge
+flags (0 or 1), and ``int64`` generation indices.  The JSON-list form of
+these fields that older files hold is no longer read.
 
 Every JSON file read here declares a ``format_version``; readers reject
 unknown major versions with a :class:`SchemaError` naming the offending
@@ -16,11 +20,12 @@ writing of JSON files.  Each reader checks its fields with
 :func:`errors.check_fields` and ignores keys it does not know, so files
 stay readable across minor versions.  :func:`read_ground_truth` decodes the
 header fields of gt.json, which ``eval`` needs; only :func:`read_scene_dir`
-decodes its per-point lists.
+decodes its per-point fields.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -44,9 +49,10 @@ FORMAT_VERSION = "1.0"
 
 _POSE_TYPES = {"epoch_id": int, "frame_index": int, "rotation": list, "translation": list}
 _GT_TYPES = {"seed": int, "n_frames": int, "extent": float, "epoch_transforms": list}
-# The per-point lists of gt.json: 0/1 change labels and edge flags, and each
-# point's index in generation order.
-_POINT_KEYS = ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2")
+# The per-point fields of gt.json and the little-endian dtype each encodes:
+# 0/1 change labels and edge flags, and each point's index in generation order.
+_POINT_DTYPES = {"labels_t1": "u1", "labels_t2": "u1", "edge_t1": "u1", "edge_t2": "u1",
+                 "origin_t1": "<i8", "origin_t2": "<i8"}
 
 
 def check_version(version, path):
@@ -192,15 +198,19 @@ def scene_ground_truth_dict(scene) -> dict:
         "n_frames": scene.spec.n_frames_per_epoch,
         "extent": scene.extent,
         "epoch_transforms": [t.to_dict() for t in scene.epoch_transforms],
-        **{key: getattr(scene, key).astype(int).tolist() for key in _POINT_KEYS},
+        **{
+            key: base64.b64encode(getattr(scene, key).astype(dtype).tobytes()).decode("ascii")
+            for key, dtype in _POINT_DTYPES.items()
+        },
     }
 
 
 def read_ground_truth(path) -> dict:
     """Parse a gt.json: ``seed``, ``n_frames``, ``extent`` and the two
-    ``epoch_transforms``, decoded, plus the lists of ``_POINT_KEYS`` as the
-    file holds them (``None`` when absent), which :func:`read_scene_dir`
-    decodes.  The ``gt_relative`` key of older files is ignored."""
+    ``epoch_transforms``, decoded, plus the per-point fields of
+    ``_POINT_DTYPES`` as the file holds them (``None`` when absent): base64
+    text, which only :func:`read_scene_dir` decodes.  The ``gt_relative`` key
+    of older files is ignored."""
     data = read_json(path)
     gt = check_fields(data, _GT_TYPES, tuple(_GT_TYPES), str(path), SchemaError)
     if len(gt["epoch_transforms"]) != 2:
@@ -208,17 +218,22 @@ def read_ground_truth(path) -> dict:
     gt["epoch_transforms"] = tuple(
         Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in gt["epoch_transforms"]
     )
-    return {**gt, **{key: data.get(key) for key in _POINT_KEYS}}
+    return {**gt, **{key: data.get(key) for key in _POINT_DTYPES}}
 
 
-def _point_values(values, n_points: int, high: int, what: str) -> np.ndarray:
-    """A per-point list of gt.json: ``n_points`` JSON integers in [0, high]."""
-    if not (
-        isinstance(values, list) and len(values) == n_points and set(map(type, values)) <= {int}
-        and (not values or 0 <= min(values) and max(values) <= high)
-    ):
-        raise SchemaError(f"{what} must list {n_points} integers from 0 to {high}")
-    return np.array(values, dtype=np.int64)
+def _point_values(text, n_points: int, dtype: str, high: int, what: str) -> np.ndarray:
+    """A per-point field of gt.json: base64 of ``n_points`` little-endian
+    ``dtype`` values in [0, high]."""
+    try:  # TypeError: not a string (the old list form); ValueError: not base64 of whole values
+        values = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or len(values) != n_points or ((values < 0) | (values > high)).any():
+        raise SchemaError(
+            f"{what} must be base64 of {n_points} little-endian {np.dtype(dtype)} values"
+            f" from 0 to {high}"
+        )
+    return values
 
 
 def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: float = 0.0):
@@ -229,7 +244,8 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
         scene.json                  spec echo
         gt.json                     seed, frame count, extent, both epoch
                                     transforms; per point the change label,
-                                    edge flag and generation index
+                                    edge flag (base64 uint8) and generation
+                                    index (base64 little-endian int64)
         e1/frame_NNNN.ply           per-frame epoch-1 clouds
         e1/trajectory.json          epoch-frame camera trajectory
         e2/...                      likewise for epoch 2
@@ -262,9 +278,11 @@ def read_scene_dir(directory) -> BiTemporalScene:
 
     Positions round through the PLY float32 encoding, so the rebuilt scene
     matches the original to float32 precision; re-exporting it writes
-    byte-identical cloud files.  Each per-point list of gt.json must hold one
-    JSON integer per point of its epoch: 0 or 1, or for ``origin_*`` an index
-    below the point count; anything else raises :class:`SchemaError`.
+    byte-identical cloud files and gt.json.  Each per-point field of gt.json
+    must be a base64 string (validated strictly) of one little-endian value
+    per point of its epoch: ``uint8`` 0 or 1, or for ``origin_*`` an ``int64``
+    index below the point count.  Anything else, including the JSON list that
+    older files hold, raises :class:`SchemaError` naming gt.json and the key.
     """
     directory = Path(directory)
     spec_path = directory / "scene.json"
@@ -290,12 +308,12 @@ def read_scene_dir(directory) -> BiTemporalScene:
         bounds.append(np.cumsum([0] + [len(frame) for frame in frames]))
 
     per_point = {}
-    for key in _POINT_KEYS:
+    for key, dtype in _POINT_DTYPES.items():
         n_points = len(clouds[int(key[-1]) - 1])
         is_origin = key.startswith("origin")
         high = n_points - 1 if is_origin else 1
-        values = _point_values(gt[key], n_points, high, f"{gt_path}: {key}")
-        per_point[key] = values if is_origin else values.astype(bool)
+        values = _point_values(gt[key], n_points, dtype, high, f"{gt_path}: {key}")
+        per_point[key] = values.astype(np.int64 if is_origin else bool)
     return BiTemporalScene(
         spec=spec,
         cloud_t1=clouds[0],

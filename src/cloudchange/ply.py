@@ -6,6 +6,9 @@ and red, green, blue (uint8, optional).  Unknown scalar vertex properties
 are skipped with a warning; writing is byte-deterministic for a given
 cloud.  Positions and confidences are stored at float32 precision, so a
 write-read round trip is lossless exactly for float32-representable input.
+An ASCII body writes each float32 value with ``%.9g`` (enough digits to read
+back the same float32) and each color with ``%d``, one row per line; it is
+formatted by one ``%`` operation per block of rows, not value by value.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .cloud import PointCloud
 from .errors import ParseError, UnsupportedPropertyWarning
@@ -37,6 +41,10 @@ _SCALAR_TYPES = {
 }
 
 _KNOWN_PROPERTIES = ("x", "y", "z", "confidence", "red", "green", "blue")
+
+# Rows of an ASCII body formatted by one ``%`` operation: bounds the Python
+# values alive at once on large clouds.
+_ASCII_BLOCK_ROWS = 65_536
 
 
 def write_ply(cloud: PointCloud, path, binary: bool = True):
@@ -67,7 +75,12 @@ def write_ply(cloud: PointCloud, path, binary: bool = True):
         if binary:
             handle.write(rows.tobytes())
         else:
-            np.savetxt(handle, rows, fmt="%.9g %.9g %.9g %.9g" + " %d %d %d" * has_color)
+            # Exact: float32 and uint8 values are all float64-representable.
+            table = structured_to_unstructured(rows, dtype=np.float64)
+            line = " ".join(["%.9g"] * 4 + ["%d"] * 3 * has_color) + "\n"
+            for start in range(0, len(table), _ASCII_BLOCK_ROWS):
+                block = table[start : start + _ASCII_BLOCK_ROWS]
+                handle.write((line * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
 def _parse_header(raw: bytes, path) -> tuple:

@@ -48,6 +48,10 @@ _SALT_JOINT_DRIFT = 300  # +epoch_id (+frame in the rng sequence)
 _INLIER_CONF = (0.5, 1.0)
 _OUTLIER_CONF = (0.05, 0.295)
 
+# Points per block of the (points x frames) azimuth-distance matrix in
+# _assign_frames: keeps each temporary cache-sized on large scenes.
+_ASSIGN_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class ChangeSpec:
@@ -383,9 +387,12 @@ def _assign_frames(
     jitter = 0.75 * 2.0 * math.pi / n_frames
     point_az = np.arctan2(points[:, 1], points[:, 0])
     point_az = point_az + rng.normal(0.0, jitter, size=len(points))
-    diff = np.abs(point_az[:, None] - cam_az[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    return np.argmin(diff, axis=1).astype(np.int64) + 1
+    frames = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), _ASSIGN_BLOCK_ROWS):
+        diff = np.abs(point_az[start : start + _ASSIGN_BLOCK_ROWS, None] - cam_az[None, :])
+        diff = np.minimum(diff, 2.0 * math.pi - diff)
+        frames[start : start + _ASSIGN_BLOCK_ROWS] = np.argmin(diff, axis=1)
+    return frames + 1
 
 
 def _clipped_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -122,11 +123,10 @@ class TestSceneDirectory:
         np.testing.assert_allclose(
             back.cloud_t2.points, scene.cloud_t2.points, atol=1e-4
         )
-        # Re-exporting the re-read scene reproduces the cloud bytes.
+        # Re-exporting the re-read scene reproduces the cloud and gt.json bytes.
         write_scene_dir(back, tmp_path / "s2")
-        a = (tmp_path / "s" / "e1" / "frame_0001.ply").read_bytes()
-        b = (tmp_path / "s2" / "e1" / "frame_0001.ply").read_bytes()
-        assert a == b
+        for name in ("e1/frame_0001.ply", "gt.json"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
 
     def test_joint_dir_round_trip(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
@@ -140,7 +140,10 @@ class TestSceneDirectory:
         write_scene_dir(scene, tmp_path / "s")
         gt = read_ground_truth(tmp_path / "s" / "gt.json")
         assert gt["seed"] == scene.spec.seed
-        assert sum(gt["labels_t2"]) == scene.labels_t2.sum()
+        # Per-point fields: base64 of little-endian uint8 flags and int64 indices.
+        for key, dtype in (("labels_t2", "u1"), ("edge_t1", "u1"), ("origin_t2", "<i8")):
+            decoded = np.frombuffer(base64.b64decode(gt[key], validate=True), dtype=dtype)
+            assert decoded.tolist() == getattr(scene, key).astype(int).tolist()
         # JSON floats round-trip exactly, so the derived transform is bit-identical.
         assert compose_relative(*gt["epoch_transforms"]).to_dict() == scene.gt_relative.to_dict()
 

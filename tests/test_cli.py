@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import shutil
@@ -313,12 +314,43 @@ def _set_all(path: str, key: str, value):
     return path, lambda data: data.update({key: [value] * len(data[key])})
 
 
+def _recode(key: str, dtype: str, change):
+    """Edit of gt.json: the base64 array at ``key`` decoded, passed through
+    ``change`` and encoded again."""
+
+    def edit(data):
+        values = np.frombuffer(base64.b64decode(data[key]), dtype=dtype).copy()
+        data[key] = base64.b64encode(change(values).astype(dtype).tobytes()).decode("ascii")
+
+    return "gt.json", edit
+
+
+def _set_at(index: int, value):
+    def change(values):
+        values[index] = value
+        return values
+
+    return change
+
+
 MALFORMED_ABLATE_INPUTS = {
     **MALFORMED_GT_HEADERS,
     "string_origin": _set("gt.json", "origin_t1", ["x"]),
-    "label_out_of_range": _set_all("gt.json", "labels_t1", 2),
+    "label_out_of_range": _recode("labels_t1", "u1", _set_at(0, 2)),
     "boolean_edge_flags": _set_all("gt.json", "edge_t2", True),
     "missing_labels": ("gt.json", lambda data: data.pop("labels_t1")),
+    "invalid_base64": _set("gt.json", "edge_t1", "AA*A"),
+    "unpadded_base64": _set("gt.json", "labels_t2", "AAA"),
+    "non_ascii_base64": _set("gt.json", "labels_t1", "AA\u00e9A"),
+    "short_labels": _recode("labels_t2", "u1", lambda values: values[:-1]),
+    "long_origin": _recode("origin_t1", "<i8", lambda values: np.append(values, 0)),
+    "origin_out_of_range": _recode("origin_t2", "<i8", lambda values: values + len(values)),
+    "negative_origin": _recode("origin_t1", "<i8", _set_at(-1, -1)),
+    # The JSON-list form of the per-point fields is no longer read.
+    "legacy_list_labels": (
+        "gt.json",
+        lambda data: data.update(labels_t1=list(base64.b64decode(data["labels_t1"]))),
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudchange import CloudChangeError, ParseError, PointCloud, UnsupportedPropertyWarning
+from cloudchange import ply
 from cloudchange.ply import read_ply, write_ply
 
 
@@ -61,8 +63,8 @@ class TestRoundTrip:
 
 
 def _reference_ascii_body(cloud) -> bytes:
-    """The ASCII vertex rows formatted one value at a time, as the writer did
-    before it formatted its binary row table with ``np.savetxt``."""
+    """The ASCII vertex rows formatted one value at a time: the reference
+    for the writer, which formats whole blocks of rows at once."""
     xyz = cloud.points.astype("<f4")
     conf = cloud.confidence.astype("<f4")
     lines = []
@@ -90,6 +92,78 @@ class TestAsciiWrite:
         data = path.read_bytes()
         body = data[data.index(b"end_header\n") + len(b"end_header\n") :]
         assert body == _reference_ascii_body(cloud)
+
+
+# Float32 values, with ±0, the smallest subnormals and ±3.4e38 drawn often.
+_EXTREME_F32 = [float(np.float32(v)) for v in (0.0, -0.0, 1e-45, -1e-45, 3.4e38, -3.4e38)]
+_F32 = st.sampled_from(_EXTREME_F32) | st.floats(width=32, allow_nan=False, allow_infinity=False)
+_CONF32 = st.sampled_from([*_EXTREME_F32[:3], 1.0]) | st.floats(-0.0, 1.0, width=32)
+
+
+@st.composite
+def _float32_clouds(draw, n: int, color: bool) -> PointCloud:
+    rows = draw(st.lists(st.tuples(_F32, _F32, _F32, _CONF32), min_size=n, max_size=n))
+    table = np.array(rows, dtype=np.float64).reshape(n, 4)
+    col = None
+    if color:
+        col = np.array(draw(st.lists(st.integers(0, 255), min_size=3 * n, max_size=3 * n)))
+        col = col.astype(np.uint8).reshape(n, 3)
+    return PointCloud(table[:, :3], table[:, 3], color=col)
+
+
+def _body(path) -> bytes:
+    data = path.read_bytes()
+    return data[data.index(b"end_header\n") + len(b"end_header\n") :]
+
+
+def _assert_same_cloud(a: PointCloud, b: PointCloud):
+    assert a.points.tobytes() == b.points.tobytes()
+    assert a.confidence.tobytes() == b.confidence.tobytes()
+    assert (a.color is None) == (b.color is None)
+    assert a.color is None or a.color.tobytes() == b.color.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ply_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ply_properties")
+
+
+class TestAsciiWriteProperties:
+    """For float32 clouds of every row count around a block boundary, the
+    ASCII body equals the per-value reference, and the ASCII and binary files
+    read back to the written cloud, sign of zero included."""
+
+    @given(
+        data=st.data(),
+        block=st.integers(1, 5),
+        n_blocks=st.integers(1, 3),
+        offset=st.sampled_from([-1, 0, 1]),
+        color=st.booleans(),
+    )
+    def test_matches_reference_and_binary(self, ply_dir, data, block, n_blocks, offset, color):
+        # A small block size puts the boundaries within cheaply drawn clouds.
+        cloud = data.draw(_float32_clouds(n_blocks * block + offset, color))
+        ascii_path, binary_path = ply_dir / "a.ply", ply_dir / "b.ply"
+        with mock.patch.object(ply, "_ASCII_BLOCK_ROWS", block):
+            write_ply(cloud, ascii_path, binary=False)
+        write_ply(cloud, binary_path, binary=True)
+        assert _body(ascii_path) == _reference_ascii_body(cloud)
+        _assert_same_cloud(read_ply(ascii_path), cloud)
+        _assert_same_cloud(read_ply(binary_path), cloud)
+
+    def test_module_block_size_boundaries(self, rng, ply_dir):
+        block = ply._ASCII_BLOCK_ROWS
+        cloud = _random_cloud(rng, n=block + 1, color=True)
+        points = cloud.points.copy()
+        points[-4:] = _extreme_cloud(True).points.astype(np.float32)
+        cloud = PointCloud(points, cloud.confidence, color=cloud.color)
+        lines = _reference_ascii_body(cloud).splitlines(keepends=True)
+        path = ply_dir / "large.ply"
+        for n in (block - 1, block, block + 1):
+            head = PointCloud(points[:n], cloud.confidence[:n], color=cloud.color[:n])
+            write_ply(head, path, binary=False)
+            assert _body(path) == b"".join(lines[:n])
+        _assert_same_cloud(read_ply(path), cloud)
 
 
 def _reference_ascii_parse(path, n_values):

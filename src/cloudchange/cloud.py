@@ -33,10 +33,11 @@ def lower_median(values) -> float:
     smaller of the two middle elements (never an average), so the result
     is always one of the input values.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("median of empty sequence")
-    return float(v[(v.size - 1) // 2])
+    k = (v.size - 1) // 2
+    return float(np.partition(v, k)[k])
 
 
 def robust_extent(points) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, build_index, lower_median
 from .errors import EmptyCloud, EmptyStaticSet, check_non_negative
-from .geometry import Sim3Transform
+from .geometry import Sim3Transform, rotate
 
 MIN_STATIC_POINTS = 100
 
@@ -161,7 +161,7 @@ def refine_translation(
     mask = purification.static_mask
     if not mask.any():
         raise EmptyStaticSet("no static correspondences to refine from")
-    rotated = coarse.scale * (source.points[mask] @ coarse.rotation.T)
+    rotated = coarse.scale * rotate(source.points[mask], coarse.rotation)
     matched = target_index.points[purification.nn_indices[mask]]
     return np.mean(matched - rotated, axis=0)
 

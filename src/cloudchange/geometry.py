@@ -22,6 +22,13 @@ from .cloud import PointCloud
 from .errors import DegenerateInput, SchemaError, check_fields, check_numbers
 
 ROTATION_TOL = 1e-9
+# Rows per block in :func:`rotate`.  OpenBLAS hands an (n, 3) @ (3, 3) product
+# to its worker threads once it is large enough (from 58,000-60,000 rows with
+# numpy 2.4's OpenBLAS 0.3.31 on 2 cores).  After the call returns, the workers
+# spin for about 150 ms of CPU, taking a core from the KD-tree builds and
+# queries that follow.  Blocks well below that size stay on the calling thread
+# and run the same kernel on every row.
+ROTATE_BLOCK_ROWS = 16_384
 _SIM3_TYPES = {"scale": float, "rotation": list, "translation": list}
 
 
@@ -43,6 +50,29 @@ def _check_translation(translation) -> np.ndarray:
     if not np.isfinite(t).all():
         raise ValueError(f"translation must be finite, got {t.tolist()}")
     return t
+
+
+def rotate(points, rotation: np.ndarray) -> np.ndarray:
+    """``points @ rotation.T`` for one 3-vector or an (n, 3) array.
+
+    Rows go through ``np.matmul`` in near-equal blocks of at most
+    ``ROTATE_BLOCK_ROWS`` into one preallocated output, so every row gets the
+    bits of a single whole-array product while OpenBLAS stays on the calling
+    thread.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    r_t = rotation.T
+    if p.ndim == 1:
+        return p @ r_t
+    n = len(p)
+    out = np.empty((n, 3))
+    # Near-equal blocks, so none has a single row: numpy sends a 1-row
+    # product to gemv, which rounds differently from gemm.
+    blocks = max(1, -(-n // ROTATE_BLOCK_ROWS))
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(p[start:stop], r_t, out=out[start:stop])
+    return out
 
 
 def rotation_angle_deg(rotation: np.ndarray) -> float:
@@ -101,9 +131,13 @@ class Sim3Transform:
             raise SchemaError(f"{source}: bad transform ({exc})") from None
 
     def apply(self, points) -> np.ndarray:
-        """Map one 3-vector or an (n, 3) array through the transform."""
-        p = np.asarray(points, dtype=np.float64)
-        return self.scale * (p @ self.rotation.T) + self.translation
+        """Map one 3-vector or an (n, 3) array through the transform.
+
+        The rotation runs through :func:`rotate`, in row blocks of at most
+        ``ROTATE_BLOCK_ROWS`` on the calling thread, with the bits of one
+        whole-array product.
+        """
+        return self.scale * rotate(points, self.rotation) + self.translation
 
     def inverse(self) -> "Sim3Transform":
         inv_s = 1.0 / self.scale

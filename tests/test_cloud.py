@@ -92,6 +92,14 @@ class TestLowerMedian:
     def test_single_value(self):
         assert lower_median([7.5]) == 7.5
 
+    @given(arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=False)))
+    @example(np.array([np.inf, 1.0, -np.inf]))
+    @example(np.array([np.inf, 1.0, -np.inf, 2.0]))
+    @example(np.array([np.inf, np.inf]))
+    def test_equals_lower_middle_of_sorted(self, values):
+        # Oracle: the full sort the selection replaced.
+        assert lower_median(values) == np.sort(values)[(values.size - 1) // 2]
+
 
 class TestMedianConfidenceFilter:
     def test_keeps_strictly_above_median(self):

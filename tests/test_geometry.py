@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cloudchange import (
     DegenerateInput,
@@ -15,8 +23,56 @@ from cloudchange import (
     umeyama,
 )
 from cloudchange.cloud import PointCloud
+from cloudchange.geometry import ROTATE_BLOCK_ROWS, rotate
 
 from conftest import identity_sim3, random_rotation, random_sim3
+
+TASKS = Path("/proc/self/task")
+
+
+@st.composite
+def sim3s(draw) -> Sim3Transform:
+    """Sim(3) from a unit quaternion normalised from four draws in [-1, 1],
+    a scale in [e^-3, e^3] and a translation in [-10, 10]^3."""
+    q = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(4)])
+    norm = float(np.linalg.norm(q))
+    assume(norm > 0.1)
+    w, x, y, z = q / norm
+    rotation = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    scale = math.exp(draw(st.floats(-3.0, 3.0)))
+    translation = [draw(st.floats(-10.0, 10.0)) for _ in range(3)]
+    return Sim3Transform(scale, rotation, translation)
+
+
+def point_sets(min_rows: int = 1):
+    return arrays(
+        np.float64,
+        st.tuples(st.integers(min_rows, 30), st.just(3)),
+        elements=st.floats(-10.0, 10.0),
+        fill=st.nothing(),
+    )
+
+
+def _other_thread_ticks() -> dict:
+    """CPU ticks (user + system) of every thread of this process but this one."""
+    me = threading.get_native_id()
+    ticks = {}
+    for task in TASKS.iterdir():
+        if int(task.name) == me:
+            continue
+        try:
+            stat = (task / "stat").read_text()
+        except OSError:  # the thread ended meanwhile
+            continue
+        fields = stat[stat.rindex(")") + 2 :].split()
+        ticks[task.name] = int(fields[11]) + int(fields[12])
+    return ticks
 
 
 class TestSim3Transform:
@@ -68,6 +124,69 @@ class TestSim3Transform:
         with pytest.raises(ValueError):
             t.translation[0] = 2.0
 
+    @given(a=sim3s(), b=sim3s(), points=point_sets())
+    def test_compose_applies_in_sequence(self, a, b, points):
+        expected = a.apply(b.apply(points))
+        magnitude = a.scale * (b.scale * 10.0 + 10.0) + 10.0
+        np.testing.assert_allclose(
+            a.compose(b).apply(points), expected, rtol=0, atol=1e-13 * magnitude
+        )
+
+    @given(t=sim3s(), points=point_sets())
+    def test_inverse_undoes_apply_either_side(self, t, points):
+        # Rounding of t.apply is ~eps * (s * 10 + 10); the inverse divides it by s.
+        atol = 1e-13 * (10.0 + 10.0 / t.scale)
+        inv = t.inverse()
+        np.testing.assert_allclose(inv.apply(t.apply(points)), points, rtol=0, atol=atol)
+        np.testing.assert_allclose(t.compose(inv).apply(points), points, rtol=0, atol=atol)
+        np.testing.assert_allclose(inv.compose(t).apply(points), points, rtol=0, atol=atol)
+
+
+class TestRotate:
+    B = ROTATE_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_bit_equal_to_one_product(self, rng, rows):
+        # A block of other rounding may hold a single row, whose three outputs
+        # round alike by chance; many draws make a miss vanishingly rare.
+        for _ in range(16):
+            t = random_sim3(rng)
+            points = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, 1))
+            product = points @ t.rotation.T
+            assert np.array_equal(rotate(points, t.rotation), product)
+            assert np.array_equal(t.apply(points), t.scale * product + t.translation)
+
+    def test_single_vector(self, rng):
+        t = random_sim3(rng)
+        p = rng.normal(size=3)
+        assert rotate(p, t.rotation).shape == (3,)
+        assert np.array_equal(rotate(p, t.rotation), p @ t.rotation.T)
+        assert np.array_equal(t.apply(p), t.scale * (p @ t.rotation.T) + t.translation)
+
+    @pytest.mark.skipif(not TASKS.is_dir(), reason="needs Linux /proc/self/task")
+    def test_apply_leaves_no_thread_busy(self, rng):
+        # An epoch-sized product handed to OpenBLAS's worker threads left them
+        # spinning for ~150 ms of CPU after the call, against the KD-tree
+        # builds and queries that follow it.
+        t = random_sim3(rng)
+        points = rng.normal(size=(257_000, 3))
+        before = _other_thread_ticks()
+        deadline = time.monotonic() + 3.0
+        while time.monotonic() < deadline:
+            time.sleep(0.05)
+            now = _other_thread_ticks()
+            if now == before:
+                break
+            before = now
+        t.apply(points)
+        time.sleep(0.2)
+        gained = {
+            tid: ticks - before.get(tid, 0)
+            for tid, ticks in _other_thread_ticks().items()
+            if ticks > before.get(tid, 0)
+        }
+        assert not gained, f"CPU ticks gained by other threads: {gained}"
+
 
 class TestUmeyama:
     def test_identity_case(self, rng):
@@ -95,6 +214,17 @@ class TestUmeyama:
             assert np.linalg.norm(est.translation - gt.translation) <= 1e-9 * (
                 1.0 + np.linalg.norm(gt.translation)
             )
+
+    @given(t=sim3s(), source=point_sets(min_rows=4))
+    def test_recovers_any_sim3(self, t, source):
+        # A set spread in at least two directions keeps the fit's rounding far
+        # below the tolerances.
+        centered = source - source.mean(axis=0)
+        assume(np.linalg.svd(centered, compute_uv=False)[1] > 1.0)
+        est = umeyama(source, t.apply(source))
+        assert abs(est.scale - t.scale) <= 1e-9 * t.scale
+        assert np.abs(est.rotation - t.rotation).max() <= 1e-9
+        assert np.abs(est.translation - t.translation).max() <= 1e-9 * (1.0 + t.scale)
 
     def test_reflection_correction_on_planar_points(self, rng):
         # Planar sets exercise the det<0 branch; the result must still be a

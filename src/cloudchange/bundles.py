@@ -3,7 +3,12 @@
 An *epoch directory* holds one PLY cloud per frame (x, y, z, confidence),
 named frame_0001.ply onward, plus an optional trajectory.json.  A *joint
 directory* holds the keyframe clouds of both epochs in one shared frame, named
-e{epoch}_frame_NNNN.ply and pixel-aligned with the epoch frames.  A *scene
+e{epoch}_frame_NNNN.ply and pixel-aligned with the epoch frames.  The numbers
+in a frame-file name are ASCII digits, the frame number written with at least
+four; readers take each number by its value, so frame_10000.ply follows
+frame_9999.ply.  One file per frame: two names with the same numbers
+(frame_1.ply and frame_0001.ply) are a :class:`SchemaError` naming both, and
+so is a name that does not parse.  A *scene
 directory* is the exported form of a synthetic bi-temporal scene: both epoch
 directories, predicted and ground-truth trajectories, a joint directory, and a
 gt.json with the two ground-truth epoch transforms (the relative transform is
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +107,25 @@ def _frame_stem(index: int) -> str:
     return f"frame_{index:04d}"
 
 
+def _frame_files(directory: Path, pattern: str) -> dict:
+    """Map each file matching ``pattern`` (one ``*`` per number) to its
+    numbers, epoch first.  Raises :class:`SchemaError` when none matches, a
+    name does not parse, or two names carry the same numbers."""
+    name_rule = re.compile(pattern.removesuffix(".ply").replace("*", "([0-9]+)"))
+    files = {}
+    for path in sorted(directory.glob(pattern)):
+        match = name_rule.fullmatch(path.stem)
+        if match is None:
+            raise SchemaError(f"{path}: cannot parse frame numbers from the file name")
+        key = tuple(int(number) for number in match.groups())
+        if key in files:
+            raise SchemaError(f"{directory}: {files[key].name} and {path.name} name the same frame")
+        files[key] = path
+    if not files:
+        raise SchemaError(f"{directory}: no {pattern} files found")
+    return files
+
+
 def write_trajectory(path, trajectory: Trajectory):
     epochs = sorted(set(trajectory.epoch_ids))
     data = {
@@ -149,20 +174,16 @@ def write_epoch_dir(directory, frames: list, trajectory: Trajectory = None):
 def read_epoch_dir(directory) -> list:
     """Read the per-frame clouds of an epoch directory, in frame order.
 
-    The files must be named frame_0001.ply, frame_0002.ply, ... with no gap;
-    element i of the result is frame i + 1.
+    The files must number the frames 1 to n with no gap; element i of the
+    result is frame i + 1.
     """
     directory = Path(directory)
-    paths = sorted(directory.glob("frame_*.ply"))
-    if not paths:
-        raise SchemaError(f"{directory}: no frame_*.ply files found")
+    files = _frame_files(directory, "frame_*.ply")
     frames = []
-    for expected, path in enumerate(paths, start=1):
-        token = path.stem[len("frame_"):]
-        if not (token.isascii() and token.isdigit()):
-            raise SchemaError(f"{path}: cannot parse a frame number from the file name")
-        if int(token) != expected:
-            raise SchemaError(f"{directory}: frame files are not consecutive at {path.name}")
+    for index in range(1, len(files) + 1):
+        path = files.get((index,))
+        if path is None:
+            raise SchemaError(f"{directory}: no frame {index}; frames must run 1 to {len(files)}")
         frames.append(read_ply(path))
     return frames
 
@@ -176,19 +197,8 @@ def write_joint_dir(directory, joint: JointReconstruction):
 
 
 def read_joint_dir(directory) -> JointReconstruction:
-    directory = Path(directory)
-    paths = sorted(directory.glob("e*_frame_*.ply"))
-    if not paths:
-        raise SchemaError(f"{directory}: no e*_frame_*.ply files found")
-    clouds = {}
-    for path in paths:
-        epoch_token, _, frame_token = path.stem.partition("_frame_")
-        try:
-            key = (int(epoch_token[1:]), int(frame_token))
-        except ValueError:
-            raise SchemaError(f"{directory}: cannot parse joint file name {path.name!r}") from None
-        clouds[key] = read_ply(path)
-    return JointReconstruction(clouds=clouds)
+    files = _frame_files(Path(directory), "e*_frame_*.ply")
+    return JointReconstruction(clouds={key: read_ply(path) for key, path in sorted(files.items())})
 
 
 def scene_ground_truth_dict(scene) -> dict:

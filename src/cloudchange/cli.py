@@ -239,7 +239,7 @@ def _cmd_detect(args) -> int:
     write_ply(colored_t1, out / "changes_t1.ply")
     write_ply(colored_t2, out / "changes_t2.ply")
     bundles.write_json(out / "change_stats.json", stats)
-    if report is not None and args.report is not None:
+    if report is not None:
         report.record_changes(stats, elapsed=elapsed)
         report.write(args.report)
     print(

@@ -47,14 +47,13 @@ def robust_extent(points) -> float:
     the extent is the maximum spread over the three axes.  Stray points far
     outside the bulk of the cloud therefore barely move the value.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    lo, hi = np.percentile(pts, [1.0, 99.0], axis=0)
+    lo, hi = _percentile_box(points)
     return float(np.max(hi - lo))
 
 
-def _percentile_box(points) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = np.percentile(np.asarray(points, dtype=np.float64), [1.0, 99.0], axis=0)
-    return lo, hi
+def _percentile_box(points) -> np.ndarray:
+    """Rows: the per-axis 1st and 99th coordinate percentiles."""
+    return np.percentile(np.asarray(points, dtype=np.float64), [1.0, 99.0], axis=0)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

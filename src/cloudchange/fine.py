@@ -16,13 +16,14 @@ within a bound (see :meth:`SpatialIndex.query`) and the far points, the most
 expensive ones, come back as ``inf``.  Purify bounds its search at twice
 alpha times a median guessed from a strided sample; the self-check bounds it
 at the coarse median plus the length of the translation update, which by the
-triangle inequality no refined median exceeds.  Each result is kept only when
-the median (and purify's threshold) lies strictly below the bound, with a
-relative slack for the tree's rounding; then every ``inf`` point ranks above
-the median and outside the static set, so the medians, the static set, its
-neighbors (up to ties at exactly equal distance, see :class:`SpatialIndex`)
-and the decision equal those of an unbounded search.  Otherwise the query is
-repeated without a bound.
+triangle inequality no refined median exceeds.  Both go through
+:func:`_bounded_median`, which keeps a result only when the median (and
+purify's threshold) lies strictly below the bound, with a relative slack for
+the tree's rounding; then every ``inf`` point ranks above the median and
+outside the static set, so the medians, the static set, its neighbors (up to
+ties at exactly equal distance, see :class:`SpatialIndex`) and the decision
+equal those of an unbounded search.  Otherwise it repeats the query without a
+bound.
 """
 
 from __future__ import annotations
@@ -44,9 +45,17 @@ _SAMPLE_STRIDE = 16
 _BOUND_SLACK = 1e-9
 
 
-def _below_bound(value: float, bound: float) -> bool:
-    """True when ``value`` lies below ``bound`` by more than the rounding slack."""
-    return value * (1.0 + _BOUND_SLACK) < bound
+def _bounded_median(index: SpatialIndex, points, bound: float, factor: float) -> tuple:
+    """``(distances, indices, lower median)`` of ``points`` in ``index``, as an
+    unbounded query gives them: the bounded answer is kept only when
+    ``factor`` (the largest multiple of the median the caller compares
+    with) times the median lies below ``bound`` by more than the slack."""
+    distances, indices = index.query(points, bound)
+    median = lower_median(distances)
+    if not factor * median * (1.0 + _BOUND_SLACK) < bound:
+        distances, indices = index.query(points)
+        median = lower_median(distances)
+    return distances, indices, median
 
 
 @dataclass(frozen=True)
@@ -127,13 +136,8 @@ def purify(
     points = aligned_source.points
     guess, _ = target_index.query(points[::_SAMPLE_STRIDE])
     bound = 2.0 * alpha * lower_median(guess)
-    distances, nn_idx = target_index.query(points, bound)
-    median = lower_median(distances)
+    distances, nn_idx, median = _bounded_median(target_index, points, bound, max(1.0, alpha))
     threshold = alpha * median
-    if not (_below_bound(median, bound) and _below_bound(threshold, bound)):
-        distances, nn_idx = target_index.query(points)
-        median = lower_median(distances)
-        threshold = alpha * median
     return PurificationResult(
         distances=distances,
         nn_indices=nn_idx,
@@ -205,11 +209,7 @@ def fine_stage(
         shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
         # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.
         bound = coarse_median + float(np.linalg.norm(candidate - coarse.translation))
-        refined_distances, _ = index.query(shifted, bound)
-        refined_median = lower_median(refined_distances)
-        if not _below_bound(refined_median, bound):
-            refined_distances, _ = index.query(shifted)
-            refined_median = lower_median(refined_distances)
+        _, _, refined_median = _bounded_median(index, shifted, bound, 1.0)
 
     accepted = refined_median < coarse_median
     return FineResult(

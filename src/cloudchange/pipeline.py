@@ -234,7 +234,7 @@ def register_epochs(
 
 def register_scene(
     scene,
-    config: PipelineConfig = None,
+    config: PipelineConfig,
     joint_sigma: float = 0.0,
     warp_amplitude: float = 0.0,
     epoch_bias: float = 0.0,
@@ -251,8 +251,6 @@ def register_scene(
     """
     from .synthetic import all_frames_keyframes, mock_joint_inference
 
-    if config is None:
-        config = PipelineConfig()
     frames1, frames2 = scene.epoch_frames(1), scene.epoch_frames(2)
     joint = scene.prepared(
         ("joint", joint_sigma, warp_amplitude, epoch_bias, frame_drift),

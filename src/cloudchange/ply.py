@@ -241,12 +241,11 @@ def read_ply(path) -> PointCloud:
             stacklevel=2,
         )
 
+    row_dtype = _vertex_dtype(properties, path)
     if fmt == "binary_little_endian":
         offset = body_offset
         for name, count, props in leading_elements:
-            row_dtype = _vertex_dtype(props, path)  # rejects list properties
-            offset += row_dtype.itemsize * count
-        row_dtype = _vertex_dtype(properties, path)
+            offset += _vertex_dtype(props, path).itemsize * count  # rejects list properties
         needed = row_dtype.itemsize * n_vertices
         if len(raw) - offset < needed:
             raise ParseError(
@@ -273,15 +272,8 @@ def read_ply(path) -> PointCloud:
             )
         first_line = header_lines + skip + 1
         data = _parse_ascii_rows(lines[skip : skip + n_vertices], len(properties), first_line, path)
-        columns = {}
-        for j, (ply_type, name) in enumerate(properties):
-            np_type = _SCALAR_TYPES.get(ply_type)
-            if np_type is None:
-                raise ParseError(f"{path}: unknown property type {ply_type!r}")
-            if ply_type == "list":
-                raise ParseError(f"{path}: list property {name!r} on vertices is not supported")
-            # Route through the declared dtype so ASCII and binary readers
-            # deliver identical values.
-            columns[name] = data[:, j].astype("<" + np_type)
+        # Route through the declared dtype so ASCII and binary readers
+        # deliver identical values.
+        columns = {name: data[:, j].astype(row_dtype[j]) for j, (_, name) in enumerate(properties)}
 
     return _assemble_cloud(columns, n_vertices, path)

@@ -135,9 +135,9 @@ class SceneSpec:
             raise InvalidSpec("edge_noise_fraction must lie in [0, 1]")
         if self.noise_sigma < 0.0 or self.edge_noise_elongation < 0.0:
             raise InvalidSpec("noise parameters must be non-negative")
-        changes = tuple(
-            c if isinstance(c, ChangeSpec) else ChangeSpec(**c) for c in self.change_spec
-        )
+        changes = tuple(self.change_spec)
+        if not all(isinstance(c, ChangeSpec) for c in changes):
+            raise InvalidSpec("change_spec entries must be ChangeSpec; decode dicts with from_dict")
         object.__setattr__(self, "change_spec", changes)
         if self.epoch_transforms is not None:
             pair = tuple(self.epoch_transforms)

@@ -17,9 +17,12 @@ from cloudchange.bundles import (
     read_joint_dir,
     read_scene_dir,
     read_trajectory,
+    write_epoch_dir,
+    write_joint_dir,
     write_scene_dir,
     write_trajectory,
 )
+from cloudchange.coarse import JointReconstruction
 from cloudchange.pipeline import PipelineConfig, RunReport
 from cloudchange.synthetic import (
     ChangeSpec,
@@ -189,6 +192,60 @@ class TestSceneDirectory:
         write_scene_dir(scene, tmp_path / "s")
         with pytest.raises(SchemaError, match="nope.json"):
             read_ground_truth(tmp_path / "s" / "nope.json")
+
+
+def _one_point(x: float) -> PointCloud:
+    return PointCloud(np.array([[x, 0.0, 0.0]]))
+
+
+class TestFrameFileNames:
+    """Both directory readers parse frame-file names by one rule."""
+
+    def test_ten_thousand_and_one_frames_read_in_order(self, tmp_path):
+        write_epoch_dir(tmp_path, [_one_point(i) for i in range(10_001)])
+        assert (tmp_path / "frame_10000.ply").exists()
+        frames = read_epoch_dir(tmp_path)
+        assert [f.points[0, 0] for f in frames] == list(range(10_001))
+
+    def test_short_name_is_read_by_value(self, tmp_path):
+        write_epoch_dir(tmp_path, [_one_point(1.0), _one_point(2.0)])
+        (tmp_path / "frame_0002.ply").rename(tmp_path / "frame_2.ply")
+        assert [f.points[0, 0] for f in read_epoch_dir(tmp_path)] == [1.0, 2.0]
+
+    def test_gap_names_the_missing_frame(self, tmp_path):
+        write_epoch_dir(tmp_path, [_one_point(i) for i in range(3)])
+        (tmp_path / "frame_0002.ply").unlink()
+        with pytest.raises(SchemaError, match="no frame 2; frames must run 1 to 2"):
+            read_epoch_dir(tmp_path)
+
+    def test_second_name_for_an_epoch_frame(self, tmp_path):
+        write_epoch_dir(tmp_path, [_one_point(0.0)])
+        (tmp_path / "frame_1.ply").write_bytes((tmp_path / "frame_0001.ply").read_bytes())
+        with pytest.raises(SchemaError, match="frame_0001.ply and frame_1.ply name the same frame"):
+            read_epoch_dir(tmp_path)
+
+    def test_second_name_for_a_joint_frame(self, tmp_path):
+        write_joint_dir(tmp_path, JointReconstruction(clouds={(1, 1): _one_point(0.0)}))
+        (tmp_path / "e1_frame_01.ply").write_bytes((tmp_path / "e1_frame_0001.ply").read_bytes())
+        with pytest.raises(
+            SchemaError, match="e1_frame_0001.ply and e1_frame_01.ply name the same frame"
+        ):
+            read_joint_dir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name", ["e1_frame_1_0.ply", "e+2_frame_0003.ply", "e1_frame_\u0663.ply"]
+    )
+    def test_unparsable_joint_name(self, tmp_path, name):
+        write_joint_dir(tmp_path, JointReconstruction(clouds={(1, 1): _one_point(0.0)}))
+        (tmp_path / name).write_bytes((tmp_path / "e1_frame_0001.ply").read_bytes())
+        with pytest.raises(SchemaError, match="cannot parse frame numbers"):
+            read_joint_dir(tmp_path)
+
+    def test_non_ascii_digit_in_epoch_name(self, tmp_path):
+        write_epoch_dir(tmp_path, [_one_point(0.0)])
+        (tmp_path / "frame_\u0662.ply").write_bytes((tmp_path / "frame_0001.ply").read_bytes())
+        with pytest.raises(SchemaError, match="cannot parse frame numbers"):
+            read_epoch_dir(tmp_path)
 
 
 # Any JSON value: null, booleans, integers of any size, floats including NaN

@@ -127,6 +127,18 @@ class TestRegister:
         ])
         assert code == 2
 
+    def test_colliding_joint_file_names_are_data_error(self, scene_dir, tmp_path, capsys):
+        joint = tmp_path / "joint"
+        shutil.copytree(scene_dir / "joint", joint)
+        shutil.copy(joint / "e1_frame_0001.ply", joint / "e1_frame_01.ply")
+        code = main([
+            "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+            "--joint", str(joint),
+        ])
+        assert code == 2
+        line = _assert_one_error_line(capsys, "register")
+        assert "e1_frame_0001.ply" in line and "e1_frame_01.ply" in line
+
     def test_missing_joint_flag_is_usage_error(self, scene_dir):
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),

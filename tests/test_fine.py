@@ -362,6 +362,21 @@ def _self_check_fallback_scene():
     return PointCloud(source), PointCloud(target)
 
 
+def _accepted_scene():
+    """Two independent uniform clouds under a random Sim(3): refinement accepted."""
+    rng = np.random.default_rng([21, 0])
+    source = PointCloud(rng.uniform(0, 10, size=(400, 3)))
+    target = PointCloud(rng.uniform(0, 10, size=(400, 3)))
+    return source, target, random_sim3(rng)
+
+
+def _self_check_rejected_scene():
+    """A noisy copy of the target at identity: the self-check rejects."""
+    target = np.random.default_rng([21, 1]).uniform(0, 10, size=(400, 3))
+    noise = np.random.default_rng([22, 1]).normal(scale=0.01, size=target.shape)
+    return PointCloud(target + noise), PointCloud(target), identity_sim3()
+
+
 class TestBoundedQueriesMatchExactReference:
     """The bounded fine stage reproduces the unbounded one bit for bit."""
 
@@ -391,23 +406,26 @@ class TestBoundedQueriesMatchExactReference:
         return result, bounds
 
     def test_accepted(self):
-        rng = np.random.default_rng([21, 0])
-        source = PointCloud(rng.uniform(0, 10, size=(400, 3)))
-        target = PointCloud(rng.uniform(0, 10, size=(400, 3)))
-        result, bounds = self._assert_matches(source, target, random_sim3(rng))
+        result, bounds = self._assert_matches(*_accepted_scene())
         assert result.accepted_refinement
         # Sample, then bounded purify and self-check queries, no fallback.
         assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
 
     def test_self_check_rejected(self):
-        target = np.random.default_rng([21, 1]).uniform(0, 10, size=(400, 3))
-        noise = np.random.default_rng([22, 1]).normal(scale=0.01, size=target.shape)
-        result, bounds = self._assert_matches(
-            PointCloud(target + noise), PointCloud(target), identity_sim3()
-        )
+        result, bounds = self._assert_matches(*_self_check_rejected_scene())
         assert not result.accepted_refinement
         assert result.n_static >= MIN_STATIC_POINTS
         assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+
+    @pytest.mark.parametrize(
+        "make_scene", [_accepted_scene, _self_check_rejected_scene], ids=["accepted", "rejected"]
+    )
+    def test_alpha_below_one(self, make_scene):
+        """alpha < 1: the median, not the threshold, must lie below the bound."""
+        _, bounds = self._assert_matches(*make_scene(), alpha=0.5, min_static=30)
+        # Purify's bound, 2 * 0.5 times the sampled median, lies near the true
+        # median here, so it falls back; the self-check's bounded answer stands.
+        assert bounds[2] == np.inf and len(bounds) == 4 and np.isfinite(bounds[3])
 
     def test_too_few_static(self, rng):
         target = rng.uniform(0, 10, size=(400, 3))

@@ -390,7 +390,8 @@ class TestParseErrors:
             "property list uchar int neighbors\n"
             "end_header\n0 0 0 0\n"
         )
-        with pytest.raises(ParseError):
+        # The ASCII reader checks property types by the binary reader's rule.
+        with pytest.raises(ParseError, match="list property 'neighbors' on vertices"):
             with pytest.warns(UnsupportedPropertyWarning):
                 read_ply(path)
 

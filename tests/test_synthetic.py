@@ -137,6 +137,14 @@ class TestGenerateScene:
         with pytest.raises(InvalidSpec):
             ChangeSpec("renamed", 10)
 
+    def test_change_given_as_dict_is_invalid_spec(self):
+        # from_dict is the one decoder of JSON changes; it rejects n_points 5.5.
+        change = {"kind": "added", "n_points": 5.5}
+        with pytest.raises(InvalidSpec, match="ChangeSpec"):
+            SceneSpec(seed=1, n_static=200, n_frames_per_epoch=3, change_spec=[change])
+        with pytest.raises(InvalidSpec, match="n_points"):
+            SceneSpec.from_dict({"seed": 1, "change_spec": [change]})
+
     def test_points_grouped_by_frame(self):
         scene = generate_scene(SceneSpec(seed=11, n_static=1000, n_frames_per_epoch=8))
         for epoch_id in (1, 2):

@@ -11,19 +11,37 @@ refined translation only if it strictly lowers the median nearest-neighbor
 distance over all points, which makes the stage a no-op in the worst case
 rather than a regression.
 
-Both full-cloud queries need only the near part of the answer, so they search
-within a bound (see :meth:`SpatialIndex.query`) and the far points, the most
-expensive ones, come back as ``inf``.  Purify bounds its search at twice
-alpha times a median guessed from a strided sample; the self-check bounds it
-at the coarse median plus the length of the translation update, which by the
-triangle inequality no refined median exceeds.  Both go through
-:func:`_bounded_median`, which keeps a result only when the median (and
-purify's threshold) lies strictly below the bound, with a relative slack for
-the tree's rounding; then every ``inf`` point ranks above the median and
-outside the static set, so the medians, the static set, its neighbors (up to
-ties at exactly equal distance, see :class:`SpatialIndex`) and the decision
-equal those of an unbounded search.  Otherwise it repeats the query without a
-bound.
+Purify needs only the near part of its answer, so it searches within twice
+``max(1, alpha)`` times a median guessed from a strided sample (see
+:meth:`SpatialIndex.query`), and the far points, the most expensive ones,
+come back as ``inf``.  It keeps that answer only when ``max(1, alpha)`` times
+the median (its threshold, and the median itself) lies strictly below the
+bound, with a relative slack for the tree's rounding; then every ``inf``
+point ranks above the median and outside the static set, so the median, the
+static set, its neighbors (up to ties at exactly equal distance, see
+:class:`SpatialIndex`) and the decision equal those of an unbounded search.
+Otherwise it repeats the query without a bound.
+
+The self-check needs one order statistic of the refined distances, and it
+brackets that statistic between two bounds, as Floyd & Rivest (1975) do for
+selection, from what purify already holds.  The candidate moves every point
+by the step ``delta = |candidate - coarse translation|``, so by the triangle
+inequality a point's refined distance lies between its coarse distance minus
+``delta`` and its distance to its frozen coarse neighbor.  A point purify
+left ``inf`` lies beyond ``max(1, alpha)`` times the coarse median, so its
+lower bound is that value minus ``delta``, and it has no upper bound.  With
+``k = (n - 1) // 2``, the k-th smallest lower bound ``L`` and the k-th
+smallest upper bound ``U`` enclose the refined median.  A point whose upper
+bound lies below ``L`` ranks below the median, one whose lower bound lies
+above ``U`` ranks above it, and only the rest are queried, within ``U``; the
+median is their answer of rank ``k`` minus the number of points below.  Each
+bound is widened by the slack, relative to the distances and ``delta`` (the
+tree's and the distance expression's rounding) and to the largest coordinate
+(the rounding of ``scale * R p + t``), so the bracket holds in floating point
+too: at exact ties, at zero distances and far from the origin.  ``U`` then
+exceeds the refined median by at least that margin, so the bounded query
+always answers it, and the median equals that of an unbounded query over
+every point.
 """
 
 from __future__ import annotations
@@ -41,21 +59,9 @@ MIN_STATIC_POINTS = 100
 # Purify guesses its median from every 16th aligned point.
 _SAMPLE_STRIDE = 16
 # Relative margin between a bounded query's bound and the largest distance it
-# must answer exactly; far above the tree's few-ulp rounding of the bound.
+# must answer exactly, and by which the self-check widens its bracket; far
+# above the few-ulp rounding of the tree, the distances and the alignment.
 _BOUND_SLACK = 1e-9
-
-
-def _bounded_median(index: SpatialIndex, points, bound: float, factor: float) -> tuple:
-    """``(distances, indices, lower median)`` of ``points`` in ``index``, as an
-    unbounded query gives them: the bounded answer is kept only when
-    ``factor`` (the largest multiple of the median the caller compares
-    with) times the median lies below ``bound`` by more than the slack."""
-    distances, indices = index.query(points, bound)
-    median = lower_median(distances)
-    if not factor * median * (1.0 + _BOUND_SLACK) < bound:
-        distances, indices = index.query(points)
-        median = lower_median(distances)
-    return distances, indices, median
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,13 @@ def purify(
         raise EmptyCloud("cannot purify an empty cloud")
     points = aligned_source.points
     guess, _ = target_index.query(points[::_SAMPLE_STRIDE])
-    bound = 2.0 * alpha * lower_median(guess)
-    distances, nn_idx, median = _bounded_median(target_index, points, bound, max(1.0, alpha))
+    factor = max(1.0, alpha)
+    bound = 2.0 * factor * lower_median(guess)
+    distances, nn_idx = target_index.query(points, bound)
+    median = lower_median(distances)
+    if not factor * median * (1.0 + _BOUND_SLACK) < bound:
+        distances, nn_idx = target_index.query(points)
+        median = lower_median(distances)
     threshold = alpha * median
     return PurificationResult(
         distances=distances,
@@ -168,6 +179,46 @@ def refine_translation(
     rotated = coarse.scale * rotate(source.points[mask], coarse.rotation)
     matched = target_index.points[purification.nn_indices[mask]]
     return np.mean(matched - rotated, axis=0)
+
+
+def _refined_median(
+    index: SpatialIndex, shifted: np.ndarray, purification: PurificationResult, step: float
+) -> float:
+    """Lower median of the nearest-neighbor distances of ``shifted`` into
+    ``index``, as an unbounded query over every point gives it.
+
+    ``shifted`` is the purified cloud moved by a translation update of
+    length ``step``; only the points the bracket cannot place are queried
+    (see the module docstring).
+    """
+    k = (len(shifted) - 1) // 2
+    # Rounding of the alignment moves a point by a few ulps of its largest
+    # coordinate; tiny keeps the margin positive at the origin.
+    extent = max(float(shifted.max()), -float(shifted.min()))
+    reach = _BOUND_SLACK * (extent + step) + np.finfo(np.float64).tiny
+    n_target = len(index.points)
+    found = purification.nn_indices < n_target
+    nearest = np.minimum(purification.nn_indices, n_target - 1)
+    squares = shifted - index.points.take(nearest, axis=0)
+    squares *= squares
+    # SpatialIndex's canonical distance, its row sums written out.
+    upper = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+    upper += _BOUND_SLACK * upper + reach
+    upper[~found] = np.inf
+    # Purify leaves a point unfound only beyond max(1, alpha) times its median.
+    before = np.where(
+        found,
+        purification.distances,
+        max(1.0, purification.alpha) * purification.median_distance,
+    )
+    lower = before - step - (_BOUND_SLACK * (before + step) + reach)
+    low = np.partition(lower, k)[k]
+    high = np.partition(upper, k)[k]
+    below = upper < low
+    band = ~below & (lower <= high)
+    distances, _ = index.query(np.compress(band, shifted, axis=0), high)
+    rank = k - int(below.sum())
+    return float(np.partition(distances, rank)[rank])
 
 
 def fine_stage(
@@ -207,9 +258,8 @@ def fine_stage(
     if n_static >= MIN_STATIC_POINTS:
         candidate = refine_translation(source, index, coarse, purification)
         shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
-        # |d_refined(p) - d_coarse(p)| <= |candidate - coarse.translation|.
-        bound = coarse_median + float(np.linalg.norm(candidate - coarse.translation))
-        _, _, refined_median = _bounded_median(index, shifted, bound, 1.0)
+        step = float(np.linalg.norm(candidate - coarse.translation))
+        refined_median = _refined_median(index, shifted, purification, step)
 
     accepted = refined_median < coarse_median
     return FineResult(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudchange import (
     EmptyCloud,
@@ -18,7 +20,7 @@ from cloudchange import (
     refine_translation,
 )
 from cloudchange.cloud import SpatialIndex
-from cloudchange.fine import MIN_STATIC_POINTS
+from cloudchange.fine import MIN_STATIC_POINTS, _refined_median
 
 from conftest import identity_sim3, random_rotation, random_sim3
 
@@ -321,17 +323,18 @@ def _exact_reference(source, target, coarse, alpha, min_static):
     return (translation, accepted, median, refined_median, n_static), purification
 
 
-def _record_bounds(monkeypatch) -> list:
-    """Record the search bound of every SpatialIndex.query call."""
-    bounds = []
+def _record_queries(monkeypatch) -> tuple:
+    """Record the search bound and the point count of every SpatialIndex.query call."""
+    bounds, sizes = [], []
     query = SpatialIndex.query
 
     def recording(self, query_points, upper_bound=np.inf):
         bounds.append(upper_bound)
+        sizes.append(len(query_points))
         return query(self, query_points, upper_bound)
 
     monkeypatch.setattr(SpatialIndex, "query", recording)
-    return bounds
+    return bounds, sizes
 
 
 def _purify_fallback_scene():
@@ -347,13 +350,14 @@ def _purify_fallback_scene():
     return PointCloud(source), PointCloud(target)
 
 
-def _self_check_fallback_scene():
-    """A rejected refinement whose median reaches the self-check's bound.
+def _triangle_bound_scene():
+    """A rejected refinement whose median reaches the triangle bound.
 
     Under alpha = 1 the 40 points 0.25 above their targets are static and the
     60 points 1.0 below theirs (the median) are not.  The candidate moves
     every point down by 0.25, so the refined median is 1.25: exactly the
-    coarse median plus the length of the update, the self-check's bound.
+    coarse median plus the length of the update, and exactly the upper end
+    of the self-check's bracket before its margin.
     """
     axis = np.arange(10.0) * 10.0
     target = np.stack(np.meshgrid(axis, axis, [0.0], indexing="ij"), -1).reshape(-1, 3)
@@ -381,12 +385,13 @@ class TestBoundedQueriesMatchExactReference:
     """The bounded fine stage reproduces the unbounded one bit for bit."""
 
     def _assert_matches(self, source, target, coarse, alpha=3.0, min_static=MIN_STATIC_POINTS):
-        """Compare with the exact reference; return the result and its query bounds."""
+        """Compare with the exact reference; return the result and the bounds
+        and point counts of its queries."""
         expected, (median, threshold, static, static_nn) = _exact_reference(
             source, target, coarse, alpha, min_static
         )
         with pytest.MonkeyPatch.context() as monkeypatch:
-            bounds = _record_bounds(monkeypatch)
+            bounds, sizes = _record_queries(monkeypatch)
             monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
             result = fine_stage(source, target, coarse, alpha=alpha)
         assert result.translation.tobytes() == np.asarray(expected[0], dtype=np.float64).tobytes()
@@ -403,16 +408,19 @@ class TestBoundedQueriesMatchExactReference:
         assert purification.threshold == threshold
         np.testing.assert_array_equal(purification.static_mask, static)
         np.testing.assert_array_equal(purification.nn_indices[static], static_nn)
-        return result, bounds
+        return result, bounds, sizes
 
     def test_accepted(self):
-        result, bounds = self._assert_matches(*_accepted_scene())
+        source, target, coarse = _accepted_scene()
+        result, bounds, sizes = self._assert_matches(source, target, coarse)
         assert result.accepted_refinement
         # Sample, then bounded purify and self-check queries, no fallback.
         assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+        # The self-check queries only the points its bracket cannot place.
+        assert sizes[1] == len(source) and 0 < sizes[2] < len(source)
 
     def test_self_check_rejected(self):
-        result, bounds = self._assert_matches(*_self_check_rejected_scene())
+        result, bounds, _ = self._assert_matches(*_self_check_rejected_scene())
         assert not result.accepted_refinement
         assert result.n_static >= MIN_STATIC_POINTS
         assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
@@ -422,15 +430,15 @@ class TestBoundedQueriesMatchExactReference:
     )
     def test_alpha_below_one(self, make_scene):
         """alpha < 1: the median, not the threshold, must lie below the bound."""
-        _, bounds = self._assert_matches(*make_scene(), alpha=0.5, min_static=30)
-        # Purify's bound, 2 * 0.5 times the sampled median, lies near the true
-        # median here, so it falls back; the self-check's bounded answer stands.
-        assert bounds[2] == np.inf and len(bounds) == 4 and np.isfinite(bounds[3])
+        _, bounds, _ = self._assert_matches(*make_scene(), alpha=0.5, min_static=30)
+        # Purify bounds its search at twice the sampled median, not at twice
+        # alpha times it, so both bounded answers stand: no fallback.
+        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
 
     def test_too_few_static(self, rng):
         target = rng.uniform(0, 10, size=(400, 3))
         source = PointCloud(target + rng.normal(scale=0.01, size=target.shape))
-        result, bounds = self._assert_matches(
+        result, bounds, _ = self._assert_matches(
             source, PointCloud(target), identity_sim3(), min_static=401
         )
         assert result.n_static < 401
@@ -438,7 +446,7 @@ class TestBoundedQueriesMatchExactReference:
 
     def test_purify_falls_back_to_exact_query(self, monkeypatch):
         source, target = _purify_fallback_scene()
-        bounds = _record_bounds(monkeypatch)
+        bounds, _ = _record_queries(monkeypatch)
         result = purify(source, build_index(target), alpha=3.0)
         # Sample, bounded full query, then the exact fallback.
         assert bounds == [np.inf, pytest.approx(0.06), np.inf]
@@ -446,13 +454,107 @@ class TestBoundedQueriesMatchExactReference:
         assert np.isfinite(result.distances).all()
         self._assert_matches(source, target, identity_sim3())
 
-    def test_self_check_falls_back_to_exact_query(self):
-        source, target = _self_check_fallback_scene()
-        result, bounds = self._assert_matches(
+    def test_self_check_median_on_the_triangle_bound(self):
+        source, target = _triangle_bound_scene()
+        result, bounds, _ = self._assert_matches(
             source, target, identity_sim3(), alpha=1.0, min_static=40
         )
-        # Sample and bounded purify query, then the bounded self-check and
-        # its exact fallback.
-        assert bounds[2:] == [1.25, np.inf]
+        # Sample and bounded purify query, then one bounded self-check query
+        # whose bound clears the median by the bracket's margin.
+        assert len(bounds) == 3 and 1.25 < bounds[2] < 1.25 * (1.0 + 1e-6)
         assert not result.accepted_refinement
         assert result.refined_median_residual == 1.25
+
+
+# Displacement of the outlier rows: far beyond purify's bound, so a bounded
+# purify leaves them inf, and far beyond twice any coarse median.
+_FAR = np.array([40.0, -30.0, 20.0])
+# About 1e6 from the origin, so the clouds straddle 2**20, where the spacing
+# of float64 coordinates doubles and a translated point rounds differently.
+_OFFSET = 2.0**20 - 5.0
+
+
+def _bracket_scene(seed, cloud, offset, step):
+    """Target, source, coarse transform and candidate translation.
+
+    ``cloud``: ``"random"`` (independent uniform clouds under a random
+    Sim(3)), ``"lattice"`` (integer grid target, half-integer source: exact
+    ties) or ``"copied"`` (source rows copied from the target: zero
+    distances, and copies nudged 1e-3 along one direction).  The last
+    quarter of the source rows sits ``_FAR`` from its place.  ``offset``
+    moves both clouds away from the origin.  ``step``: ``"zero"`` keeps the
+    coarse translation, ``"small"`` moves it a little (the copied cloud's
+    nudge back, so the nudged rows return onto the target along their coarse
+    distance) and ``"beyond"`` by ``-_FAR``, which carries the outlier rows
+    back onto the target and every other row far off it.
+    """
+    rng = np.random.default_rng(seed)
+    n = 200  # 40 exact copies in the copied cloud, 50 outlier rows in each
+    if cloud == "lattice":
+        base = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        source = base[rng.integers(0, len(base), n)] + rng.integers(-1, 2, (n, 3)) * 0.5
+    elif cloud == "copied":
+        base = rng.uniform(0.0, 10.0, (300, 3))
+        source = base[rng.integers(0, len(base), n)]
+        nudge = rng.normal(0.0, 1.0, 3)
+        nudge *= 1e-3 / np.linalg.norm(nudge)
+        source[40:] += nudge
+    else:
+        base = rng.uniform(0.0, 10.0, (300, 3))
+        source = rng.uniform(0.0, 10.0, (n, 3))
+    source[-n // 4 :] += _FAR
+    target = base + offset
+    coarse = Sim3Transform(1.0, np.eye(3), np.full(3, offset))
+    if cloud == "random":
+        move = random_sim3(rng)
+        coarse = Sim3Transform(move.scale, move.rotation, move.translation + offset)
+        source = coarse.inverse().apply(source + offset)
+    if step == "zero":
+        candidate = coarse.translation
+    elif step == "small" and cloud == "copied":
+        candidate = coarse.translation - nudge
+    elif step == "small":
+        candidate = coarse.translation + (
+            rng.integers(-1, 2, 3) * 0.5 if cloud == "lattice" else rng.normal(0.0, 0.2, 3)
+        )
+    else:
+        candidate = coarse.translation - _FAR
+    return PointCloud(target), PointCloud(source), coarse, candidate
+
+
+class TestRefinedMedianBracket:
+    """The bracketed self-check median equals the lower median of the
+    brute-force distances over the whole target."""
+
+    @pytest.mark.parametrize("step", ["zero", "small", "beyond"])
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "copied"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, _OFFSET]),
+        alpha=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_equals_brute_force_median(self, cloud, step, seed, offset, alpha):
+        target, source, coarse, candidate = _bracket_scene(seed, cloud, offset, step)
+        index = build_index(target)
+        purification = purify(source.with_points(coarse.apply(source.points)), index, alpha)
+        shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
+        step_length = float(np.linalg.norm(candidate - coarse.translation))
+        brute = np.sqrt(np.sum((shifted[:, None, :] - target.points[None, :, :]) ** 2, axis=2))
+        expected = lower_median(brute.min(axis=1))
+        assert _refined_median(index, shifted, purification, step_length) == expected
+
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "copied"])
+    def test_scenes_reach_every_case(self, cloud):
+        """The scenes hold what the property must cover: rows a bounded
+        purify left inf, a step beyond twice the coarse median, and for the
+        lattice and copied clouds exact ties and zero distances."""
+        target, source, coarse, candidate = _bracket_scene(0, cloud, _OFFSET, "beyond")
+        index = build_index(target)
+        purification = purify(source.with_points(coarse.apply(source.points)), index, 3.0)
+        assert np.isinf(purification.distances).sum() == len(source) // 4
+        assert np.linalg.norm(candidate - coarse.translation) > 2 * purification.median_distance
+        distances = purification.distances[np.isfinite(purification.distances)]
+        if cloud != "random":
+            assert (distances == 0.0).sum() > 1
+        if cloud == "lattice":
+            assert len(np.unique(distances)) < 10

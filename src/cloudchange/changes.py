@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloud import PointCloud, build_index, robust_extent
+from .cloud import PointCloud, SpatialIndex, build_index, robust_extent
 from .errors import EmptyCloud, check_non_negative
 
 DEFAULT_TAU_RATIO = 0.01
@@ -64,15 +64,32 @@ class ChangeMap:
 def change_scores(aligned_t1: PointCloud, t2: PointCloud) -> ChangeMap:
     """Bidirectional nearest-neighbor change scores for two aligned clouds.
 
+    Each direction queries its points in the other cloud's leaf order
+    (:attr:`SpatialIndex.order`), which makes the exact search cheaper; an
+    answer depends only on the tree and the point, so the scores are those
+    of querying in input order, bit for bit.
+
     Raises:
         EmptyCloud: if either cloud is empty.
     """
     if len(aligned_t1) == 0 or len(t2) == 0:
         raise EmptyCloud("change scoring requires two non-empty clouds")
-    forward, _ = build_index(t2).query(aligned_t1.points)
-    backward, _ = build_index(aligned_t1).query(t2.points)
+    index_t2 = build_index(t2)
+    index_t1 = build_index(aligned_t1)
+    forward = _distances_in_order(index_t2, aligned_t1.points, index_t1.order)
+    backward = _distances_in_order(index_t1, t2.points, index_t2.order)
     extent = robust_extent(np.concatenate([aligned_t1.points, t2.points]))
     return ChangeMap(forward_scores=forward, backward_scores=backward, scene_extent=extent)
+
+
+def _distances_in_order(index: SpatialIndex, points: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Distances of ``points`` into ``index``, queried in ``order`` dealt into two
+    runs, in input order.  Each worker takes one contiguous chunk of a batch; so
+    dealt, each sweeps the whole scene, not a half that may hold every change."""
+    order = np.concatenate([order[0::2], order[1::2]])
+    distances = np.empty(len(points))
+    distances[order] = index.query(points.take(order, axis=0))[0]
+    return distances
 
 
 def classify_changes(change_map: ChangeMap, tau_ratio: float = DEFAULT_TAU_RATIO) -> ChangeMap:

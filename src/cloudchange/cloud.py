@@ -10,16 +10,24 @@ that answers with the exact Euclidean nearest neighbor, optionally only for
 query points whose neighbor lies within a search bound.  The clouds
 are surface samples, and many queries land off those surfaces (changed
 points), which sliding-midpoint splits answer far faster than median splits.
+The tree's leaves hold 32 points; an index exposes its leaf order to batch queries in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud
+
+# Points per KD-tree leaf (scipy's default: 16).  On detect's two leaf-order
+# queries at 100k points, 32 took 7 % less time than 16 (faster in 43 of 56
+# interleaved pairs) and 64 took 2 % less.
+_LEAF_SIZE = 32
 
 # Largest adaptive grid resolution: the linearized voxel keys reach about
 # (resolution + 1)^3, which must stay below 2^63.
@@ -104,13 +112,18 @@ class PointCloud:
         return self.points.shape[0]
 
     def select(self, indices) -> "PointCloud":
-        """New cloud keeping the rows in ``indices`` (mask, index array or slice)."""
-        idx = indices if isinstance(indices, slice) else np.asarray(indices)
-        return PointCloud(
-            points=self.points[idx],
-            confidence=self.confidence[idx],
-            color=None if self.color is None else self.color[idx],
-        )
+        """New cloud keeping the rows in ``indices``: a slice gives views, a mask or
+        index array copies by ``compress``/``take`` (faster than ``a[idx]``)."""
+        if isinstance(indices, slice):
+            rows = itemgetter(indices)
+        elif (idx := np.asarray(indices)).dtype != bool:
+            rows = partial(np.take, indices=idx, axis=0)
+        elif idx.shape == (len(self),):  # compress would silently truncate a short mask
+            rows = partial(np.compress, idx, axis=0)
+        else:
+            raise IndexError(f"boolean mask of shape {idx.shape} for {len(self)} points")
+        color = None if self.color is None else rows(self.color)
+        return PointCloud(rows(self.points), rows(self.confidence), color)
 
     def with_points(self, points: np.ndarray) -> "PointCloud":
         """New cloud with replaced positions, all other attributes preserved."""
@@ -141,8 +154,10 @@ class SpatialIndex:
     (``compact_nodes=False``).  The indexed clouds are samples of surfaces,
     and detection queries every changed point, far from all of them; on
     scipy's default median-split compact tree such off-surface queries cost
-    many times an on-surface one.  The tree shape changes only the search
-    cost, never the answer.
+    many times an on-surface one.  Leaves hold ``_LEAF_SIZE`` points.  The
+    tree shape changes only the search cost, never the answer.  Queries
+    batched in :attr:`order` (nearby rows adjacent) share tree paths; the
+    order of a batch changes no distance and no index.
 
     Immutable after construction.  Distances are recomputed from the matched
     coordinates with one canonical expression so that an exhaustive scan
@@ -157,11 +172,16 @@ class SpatialIndex:
         self._points = cloud.points
         # Surface samples: off-surface queries are slow on median-split
         # compact trees, so split at sliding midpoints and keep full cells.
-        self._tree = cKDTree(cloud.points, compact_nodes=False, balanced_tree=False)
+        self._tree = cKDTree(cloud.points, _LEAF_SIZE, compact_nodes=False, balanced_tree=False)
 
     @property
     def points(self) -> np.ndarray:
         return self._points
+
+    @property
+    def order(self) -> np.ndarray:
+        """The indexed rows in leaf order: a read-only view of the tree's permutation."""
+        return _readonly(self._tree.indices.view())
 
     def query(self, query_points, upper_bound: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest neighbor of each query point, searched within a bound.

@@ -2,18 +2,39 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from cloudchange import (
     EmptyCloud,
     PointCloud,
+    SpatialIndex,
     change_scores,
     classify_changes,
     color_ramp_table,
     colorize,
 )
+from cloudchange import changes
 from cloudchange.changes import _scores_to_colors
+
+
+def _clouds_with_far_cluster(rng, n1: int, n2: int) -> tuple:
+    """Two Gaussian clouds; the last tenth (at least one row) of the first
+    lies far beyond 4 tau of everything in the second."""
+    a = rng.normal(size=(n1, 3))
+    b = rng.normal(size=(n2, 3))
+    a[n1 - max(1, n1 // 10) :] += 100.0
+    return a, b
+
+
+def _lattice_clouds(rng, n1: int, n2: int) -> tuple:
+    """Integer-lattice clouds, offset by half a step in x: most nearest
+    neighbors are exact ties, and some points repeat."""
+    a = rng.integers(0, 8, size=(n1, 3)).astype(np.float64)
+    b = rng.integers(0, 8, size=(n2, 3)) + np.array([0.5, 0.0, 0.0])
+    return a, b
 
 
 class TestChangeScores:
@@ -35,13 +56,15 @@ class TestChangeScores:
         assert (untouched == 0.0).all()
 
     def test_matches_brute_force(self, rng):
-        a = rng.normal(size=(300, 3))
-        b = rng.normal(size=(300, 3))
-        result = change_scores(PointCloud(a), PointCloud(b))
-        forward = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)).min(1)
-        backward = np.sqrt(np.sum((b[:, None, :] - a[None, :, :]) ** 2, axis=2)).min(1)
-        assert (result.forward_scores == forward).all()
-        assert (result.backward_scores == backward).all()
+        # Sizes 1, 2 and 3 and an odd size of many leaves put the scatter back
+        # and both dealt runs at their edges, in both directions.
+        for n1, n2 in [(300, 300), (1, 1), (1, 2), (2, 3), (3, 1001), (1001, 2), (1001, 1001)]:
+            for a, b in (_clouds_with_far_cluster(rng, n1, n2), _lattice_clouds(rng, n1, n2)):
+                result = change_scores(PointCloud(a), PointCloud(b))
+                forward = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)).min(1)
+                backward = np.sqrt(np.sum((b[:, None, :] - a[None, :, :]) ** 2, axis=2)).min(1)
+                assert (result.forward_scores == forward).all(), (n1, n2)
+                assert (result.backward_scores == backward).all(), (n1, n2)
 
     def test_swap_exchanges_directions_exactly(self, rng):
         a = PointCloud(rng.normal(size=(80, 3)))
@@ -55,6 +78,28 @@ class TestChangeScores:
         cloud = PointCloud(rng.normal(size=(5, 3)))
         with pytest.raises(EmptyCloud):
             change_scores(PointCloud(np.zeros((0, 3))), cloud)
+
+    def test_index_calls_are_sequential_on_the_calling_thread(self, rng, monkeypatch):
+        # An external tracer keeps one span stack per process and fails on
+        # two overlapping traced calls; building both indices and querying
+        # on other threads would make that failure intermittent.
+        calls, active = [], []
+
+        def traced(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident(), len(active)))
+                active.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(changes, "build_index", traced("build", changes.build_index))
+        monkeypatch.setattr(SpatialIndex, "query", traced("query", SpatialIndex.query))
+        change_scores(PointCloud(rng.normal(size=(500, 3))), PointCloud(rng.normal(size=(400, 3))))
+        assert calls == [(name, threading.get_ident(), 0) for name in ("build", "build", "query", "query")]
 
 
 class TestClassifyChanges:

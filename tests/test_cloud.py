@@ -76,6 +76,44 @@ class TestPointCloud:
         np.testing.assert_array_equal(frame.points, cloud.points[2:5])
         assert not frame.points.flags.writeable
 
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [4, 0, 9],
+            [-1, -10, 3],
+            np.array([], dtype=np.int64),
+            [2, 2, 7, 2],
+            np.arange(10) % 3 == 0,
+            np.zeros(10, dtype=bool),
+            np.ones(10, dtype=bool),
+            slice(1, 8, 3),
+            slice(None, None, -2),
+        ],
+        ids=["ints", "negative", "empty", "repeated", "mask", "empty_mask", "full_mask", "slice", "reversed"],
+    )
+    @pytest.mark.parametrize("colored", [True, False])
+    def test_select_rows_equal_fancy_indexing(self, rng, indices, colored):
+        color = rng.integers(0, 255, (10, 3), dtype=np.uint8) if colored else None
+        cloud = PointCloud(rng.normal(size=(10, 3)), rng.uniform(0, 1, 10), color=color)
+        subset = cloud.select(indices)
+        np.testing.assert_array_equal(subset.points, cloud.points[indices], strict=True)
+        np.testing.assert_array_equal(subset.confidence, cloud.confidence[indices], strict=True)
+        if colored:
+            np.testing.assert_array_equal(subset.color, cloud.color[indices], strict=True)
+        else:
+            assert subset.color is None
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (0,), (10, 1)], ids=["short", "long", "empty", "2d"])
+    def test_select_rejects_mask_of_wrong_shape(self, rng, shape):
+        cloud = PointCloud(rng.normal(size=(10, 3)))
+        with pytest.raises(IndexError, match="boolean mask"):
+            cloud.select(np.ones(shape, dtype=bool))
+
+    def test_select_index_out_of_range_raises(self, rng):
+        cloud = PointCloud(rng.normal(size=(10, 3)))
+        with pytest.raises(IndexError):
+            cloud.select([3, 10])
+
     def test_points_are_immutable(self, rng):
         cloud = PointCloud(rng.normal(size=(4, 3)))
         with pytest.raises(ValueError):
@@ -140,6 +178,26 @@ class TestRobustExtent:
         assert robust_extent([[1.0, 2.0, 3.0]]) == 0.0
 
 
+@st.composite
+def _tied_clouds(draw):
+    """Clouds on a coarse lattice with few confidence levels: many points share
+    a voxel, many share a confidence, and some share their coordinates."""
+    n = draw(st.integers(1, 200))
+    pts = draw(arrays(np.float64, (n, 3), elements=st.integers(0, 6).map(lambda v: 0.25 * v)))
+    conf = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.0])))
+    return PointCloud(pts, conf)
+
+
+@st.composite
+def _continuous_clouds(draw):
+    """Clouds with drawn float coordinates and confidences drawn from few
+    levels, so ties in confidence are common."""
+    n = draw(st.integers(1, 200))
+    pts = draw(arrays(np.float64, (n, 3), elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+    conf = draw(arrays(np.float64, n, elements=st.sampled_from([0.1, 0.4, 0.4, 0.9])))
+    return PointCloud(pts, conf)
+
+
 class TestVoxelDownsample:
     def test_single_point_unchanged(self):
         cloud = PointCloud([[1.0, 2.0, 3.0]], [0.4])
@@ -195,14 +253,12 @@ class TestVoxelDownsample:
         keep = voxel_downsample_indices(cloud, voxel_grid_params(cloud, 4))
         assert 0 in keep and 1 not in keep
 
-    def test_idempotent_under_pinned_grid(self, rng):
-        pts = rng.uniform(0.0, 10.0, size=(3000, 3))
-        cloud = PointCloud(pts, rng.uniform(0, 1, 3000))
-        grid = voxel_grid_params(cloud, 50)
+    @given(cloud=st.one_of(_tied_clouds(), _continuous_clouds()), resolution=st.integers(1, 60))
+    def test_idempotent_under_pinned_grid(self, cloud, resolution):
+        # Re-downsampling with the same grid keeps every point.
+        grid = voxel_grid_params(cloud, resolution)
         once = cloud.select(voxel_downsample_indices(cloud, grid=grid))
-        twice = once.select(voxel_downsample_indices(once, grid=grid))
-        np.testing.assert_array_equal(once.points, twice.points)
-        np.testing.assert_array_equal(once.confidence, twice.confidence)
+        np.testing.assert_array_equal(voxel_downsample_indices(once, grid=grid), np.arange(len(once)))
 
     def test_no_input_point_beats_representative(self, rng):
         pts = rng.uniform(0.0, 5.0, size=(2000, 3))
@@ -261,16 +317,6 @@ def _lexsort_voxel_indices(cloud: PointCloud, grid: VoxelGrid) -> np.ndarray:
     return np.sort(order[first])
 
 
-@st.composite
-def _tied_clouds(draw):
-    """Clouds on a coarse lattice with few confidence levels: many points share
-    a voxel, many share a confidence, and some share their coordinates."""
-    n = draw(st.integers(1, 200))
-    pts = draw(arrays(np.float64, (n, 3), elements=st.integers(0, 6).map(lambda v: 0.25 * v)))
-    conf = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.0])))
-    return PointCloud(pts, conf)
-
-
 class TestVoxelSelectionMatchesLexsort:
     @given(cloud=_tied_clouds(), resolution=st.integers(1, 8))
     def test_adaptive_grid(self, cloud, resolution):
@@ -287,6 +333,21 @@ class TestVoxelSelectionMatchesLexsort:
         keep = voxel_downsample_indices(cloud, grid=grid)
         np.testing.assert_array_equal(keep, _lexsort_voxel_indices(cloud, grid))
         assert keep.tolist() == [1]
+
+
+@st.composite
+def _index_clouds(draw):
+    """Random, lattice (exact-distance ties) or duplicated-row clouds of up to
+    several KD-tree leaves."""
+    kind = draw(st.sampled_from(["random", "lattice", "duplicated"]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.normal(size=(n, 3))
+    if kind == "lattice":
+        return rng.integers(0, 4, size=(n, 3)) * 0.5
+    base = rng.normal(size=(max(1, n // 4), 3))
+    return base[rng.integers(0, len(base), n)]
 
 
 class TestSpatialIndex:
@@ -318,6 +379,33 @@ class TestSpatialIndex:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
             build_index(PointCloud(np.zeros((0, 3))))
+
+    @given(
+        points=_index_clouds(),
+        queries=_index_clouds(),
+        permutation=st.sampled_from(["random", "leaf_order", "dealt_leaf_order"]),
+        bound=st.one_of(st.just(np.inf), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_answers_do_not_depend_on_query_order(self, points, queries, permutation, bound, seed):
+        # Why querying in another cloud's leaf order cannot change a score or
+        # a tie's pick: each answer depends only on the tree and the point.
+        index = build_index(PointCloud(points))
+        assert np.array_equal(np.sort(index.order), np.arange(len(points)))
+        assert not index.order.flags.writeable
+        if permutation == "random":
+            order = np.random.default_rng(seed).permutation(len(queries))
+        else:
+            order = build_index(PointCloud(queries)).order
+            if permutation == "dealt_leaf_order":
+                order = np.concatenate([order[0::2], order[1::2]])
+        dist, idx = index.query(queries, bound)
+        permuted_dist, permuted_idx = index.query(queries[order], bound)
+        scattered_dist, scattered_idx = np.empty_like(dist), np.empty_like(idx)
+        scattered_dist[order] = permuted_dist
+        scattered_idx[order] = permuted_idx
+        np.testing.assert_array_equal(scattered_dist, dist)
+        np.testing.assert_array_equal(scattered_idx, idx)
 
 
 _coordinates = st.one_of(

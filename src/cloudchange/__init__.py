@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fine import FineResult, PurificationResult, fine_stage, purify, refine_translation
 from .geometry import (
-    SE3Pose,
     Sim3Transform,
     apply_transform,
     compose_relative,

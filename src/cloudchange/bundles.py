@@ -18,6 +18,14 @@ array, one value per point of its epoch: ``uint8`` change labels and edge
 flags (0 or 1), and ``int64`` generation indices.  The JSON-list form of
 these fields that older files hold is no longer read.
 
+A trajectory file lists its cameras under ``poses``, one object per camera:
+``epoch_id``, ``frame_index`` and ``center``, three numbers in the frame of
+the clouds it accompanies (the epoch frame in an epoch directory, the world
+frame under gt_trajectories/).  Camera orientations are not stored.  The
+rotation-and-translation entries that older files hold are no longer read:
+such a file is a :class:`SchemaError` naming it and its first entry, and
+``synth`` writes the scene again.
+
 Every JSON file read here declares a ``format_version``; readers reject
 unknown major versions with a :class:`SchemaError` naming the offending
 file.  This module owns that version, its check, and the reading and
@@ -41,7 +49,7 @@ import numpy as np
 from .cloud import PointCloud
 from .coarse import JointReconstruction
 from .errors import InvalidSpec, SchemaError, check_fields
-from .geometry import SE3Pose, Sim3Transform
+from .geometry import Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
 from .synthetic import (
@@ -53,7 +61,7 @@ from .synthetic import (
 
 FORMAT_VERSION = "1.0"
 
-_POSE_TYPES = {"epoch_id": int, "frame_index": int, "rotation": list, "translation": list}
+_POSE_TYPES = {"epoch_id": int, "frame_index": int, "center": list}
 _GT_TYPES = {"seed": int, "n_frames": int, "extent": float, "epoch_transforms": list}
 # The per-point fields of gt.json and the little-endian dtype each encodes:
 # 0/1 change labels and edge flags, and each point's index in generation order.
@@ -132,13 +140,10 @@ def write_trajectory(path, trajectory: Trajectory):
         "format_version": FORMAT_VERSION,
         "epoch_id": epochs[0] if len(epochs) == 1 else None,
         "poses": [
-            {
-                "epoch_id": epoch,
-                "frame_index": pose.frame_index,
-                "rotation": pose.rotation.tolist(),
-                "translation": pose.translation.tolist(),
-            }
-            for epoch, pose in zip(trajectory.epoch_ids, trajectory.poses)
+            {"epoch_id": epoch, "frame_index": frame, "center": center}
+            for epoch, frame, center in zip(
+                trajectory.epoch_ids, trajectory.frame_indices, trajectory.centers.tolist()
+            )
         ],
     }
     write_json(path, data)
@@ -146,17 +151,16 @@ def write_trajectory(path, trajectory: Trajectory):
 
 def read_trajectory(path) -> Trajectory:
     entries = check_fields(read_json(path), {"poses": list}, ("poses",), str(path), SchemaError)
-    poses, epochs = [], []
-    for i, entry in enumerate(entries["poses"]):
-        what = f"{path}: pose {i}"
-        pose = check_fields(entry, _POSE_TYPES, tuple(_POSE_TYPES), what, SchemaError)
-        try:
-            poses.append(SE3Pose(pose["rotation"], pose["translation"], pose["frame_index"]))
-        except ValueError as exc:
-            raise SchemaError(f"{what}: {exc}") from None
-        epochs.append(pose["epoch_id"])
+    poses = [
+        check_fields(entry, _POSE_TYPES, tuple(_POSE_TYPES), f"{path}: pose {i}", SchemaError)
+        for i, entry in enumerate(entries["poses"])
+    ]
     try:
-        return Trajectory(tuple(poses), tuple(epochs))
+        return Trajectory(
+            [pose["center"] for pose in poses],
+            [pose["frame_index"] for pose in poses],
+            [pose["epoch_id"] for pose in poses],
+        )
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -257,9 +261,10 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
                                     edge flag (base64 uint8) and generation
                                     index (base64 little-endian int64)
         e1/frame_NNNN.ply           per-frame epoch-1 clouds
-        e1/trajectory.json          epoch-frame camera trajectory
+        e1/trajectory.json          epoch-frame camera centers
         e2/...                      likewise for epoch 2
-        gt_trajectories/e1.json     world-frame ground-truth trajectories
+        gt_trajectories/e1.json     world-frame ground-truth camera centers
+                                    (and e2.json)
         joint/e{k}_frame_NNNN.ply   shared-frame keyframe clouds (all frames)
     """
     directory = Path(directory)

@@ -28,7 +28,7 @@ from .cloud import PointCloud
 from .errors import CloudChangeError, InvalidSpec, check_non_negative
 from .geometry import apply_transform, compose_relative
 from .metrics import (
-    MetricsReport, Trajectory, ablation_sweep, ate, combine_trajectories, rte, transform_error,
+    MetricsReport, ablation_sweep, ate, combine_trajectories, rte, stack_epochs, transform_error,
 )
 from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
 from .synthetic import SceneSpec, generate_scene
@@ -260,7 +260,7 @@ def _cmd_eval(args) -> int:
 
     estimated = report.final_sim3()
     predicted = combine_trajectories(pred1, pred2, estimated)
-    ground_truth = Trajectory(gt1.poses + gt2.poses, gt1.epoch_ids + gt2.epoch_ids)
+    ground_truth = stack_epochs(gt1, gt2)
     metrics = MetricsReport(
         ate_m=ate(predicted, ground_truth),
         rte_m=rte(predicted, ground_truth),

@@ -276,8 +276,13 @@ class VoxelGrid:
         """Linearized voxel id for each point."""
         if self.voxel_size <= 0.0:
             return np.zeros(len(points), dtype=np.int64)
-        idx3 = np.floor((points - self.origin) / self.voxel_size).astype(np.int64)
-        idx3 = np.clip(idx3, 0, self.dims - 1)
+        # Clamp before the cast: a quotient beyond the int64 range (or inf)
+        # would cast to INT64_MIN and land in voxel 0.  In place, because
+        # np.clip takes about a fifth longer here.
+        with np.errstate(over="ignore"):
+            idx3 = np.floor((points - self.origin) / self.voxel_size)
+        np.maximum(idx3, 0.0, out=idx3)
+        idx3 = np.minimum(idx3, self.dims - 1, out=idx3).astype(np.int64)
         return (idx3[:, 0] * self.dims[1] + idx3[:, 1]) * self.dims[2] + idx3[:, 2]
 
 

@@ -49,7 +49,10 @@ def check_fields(data, types: dict, required: tuple, what: str, error: type) -> 
 def check_numbers(values, name: str) -> np.ndarray:
     """``values`` as a contiguous float64 array; ValueError naming ``name``
     unless they are integers or floats (not booleans, strings or ragged lists)."""
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        raise ValueError(f"{name} must be a regular array, got {reprlib.repr(values)}") from None
     # numpy would read a boolean among numbers as 0 or 1.
     mixed = isinstance(values, list) and bool in map(type, np.asarray(values, dtype=object).flat)
     if array.dtype.kind not in "iuf" or mixed:

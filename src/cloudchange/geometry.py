@@ -1,11 +1,10 @@
-"""Similarity-transform algebra, closed-form alignment, and camera poses.
+"""Similarity-transform algebra and closed-form alignment.
 
 A :class:`Sim3Transform` is the 7-DoF similarity map p -> s*R*p + t used to
 carry a scale-ambiguous reconstruction into another frame.  The closed-form
 least-squares estimator :func:`umeyama` recovers such a transform from paired
 points via an SVD of the cross-covariance, with the standard sign correction
-so the rotation is never a reflection.  An :class:`SE3Pose` holds one
-camera's rigid extrinsics, which the trajectory metrics compare.
+so the rotation is never a reflection.
 
 All values are immutable after construction and safe to share across
 concurrent workers.
@@ -30,26 +29,6 @@ ROTATION_TOL = 1e-9
 # and run the same kernel on every row.
 ROTATE_BLOCK_ROWS = 16_384
 _SIM3_TYPES = {"scale": float, "rotation": list, "translation": list}
-
-
-def _check_rotation(rotation) -> np.ndarray:
-    r = check_numbers(rotation, "rotation")
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation must be a 3x3 matrix, got shape {r.shape}")
-    with np.errstate(all="ignore"):  # huge or infinite entries: err is inf or NaN
-        err = np.linalg.norm(r.T @ r - np.eye(3))
-    if not err <= ROTATION_TOL:
-        raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
-    if np.linalg.det(r) < 0.0:
-        raise ValueError("rotation has determinant -1 (reflection)")
-    return r
-
-
-def _check_translation(translation) -> np.ndarray:
-    t = check_numbers(translation, "translation").reshape(3)
-    if not np.isfinite(t).all():
-        raise ValueError(f"translation must be finite, got {t.tolist()}")
-    return t
 
 
 def rotate(points, rotation: np.ndarray) -> np.ndarray:
@@ -100,9 +79,19 @@ class Sim3Transform:
         s = float(self.scale)
         if not (s > 0.0) or not math.isfinite(s):
             raise ValueError(f"scale must be a positive finite number, got {s}")
-        r = _check_rotation(self.rotation)
+        r = check_numbers(self.rotation, "rotation")
+        if r.shape != (3, 3):
+            raise ValueError(f"rotation must be a 3x3 matrix, got shape {r.shape}")
+        with np.errstate(all="ignore"):  # huge or infinite entries: err is inf or NaN
+            err = np.linalg.norm(r.T @ r - np.eye(3))
+        if not err <= ROTATION_TOL:
+            raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
+        if np.linalg.det(r) < 0.0:
+            raise ValueError("rotation has determinant -1 (reflection)")
+        t = check_numbers(self.translation, "translation").reshape(3)
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t.tolist()}")
         r.setflags(write=False)
-        t = _check_translation(self.translation)
         t.setflags(write=False)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "rotation", r)
@@ -221,34 +210,3 @@ def umeyama(source, target) -> Sim3Transform:
     scale = float(np.sum(d * sign)) / var_src
     translation = mu_tgt - scale * (rotation @ mu_src)
     return Sim3Transform(scale, rotation, translation)
-
-
-@dataclass(frozen=True)
-class SE3Pose:
-    """Rigid camera extrinsics: x_camera = rotation @ x_world + translation.
-
-    Attributes:
-        rotation: orthonormal world-to-camera matrix, det +1.
-        translation: finite 3-vector in scene units.
-        frame_index: non-negative frame number the pose belongs to.
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    frame_index: int = 0
-
-    def __post_init__(self):
-        r = _check_rotation(self.rotation)
-        r.setflags(write=False)
-        t = _check_translation(self.translation)
-        t.setflags(write=False)
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "frame_index", int(self.frame_index))
-
-    @property
-    def center(self) -> np.ndarray:
-        """Camera center in the world frame: -R^T t."""
-        return -(self.rotation.T @ self.translation)

@@ -1,11 +1,13 @@
 """Trajectory and transform error metrics, plus the ablation harness.
 
-The absolute trajectory error aligns the combined two-epoch camera centers
-onto the ground truth with one global similarity fit before measuring the
-RMSE, so a single consistent frame offset costs nothing while cross-epoch
-misalignment (which no single global transform can absorb) remains visible.
-The relative translation error compares consecutive same-epoch step lengths
-after the same alignment.
+A :class:`Trajectory` is a track of camera centers: both trajectory metrics
+read positions only, so camera orientations are never stored.  The absolute
+trajectory error aligns the combined two-epoch camera centers onto the
+ground truth with one global similarity fit before measuring the RMSE, so a
+single consistent frame offset costs nothing while cross-epoch misalignment
+(which no single global transform can absorb) remains visible.  The relative
+translation error compares consecutive same-epoch step lengths after the
+same alignment.
 """
 
 from __future__ import annotations
@@ -14,49 +16,63 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LabelMismatch, TooFewPoses
-from .geometry import SE3Pose, Sim3Transform, rotation_angle_deg, umeyama
+from .errors import LabelMismatch, TooFewPoses, check_numbers
+from .geometry import Sim3Transform, rotation_angle_deg, umeyama
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered camera poses, each tagged with the epoch it belongs to."""
+    """Camera centers in frame order, each tagged with its frame and epoch.
 
-    poses: tuple
+    Attributes:
+        centers: read-only (n, 3) float64 array of finite camera centers.
+        frame_indices: n non-negative frame numbers, strictly increasing
+            within an epoch.
+        epoch_ids: the epoch of each centre.
+    """
+
+    centers: np.ndarray
+    frame_indices: tuple
     epoch_ids: tuple
 
     def __post_init__(self):
-        poses = tuple(self.poses)
+        centers = check_numbers(self.centers, "centers").copy()
+        frames = tuple(int(f) for f in self.frame_indices)
         epochs = tuple(int(e) for e in self.epoch_ids)
-        if len(poses) != len(epochs):
-            raise ValueError("poses and epoch_ids must have equal length")
+        if centers.shape != (len(frames), 3) or len(epochs) != len(frames):
+            raise ValueError("need one 3-vector center, frame index and epoch id per camera")
+        if not np.isfinite(centers).all():
+            raise ValueError("centers must be finite")
         last = {}
-        for pose, epoch in zip(poses, epochs):
-            if epoch in last and pose.frame_index <= last[epoch]:
+        for frame, epoch in zip(frames, epochs):
+            if frame < 0:
+                raise ValueError("frame indices must be non-negative")
+            if epoch in last and frame <= last[epoch]:
                 raise ValueError("frame indices must strictly increase within an epoch")
-            last[epoch] = pose.frame_index
-        object.__setattr__(self, "poses", poses)
+            last[epoch] = frame
+        centers.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "frame_indices", frames)
         object.__setattr__(self, "epoch_ids", epochs)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.frame_indices)
 
     def labels(self) -> list:
-        return [(e, p.frame_index) for e, p in zip(self.epoch_ids, self.poses)]
-
-    def centers(self) -> np.ndarray:
-        return np.array([p.center for p in self.poses]).reshape(-1, 3)
+        return list(zip(self.epoch_ids, self.frame_indices))
 
     def transformed(self, transform: Sim3Transform) -> "Trajectory":
-        """The trajectory carried through ``transform``.  Only the centers
-        stay metrically meaningful (a similarity does not act on a rigid
-        pose's scale), which is all the trajectory metrics use."""
-        poses = []
-        for pose in self.poses:
-            center = transform.apply(pose.center)
-            rotation = pose.rotation @ transform.rotation.T
-            poses.append(SE3Pose(rotation, -(rotation @ center), frame_index=pose.frame_index))
-        return Trajectory(tuple(poses), self.epoch_ids)
+        """The trajectory carried through ``transform``."""
+        return Trajectory(transform.apply(self.centers), self.frame_indices, self.epoch_ids)
+
+
+def stack_epochs(epoch1: Trajectory, epoch2: Trajectory) -> Trajectory:
+    """One trajectory holding ``epoch1``'s cameras, then ``epoch2``'s."""
+    return Trajectory(
+        np.concatenate([epoch1.centers, epoch2.centers]),
+        epoch1.frame_indices + epoch2.frame_indices,
+        epoch1.epoch_ids + epoch2.epoch_ids,
+    )
 
 
 def combine_trajectories(
@@ -65,10 +81,9 @@ def combine_trajectories(
     """Combined predicted trajectory in epoch 2's frame.
 
     Epoch 1 is carried over by the estimated relative transform; epoch 2
-    poses pass through unchanged.
+    passes through unchanged.
     """
-    mapped = epoch1.transformed(relative)
-    return Trajectory(mapped.poses + epoch2.poses, mapped.epoch_ids + epoch2.epoch_ids)
+    return stack_epochs(epoch1.transformed(relative), epoch2)
 
 
 def _check_labels(predicted: Trajectory, ground_truth: Trajectory):
@@ -77,7 +92,7 @@ def _check_labels(predicted: Trajectory, ground_truth: Trajectory):
 
 
 def _alignment(predicted: Trajectory, ground_truth: Trajectory) -> Sim3Transform:
-    return umeyama(predicted.centers(), ground_truth.centers())
+    return umeyama(predicted.centers, ground_truth.centers)
 
 
 def ate(predicted: Trajectory, ground_truth: Trajectory) -> float:
@@ -88,8 +103,8 @@ def ate(predicted: Trajectory, ground_truth: Trajectory) -> float:
         LabelMismatch: if the trajectories' (epoch, frame) labels differ.
     """
     _check_labels(predicted, ground_truth)
-    aligned = _alignment(predicted, ground_truth).apply(predicted.centers())
-    err = aligned - ground_truth.centers()
+    aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
+    err = aligned - ground_truth.centers
     return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
 
 
@@ -109,8 +124,8 @@ def rte(predicted: Trajectory, ground_truth: Trajectory) -> float:
     for epoch in epochs:
         if int((ids == epoch).sum()) < 2:
             raise TooFewPoses(f"epoch {epoch} has fewer than 2 poses")
-    aligned = _alignment(predicted, ground_truth).apply(predicted.centers())
-    gt = ground_truth.centers()
+    aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
+    gt = ground_truth.centers
     errors = []
     for epoch in epochs:
         sel = np.nonzero(ids == epoch)[0]
@@ -157,11 +172,7 @@ def _scene_trajectories(scene, relative: Sim3Transform) -> tuple:
     predicted = combine_trajectories(
         scene.predicted_trajectory(1), scene.predicted_trajectory(2), relative
     )
-    ground_truth = Trajectory(
-        scene.trajectory_t1.poses + scene.trajectory_t2.poses,
-        scene.trajectory_t1.epoch_ids + scene.trajectory_t2.epoch_ids,
-    )
-    return predicted, ground_truth
+    return predicted, stack_epochs(scene.trajectory_t1, scene.trajectory_t2)
 
 
 def evaluate_scene_run(scene, result) -> MetricsReport:

@@ -8,7 +8,8 @@ cells so their points sit far from all other geometry.  Each epoch lives in
 its own private similarity frame, reproducing the scale/pose ambiguity of
 independent reconstructions, and carries realistic defects: per-point
 Gaussian noise, low-confidence "edge-flying" points elongated along the
-viewing ray, and per-epoch camera trajectories.
+viewing ray, and per-epoch camera trajectories: tracks of camera centers on
+a circle round the room, from which each point's viewing ray starts.
 
 Everything is a pure function of the scene seed; identical specs produce
 bitwise-identical scenes.
@@ -24,7 +25,7 @@ import numpy as np
 from .cloud import PointCloud, robust_extent
 from .coarse import JointReconstruction
 from .errors import InvalidSpec, check_fields, check_non_negative, check_numbers
-from .geometry import SE3Pose, Sim3Transform, compose_relative
+from .geometry import Sim3Transform, compose_relative
 from .keyframes import KeyframeSet
 from .metrics import Trajectory
 
@@ -266,18 +267,14 @@ class BiTemporalScene:
         return [cloud.select(slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def predicted_trajectory(self, epoch_id: int) -> Trajectory:
-        """The epoch's camera trajectory expressed in its private frame.
+        """The epoch's camera centers expressed in its private frame.
 
         This plays the role of the per-epoch reconstruction's camera output:
         the ground-truth world trajectory carried into the epoch frame by
-        the inverse ground-truth transform.  Built once per epoch and kept
-        with the scene, since every trajectory metric of a run starts here.
+        the inverse ground-truth transform.
         """
         world_traj = self.trajectory_t1 if epoch_id == 1 else self.trajectory_t2
-        return self.prepared(
-            ("predicted_trajectory", epoch_id),
-            lambda: world_traj.transformed(self.epoch_transforms[epoch_id - 1].inverse()),
-        )
+        return world_traj.transformed(self.epoch_transforms[epoch_id - 1].inverse())
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -346,31 +343,16 @@ def _interior_cells(half: np.ndarray, z_fraction: float) -> np.ndarray:
     return np.asarray(centers)
 
 
-def _look_at(center: np.ndarray, target: np.ndarray, frame_index: int) -> SE3Pose:
-    forward = target - center
-    forward = forward / np.linalg.norm(forward)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(forward @ up) > 0.99:
-        up = np.array([0.0, 1.0, 0.0])
-    right = np.cross(up, forward)
-    right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
-    rotation = np.stack([right, down, forward])
-    return SE3Pose(rotation, -(rotation @ center), frame_index=frame_index)
-
-
 def _arc_trajectory(
     rng: np.random.Generator, half: np.ndarray, n_frames: int, epoch_id: int
 ) -> Trajectory:
+    """Camera centers evenly spaced round a horizontal circle about the room's center."""
     radius = 0.4 * min(half[0], half[1]) * rng.uniform(0.9, 1.1)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     height = rng.uniform(-0.2, 0.2) * half[2]
-    poses = []
-    for i in range(n_frames):
-        theta = phase + 2.0 * math.pi * i / n_frames
-        center = np.array([radius * math.cos(theta), radius * math.sin(theta), height])
-        poses.append(_look_at(center, np.zeros(3), frame_index=i + 1))
-    return Trajectory(tuple(poses), tuple([epoch_id] * n_frames))
+    thetas = [phase + 2.0 * math.pi * i / n_frames for i in range(n_frames)]
+    centers = [[radius * math.cos(theta), radius * math.sin(theta), height] for theta in thetas]
+    return Trajectory(centers, range(1, n_frames + 1), (epoch_id,) * n_frames)
 
 
 def _assign_frames(
@@ -381,7 +363,7 @@ def _assign_frames(
     A jitter of three quarters of the angular spacing blurs the region
     boundaries so neighboring frames see overlapping geometry.
     """
-    cam_centers = trajectory.centers()
+    cam_centers = trajectory.centers
     cam_az = np.arctan2(cam_centers[:, 1], cam_centers[:, 0])
     n_frames = len(cam_az)
     jitter = 0.75 * 2.0 * math.pi / n_frames
@@ -510,7 +492,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         if n_edge > 0:
             edge_idx = edge_rng.choice(n, size=n_edge, replace=False)
             edge_mask[edge_idx] = True
-            cam_centers = trajectory.centers()[frames[edge_idx] - 1]
+            cam_centers = trajectory.centers[frames[edge_idx] - 1]
             rays = noisy[edge_idx] - cam_centers
             rays /= np.linalg.norm(rays, axis=1, keepdims=True)
             magnitude = edge_rng.uniform(0.3, 1.0, n_edge) * spec.edge_noise_elongation * extent

@@ -412,16 +412,13 @@ def test_criterion_09_brute_force_oracle_equivalence():
     predicted = combine_trajectories(
         scene.predicted_trajectory(1), scene.predicted_trajectory(2), estimated
     )
-    from cloudchange.metrics import Trajectory
+    from cloudchange.metrics import stack_epochs
 
-    gt = Trajectory(
-        scene.trajectory_t1.poses + scene.trajectory_t2.poses,
-        scene.trajectory_t1.epoch_ids + scene.trajectory_t2.epoch_ids,
-    )
+    gt = stack_epochs(scene.trajectory_t1, scene.trajectory_t2)
     value = ate(predicted, gt)
 
-    pred_centers = predicted.centers()
-    gt_centers = gt.centers()
+    pred_centers = predicted.centers
+    gt_centers = gt.centers
     mu_p, mu_g = pred_centers.mean(0), gt_centers.mean(0)
     pc, gc = pred_centers - mu_p, gt_centers - mu_g
     cov = gc.T @ pc / len(pc)

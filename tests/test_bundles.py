@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cloudchange import CloudChangeError, PointCloud, SchemaError, compose_relative
 from cloudchange.bundles import (
@@ -23,6 +24,7 @@ from cloudchange.bundles import (
     write_trajectory,
 )
 from cloudchange.coarse import JointReconstruction
+from cloudchange.metrics import Trajectory
 from cloudchange.pipeline import PipelineConfig, RunReport
 from cloudchange.synthetic import (
     ChangeSpec,
@@ -31,6 +33,8 @@ from cloudchange.synthetic import (
     generate_scene,
     mock_joint_inference,
 )
+
+from conftest import random_sim3
 
 
 @pytest.fixture(scope="module")
@@ -47,56 +51,57 @@ def scene():
     )
 
 
+def _trajectory_file(path, entry):
+    """A one-camera trajectory file whose only entry is ``entry``."""
+    # json.dumps spells NaN and -Infinity, which json.loads reads back.
+    path.write_text(json.dumps({"format_version": "1.0", "poses": [entry]}))
+    return path
+
+
+@st.composite
+def trajectories(draw):
+    """A trajectory of 1-12 cameras in epochs 1 and 2 with finite centers."""
+    n = draw(st.integers(1, 12))
+    centers = draw(
+        arrays(np.float64, (n, 3), elements=st.floats(-1e300, 1e300, allow_subnormal=True))
+    )
+    frames = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    epochs = draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    return Trajectory(centers, frames, epochs)
+
+
 class TestTrajectoryFiles:
-    def test_round_trip(self, rng, tmp_path, scene):
+    def test_round_trip(self, tmp_path, scene):
         path = tmp_path / "traj.json"
         write_trajectory(path, scene.trajectory_t1)
         back = read_trajectory(path)
         assert back.labels() == scene.trajectory_t1.labels()
-        np.testing.assert_allclose(
-            back.centers(), scene.trajectory_t1.centers(), atol=1e-12
-        )
+        np.testing.assert_array_equal(back.centers, scene.trajectory_t1.centers)
 
-    def test_bad_rotation_rejected(self, tmp_path):
-        path = tmp_path / "traj.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "format_version": "1.0",
-                    "poses": [
-                        {
-                            "epoch_id": 1,
-                            "frame_index": 1,
-                            "rotation": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
-                            "translation": [0, 0, 0],
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(SchemaError):
+    @given(trajectory=trajectories(), seed=st.integers(0, 2**32 - 1))
+    def test_file_and_transform_keep_center_bits(self, tmp_path_factory, trajectory, seed):
+        path = tmp_path_factory.mktemp("traj") / "traj.json"
+        write_trajectory(path, trajectory)
+        back = read_trajectory(path)
+        assert back.labels() == trajectory.labels()
+        assert back.centers.tobytes() == trajectory.centers.tobytes()
+        transform = random_sim3(np.random.default_rng(seed))
+        moved = trajectory.transformed(transform)
+        assert moved.centers.tobytes() == transform.apply(trajectory.centers).tobytes()
+        assert moved.labels() == trajectory.labels()
+
+    def test_pose_form_rejected(self, tmp_path):
+        old = {"epoch_id": 1, "frame_index": 1, "rotation": np.eye(3).tolist(),
+               "translation": [0, 0, 0]}
+        path = _trajectory_file(tmp_path / "traj.json", old)
+        with pytest.raises(SchemaError, match=f"{path}: pose 0: missing field 'center'"):
             read_trajectory(path)
 
-    @pytest.mark.parametrize("translation", [[float("nan"), 0, 0], [0, 0, float("-inf")]])
-    def test_non_finite_translation_rejected(self, tmp_path, translation):
-        path = tmp_path / "traj.json"
-        # json.dumps spells these NaN and -Infinity, which json.loads reads back.
-        path.write_text(
-            json.dumps(
-                {
-                    "format_version": "1.0",
-                    "poses": [
-                        {
-                            "epoch_id": 1,
-                            "frame_index": 1,
-                            "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                            "translation": translation,
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(SchemaError, match="pose 0: translation must be finite"):
+    @pytest.mark.parametrize("center", [[float("nan"), 0, 0], [0, 0, float("-inf")]])
+    def test_non_finite_center_rejected(self, tmp_path, center):
+        entry = {"epoch_id": 1, "frame_index": 1, "center": center}
+        path = _trajectory_file(tmp_path / "traj.json", entry)
+        with pytest.raises(SchemaError, match="centers must be finite"):
             read_trajectory(path)
 
 

@@ -60,7 +60,7 @@ class TestSynth:
         assert json.loads((out / "scene.json").read_text())["shared_trajectories"] is True
         # A shared route puts both epochs' cameras at the same world centers.
         centers = [
-            read_trajectory(out / "gt_trajectories" / f"e{epoch}.json").centers()
+            read_trajectory(out / "gt_trajectories" / f"e{epoch}.json").centers
             for epoch in (1, 2)
         ]
         np.testing.assert_array_equal(centers[0], centers[1])
@@ -262,6 +262,13 @@ def _repeat_first_frame_index(data):
     data["poses"][1]["frame_index"] = data["poses"][0]["frame_index"]
 
 
+def _to_pose_form(data):
+    """The rotation-and-translation entries that older trajectory files hold."""
+    for pose in data["poses"]:
+        center = pose.pop("center")
+        pose.update(rotation=np.eye(3).tolist(), translation=[-value for value in center])
+
+
 # gt.json edits that every reader of the file must reject.
 MALFORMED_GT_HEADERS = {
     "boolean_extent": _set("gt.json", "extent", True),
@@ -284,8 +291,11 @@ MALFORMED_EVAL_INPUTS = {
     "fractional_frame_index": _set("e1/trajectory.json", "poses", 0, "frame_index", 1.7),
     "fractional_epoch_id": _set("e2/trajectory.json", "poses", 0, "epoch_id", 1.2),
     "boolean_frame_index": _set("gt_trajectories/e1.json", "poses", 0, "frame_index", True),
-    "string_translation": _set("e2/trajectory.json", "poses", 2, "translation", ["1", "2", "3"]),
-    "boolean_in_translation": _set("e1/trajectory.json", "poses", 0, "translation", 1, True),
+    "string_center": _set("e2/trajectory.json", "poses", 2, "center", ["1", "2", "3"]),
+    "boolean_in_center": _set("e1/trajectory.json", "poses", 0, "center", 1, True),
+    "short_center": _set("gt_trajectories/e1.json", "poses", 1, "center", [0.0, 1.0]),
+    "non_finite_center": _set("gt_trajectories/e2.json", "poses", 0, "center", 2, float("nan")),
+    "pose_form_file": ("e2/trajectory.json", _to_pose_form),
     **MALFORMED_GT_HEADERS,
 }
 

@@ -293,6 +293,18 @@ class TestVoxelDownsample:
         # The outlier lands in a boundary voxel; total never exceeds input.
         assert 1 <= len(out) <= 500
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("voxel_size", [0.1, 1e-300], ids=["beyond_int64", "overflow_to_inf"])
+    def test_far_points_clamp_into_the_nearest_boundary_voxel(self, voxel_size):
+        # x quotients of +-1e301 lie beyond the int64 range; at 1e-300 they,
+        # and those of y and z, overflow to +-inf.
+        grid = VoxelGrid(voxel_size, np.zeros(3), np.full(3, 10))
+        far = np.array([[1e300, 0.5, 0.5], [-1e300, 0.5, 0.5]])
+        edge = np.array([[9.5 * voxel_size, 0.5, 0.5], [0.5 * voxel_size, 0.5, 0.5]])
+        keys = grid.keys(far)
+        np.testing.assert_array_equal(keys, grid.keys(edge))
+        assert (keys // 100).tolist() == [9, 0]
+
     @pytest.mark.parametrize("resolution", [0, MAX_GRID_RESOLUTION + 1])
     def test_out_of_range_resolution_rejected(self, resolution):
         cloud = PointCloud(np.eye(3))

@@ -1,4 +1,4 @@
-"""Transform algebra, the closed-form similarity fit, and camera poses."""
+"""Transform algebra and the closed-form similarity fit."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from cloudchange import (
     DegenerateInput,
-    SE3Pose,
     Sim3Transform,
     apply_transform,
     compose_relative,
@@ -25,7 +24,7 @@ from cloudchange import (
 from cloudchange.cloud import PointCloud
 from cloudchange.geometry import ROTATE_BLOCK_ROWS, rotate
 
-from conftest import identity_sim3, random_rotation, random_sim3
+from conftest import identity_sim3, random_sim3
 
 TASKS = Path("/proc/self/task")
 
@@ -103,6 +102,11 @@ class TestSim3Transform:
         almost = np.eye(3) + 1e-6
         with pytest.raises(ValueError):
             Sim3Transform(1.0, almost, np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, value):
+        with pytest.raises(ValueError, match="translation must be finite"):
+            Sim3Transform(1.0, np.eye(3), [0.0, value, 0.0])
 
     def test_inverse_round_trip(self, rng):
         t = random_sim3(rng)
@@ -354,18 +358,7 @@ class TestApplyTransform:
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-10)
 
 
-class TestSE3Pose:
-    def test_center(self, rng):
-        r = random_rotation(rng)
-        c = rng.normal(size=3)
-        pose = SE3Pose(r, -(r @ c))
-        np.testing.assert_allclose(pose.center, c, atol=1e-12)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_translation(self, value):
-        with pytest.raises(ValueError, match="translation must be finite"):
-            SE3Pose(np.eye(3), [0.0, value, 0.0])
-
+class TestRotationAngleDeg:
     def test_rotation_angle(self, rng):
         axis = np.array([0.0, 0.0, 1.0])
         angle = 0.3

@@ -8,7 +8,6 @@ import pytest
 from cloudchange import (
     LabelMismatch,
     MetricsReport,
-    SE3Pose,
     Sim3Transform,
     TooFewPoses,
     Trajectory,
@@ -16,26 +15,19 @@ from cloudchange import (
     combine_trajectories,
     rte,
 )
-from cloudchange.metrics import ablation_sweep, evaluate_scene_run, transform_error
+from cloudchange.metrics import ablation_sweep, evaluate_scene_run, stack_epochs, transform_error
 from cloudchange.pipeline import MODES, PipelineConfig
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
-from conftest import random_rotation, random_sim3
+from conftest import random_sim3
 
 
-def _trajectory_from_centers(centers, epoch_id=1, rng=None):
-    rng = rng or np.random.default_rng(0)
-    poses = []
-    for i, c in enumerate(centers, start=1):
-        r = random_rotation(rng)
-        poses.append(SE3Pose(r, -(r @ np.asarray(c, float)), frame_index=i))
-    return Trajectory(tuple(poses), (epoch_id,) * len(poses))
+def _track(centers, epoch_id=1):
+    return Trajectory(centers, range(1, len(centers) + 1), (epoch_id,) * len(centers))
 
 
-def _combined(centers1, centers2, rng=None):
-    t1 = _trajectory_from_centers(centers1, 1, rng)
-    t2 = _trajectory_from_centers(centers2, 2, rng)
-    return Trajectory(t1.poses + t2.poses, t1.epoch_ids + t2.epoch_ids)
+def _combined(centers1, centers2):
+    return stack_epochs(_track(centers1, 1), _track(centers2, 2))
 
 
 def _arc(n, radius=5.0, phase=0.0):
@@ -44,37 +36,62 @@ def _arc(n, radius=5.0, phase=0.0):
 
 
 class TestTrajectory:
-    def test_frame_indices_must_increase_within_epoch(self, rng):
-        r = random_rotation(rng)
-        poses = [SE3Pose(r, np.zeros(3), frame_index=2), SE3Pose(r, np.ones(3), frame_index=1)]
-        with pytest.raises(ValueError):
-            Trajectory(tuple(poses), (1, 1))
+    def test_frame_indices_must_increase_within_epoch(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Trajectory(np.zeros((2, 3)), (2, 1), (1, 1))
 
-    def test_labels_and_centers(self, rng):
-        traj = _trajectory_from_centers(_arc(4), 2, rng)
+    def test_frame_indices_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Trajectory(np.zeros((1, 3)), (-1,), (1,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_center(self, value):
+        with pytest.raises(ValueError, match="centers must be finite"):
+            Trajectory([[0.0, value, 0.0]], (1,), (1,))
+
+    @pytest.mark.parametrize(
+        "centers, frames, epochs",
+        [([[0.0, 0.0]], (1,), (1,)), (np.zeros((2, 3)), (1,), (1, 1)), (np.zeros((1, 3)), (1,), ())],
+        ids=["short_center", "fewer_frames", "fewer_epochs"],
+    )
+    def test_lengths_must_agree(self, centers, frames, epochs):
+        with pytest.raises(ValueError, match="one 3-vector center"):
+            Trajectory(centers, frames, epochs)
+
+    def test_ragged_centers_rejected(self):
+        with pytest.raises(ValueError, match="centers must be a regular array"):
+            Trajectory([[0.0, 0.0, 0.0], [0.0, 1.0]], (1, 2), (1, 1))
+
+    def test_labels_and_centers(self):
+        centers = _arc(4)
+        traj = _track(centers, 2)
         assert traj.labels() == [(2, 1), (2, 2), (2, 3), (2, 4)]
-        assert traj.centers().shape == (4, 3)
+        np.testing.assert_array_equal(traj.centers, centers)
+        # A copy, read-only: the caller's array stays writable and apart.
+        assert not traj.centers.flags.writeable
+        centers[0] = 9.0
+        assert traj.centers[0, 0] != 9.0
 
 
 class TestAte:
-    def test_perfect_prediction_is_zero(self, rng):
-        traj = _combined(_arc(8), _arc(8, 4.0, 1.0), rng)
+    def test_perfect_prediction_is_zero(self):
+        traj = _combined(_arc(8), _arc(8, 4.0, 1.0))
         assert ate(traj, traj) == pytest.approx(0.0, abs=1e-9)
 
     def test_global_sim3_absorbed(self, rng):
-        gt = _combined(_arc(8), _arc(8, 4.0, 1.0), rng)
+        gt = _combined(_arc(8), _arc(8, 4.0, 1.0))
         g = random_sim3(rng)
-        moved_centers = g.apply(gt.centers())
-        predicted = _combined(moved_centers[:8], moved_centers[8:], rng)
+        moved_centers = g.apply(gt.centers)
+        predicted = _combined(moved_centers[:8], moved_centers[8:])
         assert ate(predicted, gt) == pytest.approx(0.0, abs=1e-9)
 
-    def test_offset_epoch_matches_brute_force_oracle(self, rng):
+    def test_offset_epoch_matches_brute_force_oracle(self):
         # Epoch 1 centers offset by (1, 0, 0), epoch 2 exact; compare with
         # an independent implementation of the same definition.
         c1 = _arc(10)
         c2 = _arc(10, 4.0, 0.7)
-        gt = _combined(c1, c2, rng)
-        predicted = _combined(c1 + np.array([1.0, 0.0, 0.0]), c2, rng)
+        gt = _combined(c1, c2)
+        predicted = _combined(c1 + np.array([1.0, 0.0, 0.0]), c2)
         value = ate(predicted, gt)
 
         def brute_force_ate(pred_centers, gt_centers):
@@ -95,32 +112,31 @@ class TestAte:
             aligned = scale * pred_centers @ rot.T + t
             return float(np.sqrt(np.mean(np.sum((aligned - gt_centers) ** 2, 1))))
 
-        expected = brute_force_ate(predicted.centers(), gt.centers())
+        expected = brute_force_ate(predicted.centers, gt.centers)
         assert value == pytest.approx(expected, abs=1e-9)
         assert value > 0.1
 
-    def test_label_mismatch(self, rng):
-        a = _combined(_arc(5), _arc(5, 4.0), rng)
-        b = _combined(_arc(6), _arc(6, 4.0), rng)
+    def test_label_mismatch(self):
+        a = _combined(_arc(5), _arc(5, 4.0))
+        b = _combined(_arc(6), _arc(6, 4.0))
         with pytest.raises(LabelMismatch):
             ate(a, b)
 
 
 class TestRte:
-    def test_perfect_prediction_is_zero(self, rng):
-        traj = _combined(_arc(6), _arc(6, 4.0), rng)
+    def test_perfect_prediction_is_zero(self):
+        traj = _combined(_arc(6), _arc(6, 4.0))
         assert rte(traj, traj) == pytest.approx(0.0, abs=1e-9)
 
-    def test_uniform_translation_is_invisible(self, rng):
-        gt = _combined(_arc(6), _arc(6, 4.0), rng)
+    def test_uniform_translation_is_invisible(self):
+        gt = _combined(_arc(6), _arc(6, 4.0))
         shifted = _combined(
             _arc(6) + np.array([3.0, -1.0, 2.0]),
             _arc(6, 4.0) + np.array([3.0, -1.0, 2.0]),
-            rng,
         )
         assert rte(shifted, gt) == pytest.approx(0.0, abs=1e-9)
 
-    def test_single_corrupted_step_hand_computed(self, rng):
+    def test_single_corrupted_step_hand_computed(self):
         # Steps along x of length 1; corrupt one predicted center by +0.25x,
         # which perturbs two consecutive steps to 1.25 and 0.75.  With the
         # identity alignment (prediction = truth elsewhere), the RMS over
@@ -128,10 +144,10 @@ class TestRte:
         line = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
         # Use well-spread second-epoch geometry so alignment is determined.
         other = _arc(5, 3.0, 0.4)
-        gt = _combined(line, other, rng)
+        gt = _combined(line, other)
         corrupted = line.copy()
         corrupted[2, 0] += 0.25
-        predicted = _combined(corrupted, other, rng)
+        predicted = _combined(corrupted, other)
 
         got = rte(predicted, gt)
         # The global alignment is near-identity here (tiny perturbation of
@@ -140,10 +156,8 @@ class TestRte:
         expected = np.sqrt((0.25**2 + 0.25**2) / 8.0)
         assert got == pytest.approx(expected, rel=0.05)
 
-    def test_too_few_poses(self, rng):
-        one = _trajectory_from_centers([[0, 0, 0]], 1, rng)
-        two = _trajectory_from_centers(_arc(2), 2, rng)
-        traj = Trajectory(one.poses + two.poses, one.epoch_ids + two.epoch_ids)
+    def test_too_few_poses(self):
+        traj = _combined([[0, 0, 0]], _arc(2))
         with pytest.raises(TooFewPoses):
             rte(traj, traj)
 
@@ -166,12 +180,10 @@ class TestCombineTrajectories:
     def test_epoch1_centers_mapped(self, rng):
         c1 = _arc(4)
         c2 = _arc(4, 4.0)
-        t1 = _trajectory_from_centers(c1, 1, rng)
-        t2 = _trajectory_from_centers(c2, 2, rng)
         rel = random_sim3(rng)
-        combined = combine_trajectories(t1, t2, rel)
-        np.testing.assert_allclose(combined.centers()[:4], rel.apply(c1), atol=1e-9)
-        np.testing.assert_allclose(combined.centers()[4:], c2, atol=1e-12)
+        combined = combine_trajectories(_track(c1, 1), _track(c2, 2), rel)
+        np.testing.assert_array_equal(combined.centers[:4], rel.apply(c1))
+        np.testing.assert_array_equal(combined.centers[4:], c2)
         assert combined.epoch_ids == (1, 1, 1, 1, 2, 2, 2, 2)
 
 

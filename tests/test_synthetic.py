@@ -162,7 +162,7 @@ class TestGenerateScene:
             # lies closest to its own camera's among all cameras.
             world = scene.world_points(epoch_id)
             trajectory = scene.trajectory_t1 if epoch_id == 1 else scene.trajectory_t2
-            centers = trajectory.centers()
+            centers = trajectory.centers
             cam_az = np.arctan2(centers[:, 1], centers[:, 0])
             for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
                 if hi - lo < 20:
@@ -176,7 +176,7 @@ class TestGenerateScene:
         scene = generate_scene(SceneSpec(seed=12, n_static=300, n_frames_per_epoch=12))
         assert len(scene.trajectory_t1) == 12
         assert len(scene.trajectory_t2) == 12
-        assert [p.frame_index for p in scene.trajectory_t1.poses] == list(range(1, 13))
+        assert scene.trajectory_t1.frame_indices == tuple(range(1, 13))
 
 
 class TestMockJointInference:

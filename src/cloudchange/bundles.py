@@ -8,15 +8,17 @@ in a frame-file name are ASCII digits, the frame number written with at least
 four; readers take each number by its value, so frame_10000.ply follows
 frame_9999.ply.  One file per frame: two names with the same numbers
 (frame_1.ply and frame_0001.ply) are a :class:`SchemaError` naming both, and
-so is a name that does not parse.  A *scene
-directory* is the exported form of a synthetic bi-temporal scene: both epoch
-directories, predicted and ground-truth trajectories, a joint directory, and a
-gt.json with the two ground-truth epoch transforms (the relative transform is
-derived from them, never stored) and per-point change labels.  Each per-point
-field of gt.json is one standard base64 string (RFC 4648) of a little-endian
-array, one value per point of its epoch: ``uint8`` change labels and edge
-flags (0 or 1), and ``int64`` generation indices.  The JSON-list form of
-these fields that older files hold is no longer read.
+so is a name that does not parse.  A *scene directory* is the export of a
+synthetic bi-temporal scene, never read back whole: both epoch directories,
+predicted and ground-truth trajectories, a joint directory, the spec as
+scene.json, and a gt.json with the two ground-truth epoch transforms (the
+relative transform is derived from them, never stored) and per-point change
+labels.  A scene is a pure function of its spec and those transforms, so
+``ablate`` regenerates it from scene.json and gt.json.  Each per-point field
+of gt.json is one standard base64 string (RFC 4648) of a little-endian array,
+one value per point of its epoch: ``uint8`` change labels and edge flags (0 or
+1), and ``int64`` generation indices; no command reads them, they label the
+clouds for outside users.
 
 A trajectory file lists its cameras under ``poses``, one object per camera:
 ``epoch_id``, ``frame_index`` and ``center``, three numbers in the frame of
@@ -32,8 +34,7 @@ file.  This module owns that version, its check, and the reading and
 writing of JSON files.  Each reader checks its fields with
 :func:`errors.check_fields` and ignores keys it does not know, so files
 stay readable across minor versions.  :func:`read_ground_truth` decodes the
-header fields of gt.json, which ``eval`` needs; only :func:`read_scene_dir`
-decodes its per-point fields.
+header fields of gt.json, which ``eval`` and ``ablate`` need.
 """
 
 from __future__ import annotations
@@ -41,23 +42,14 @@ from __future__ import annotations
 import base64
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .cloud import PointCloud
 from .coarse import JointReconstruction
-from .errors import InvalidSpec, SchemaError, check_fields
+from .errors import SchemaError, check_fields
 from .geometry import Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
-from .synthetic import (
-    BiTemporalScene,
-    SceneSpec,
-    all_frames_keyframes,
-    mock_joint_inference,
-)
+from .synthetic import all_frames_keyframes, mock_joint_inference
 
 FORMAT_VERSION = "1.0"
 
@@ -220,34 +212,16 @@ def scene_ground_truth_dict(scene) -> dict:
 
 
 def read_ground_truth(path) -> dict:
-    """Parse a gt.json: ``seed``, ``n_frames``, ``extent`` and the two
-    ``epoch_transforms``, decoded, plus the per-point fields of
-    ``_POINT_DTYPES`` as the file holds them (``None`` when absent): base64
-    text, which only :func:`read_scene_dir` decodes.  The ``gt_relative`` key
-    of older files is ignored."""
-    data = read_json(path)
-    gt = check_fields(data, _GT_TYPES, tuple(_GT_TYPES), str(path), SchemaError)
+    """Parse the header of a gt.json: ``seed``, ``n_frames``, ``extent`` and
+    the two ``epoch_transforms``, decoded.  The per-point fields and the
+    ``gt_relative`` key of older files are not read."""
+    gt = check_fields(read_json(path), _GT_TYPES, tuple(_GT_TYPES), str(path), SchemaError)
     if len(gt["epoch_transforms"]) != 2:
         raise SchemaError(f"{path}: epoch_transforms must hold exactly two transforms")
     gt["epoch_transforms"] = tuple(
         Sim3Transform.from_dict(t, f"{path}: epoch_transforms") for t in gt["epoch_transforms"]
     )
-    return {**gt, **{key: data.get(key) for key in _POINT_DTYPES}}
-
-
-def _point_values(text, n_points: int, dtype: str, high: int, what: str) -> np.ndarray:
-    """A per-point field of gt.json: base64 of ``n_points`` little-endian
-    ``dtype`` values in [0, high]."""
-    try:  # TypeError: not a string (the old list form); ValueError: not base64 of whole values
-        values = np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or len(values) != n_points or ((values < 0) | (values > high)).any():
-        raise SchemaError(
-            f"{what} must be base64 of {n_points} little-endian {np.dtype(dtype)} values"
-            f" from 0 to {high}"
-        )
-    return values
+    return gt
 
 
 def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: float = 0.0):
@@ -286,59 +260,3 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
         scene, all_frames_keyframes(scene), sigma=joint_sigma, warp_amplitude=warp_amplitude
     )
     write_joint_dir(directory / "joint", joint)
-
-
-def read_scene_dir(directory) -> BiTemporalScene:
-    """Rebuild a synthetic scene from its exported directory.
-
-    Positions round through the PLY float32 encoding, so the rebuilt scene
-    matches the original to float32 precision; re-exporting it writes
-    byte-identical cloud files and gt.json.  Each per-point field of gt.json
-    must be a base64 string (validated strictly) of one little-endian value
-    per point of its epoch: ``uint8`` 0 or 1, or for ``origin_*`` an ``int64``
-    index below the point count.  Anything else, including the JSON list that
-    older files hold, raises :class:`SchemaError` naming gt.json and the key.
-    """
-    directory = Path(directory)
-    spec_path = directory / "scene.json"
-    spec_data = read_json(spec_path)
-    del spec_data["format_version"]
-    try:
-        spec = SceneSpec.from_dict(spec_data)
-    except InvalidSpec as exc:
-        raise SchemaError(f"{spec_path}: {exc}") from None
-    gt_path = directory / "gt.json"
-    gt = read_ground_truth(gt_path)
-    spec = replace(spec, epoch_transforms=gt["epoch_transforms"])
-
-    clouds, worlds, bounds = [], [], []
-    for epoch_id, name in ((1, "e1"), (2, "e2")):
-        frames = read_epoch_dir(directory / name)
-        if len(frames) != spec.n_frames_per_epoch:
-            declared = f"scene.json declares {spec.n_frames_per_epoch}"
-            raise SchemaError(f"{directory / name}: {len(frames)} frame files, {declared}")
-        cloud = PointCloud.concatenate(frames)
-        clouds.append(cloud)
-        worlds.append(spec.epoch_transforms[epoch_id - 1].apply(cloud.points))
-        bounds.append(np.cumsum([0] + [len(frame) for frame in frames]))
-
-    per_point = {}
-    for key, dtype in _POINT_DTYPES.items():
-        n_points = len(clouds[int(key[-1]) - 1])
-        is_origin = key.startswith("origin")
-        high = n_points - 1 if is_origin else 1
-        values = _point_values(gt[key], n_points, dtype, high, f"{gt_path}: {key}")
-        per_point[key] = values.astype(np.int64 if is_origin else bool)
-    return BiTemporalScene(
-        spec=spec,
-        cloud_t1=clouds[0],
-        cloud_t2=clouds[1],
-        world_t1=worlds[0],
-        world_t2=worlds[1],
-        **per_point,
-        frame_bounds_t1=bounds[0],
-        frame_bounds_t2=bounds[1],
-        trajectory_t1=read_trajectory(directory / "gt_trajectories" / "e1.json"),
-        trajectory_t2=read_trajectory(directory / "gt_trajectories" / "e2.json"),
-        extent=gt["extent"],
-    )

@@ -8,7 +8,10 @@ Subcommands::
     detect     aligned inputs or a register output -> colored change PLYs
                + statistics
     eval       run report + scene ground truth -> metrics JSON
-    ablate     scene directory + keyframe budgets -> CSV table
+    ablate     scene.json + gt.json + keyframe budgets -> CSV table
+
+``ablate`` regenerates the scene from those two files alone, so its table is
+:func:`metrics.ablation_sweep` on the generated scene.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 """
@@ -20,12 +23,13 @@ import csv
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import bundles
 from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
-from .errors import CloudChangeError, InvalidSpec, check_non_negative
+from .errors import CloudChangeError, InvalidSpec, SchemaError, check_non_negative
 from .geometry import apply_transform, compose_relative
 from .metrics import (
     MetricsReport, ablation_sweep, ate, combine_trajectories, rte, stack_epochs, transform_error,
@@ -138,8 +142,9 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--scene", type=Path, required=True, help="scene directory with gt")
     p_eval.add_argument("--out", type=Path, help="metrics JSON (default: scene metrics.json)")
 
-    p_abl = sub.add_parser("ablate", help="keyframe-budget sweep on a scene directory")
-    p_abl.add_argument("--scene", type=Path, required=True)
+    p_abl = sub.add_parser("ablate", help="keyframe-budget sweep on a regenerated scene")
+    p_abl.add_argument("--scene", type=Path, required=True,
+                       help="scene directory; only its scene.json and gt.json are read")
     p_abl.add_argument("--k-list", type=str, required=True,
                        help="comma-separated keyframe budgets, e.g. 2,3,5,9")
     p_abl.add_argument("--out", type=Path, required=True, help="output CSV")
@@ -151,24 +156,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _scene_spec(path, seed=None) -> SceneSpec:
+    """The spec file at ``path`` (if any) over ``DEFAULT_SCENE``, ``seed``
+    overriding; a library error names ``path``."""
+    data = dict(DEFAULT_SCENE)
+    if path is not None:
+        overrides = bundles.load_json(path)
+        if not isinstance(overrides, dict):
+            raise InvalidSpec(f"{path}: scene spec must be a JSON object")
+        # A scene.json written by synth is a valid spec file.
+        if "format_version" in overrides:
+            bundles.check_version(overrides.pop("format_version"), path)
+        data.update(overrides)
+    if seed is not None:
+        data["seed"] = seed
+    try:
+        return SceneSpec.from_dict(data)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     with _flag_checks():
         check_non_negative("--joint-sigma", args.joint_sigma)
         check_non_negative("--joint-warp", args.joint_warp)
-    data = dict(DEFAULT_SCENE)
-    if args.spec is not None:
-        overrides = bundles.load_json(args.spec)
-        if not isinstance(overrides, dict):
-            raise InvalidSpec(f"{args.spec}: scene spec must be a JSON object")
-        # A scene.json written by synth is a valid spec file.
-        if "format_version" in overrides:
-            bundles.check_version(overrides.pop("format_version"), args.spec)
-        data.update(overrides)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    spec = SceneSpec.from_dict(data)
+    spec = _scene_spec(args.spec, args.seed)
     scene = generate_scene(spec)
     bundles.write_scene_dir(
         scene, args.out, joint_sigma=args.joint_sigma, warp_amplitude=args.joint_warp
@@ -292,7 +306,15 @@ def _cmd_ablate(args) -> int:
                 config.replace(k_keyframes=k, mode=mode)
         check_non_negative("--joint-sigma", args.joint_sigma)
         check_non_negative("--joint-warp", args.joint_warp)
-    scene = bundles.read_scene_dir(args.scene)
+    spec = _scene_spec(args.scene / "scene.json")
+    gt_path = args.scene / "gt.json"
+    gt = bundles.read_ground_truth(gt_path)
+    scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+    # JSON numbers round-trip exactly, so files written together agree exactly.
+    for key, value in (("seed", spec.seed), ("n_frames", spec.n_frames_per_epoch),
+                       ("extent", scene.extent)):
+        if gt[key] != value:
+            raise SchemaError(f"{gt_path}: {key} is {gt[key]!r}, scene.json gives {value!r}")
     rows = ablation_sweep(
         scene,
         k_values,

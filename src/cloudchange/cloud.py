@@ -77,6 +77,10 @@ class PointCloud:
         points: (n, 3) finite float64 positions in scene units.
         confidence: (n,) float64 values in [0, 1]; defaults to all ones.
         color: optional (n, 3) uint8 RGB.
+
+    A C-contiguous input of the stored dtype is kept without a copy and made
+    read-only in place, so large clouds are never copied; pass a copy of an
+    array you will still write to.
     """
 
     points: np.ndarray

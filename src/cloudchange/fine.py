@@ -114,7 +114,7 @@ class FineResult:
     n_static: int
 
     def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.translation, dtype=np.float64)).reshape(3)
+        t = np.array(self.translation, dtype=np.float64).reshape(3)  # a copy: never the caller's
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
         if self.accepted_refinement and not (

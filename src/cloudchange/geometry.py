@@ -79,7 +79,8 @@ class Sim3Transform:
         s = float(self.scale)
         if not (s > 0.0) or not math.isfinite(s):
             raise ValueError(f"scale must be a positive finite number, got {s}")
-        r = check_numbers(self.rotation, "rotation")
+        # Copies, so the value neither freezes nor follows the caller's arrays.
+        r = check_numbers(self.rotation, "rotation").copy()
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be a 3x3 matrix, got shape {r.shape}")
         with np.errstate(all="ignore"):  # huge or infinite entries: err is inf or NaN
@@ -88,7 +89,7 @@ class Sim3Transform:
             raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
         if np.linalg.det(r) < 0.0:
             raise ValueError("rotation has determinant -1 (reflection)")
-        t = check_numbers(self.translation, "translation").reshape(3)
+        t = check_numbers(self.translation, "translation").reshape(3).copy()
         if not np.isfinite(t).all():
             raise ValueError(f"translation must be finite, got {t.tolist()}")
         r.setflags(write=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,23 +17,17 @@ from cloudchange.bundles import (
     read_epoch_dir,
     read_ground_truth,
     read_joint_dir,
-    read_scene_dir,
     read_trajectory,
     write_epoch_dir,
     write_joint_dir,
     write_scene_dir,
     write_trajectory,
 )
+from cloudchange.cli import _scene_spec, main
 from cloudchange.coarse import JointReconstruction
 from cloudchange.metrics import Trajectory
 from cloudchange.pipeline import PipelineConfig, RunReport
-from cloudchange.synthetic import (
-    ChangeSpec,
-    SceneSpec,
-    all_frames_keyframes,
-    generate_scene,
-    mock_joint_inference,
-)
+from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 from conftest import random_sim3
 
@@ -68,6 +63,11 @@ def trajectories(draw):
     frames = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
     epochs = draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
     return Trajectory(centers, frames, epochs)
+
+
+def _files(directory) -> list:
+    """Paths of the files under ``directory``, relative to it, sorted."""
+    return sorted(path.relative_to(directory) for path in directory.rglob("*") if path.is_file())
 
 
 class TestTrajectoryFiles:
@@ -122,19 +122,17 @@ class TestSceneDirectory:
             read_epoch_dir(epoch)
 
     def test_scene_round_trip_and_idempotent_export(self, tmp_path, scene):
-        write_scene_dir(scene, tmp_path / "s")
-        back = read_scene_dir(tmp_path / "s")
-        assert back.spec.to_dict() == scene.spec.to_dict()
-        assert (back.labels_t1 == scene.labels_t1).all()
-        assert (back.labels_t2 == scene.labels_t2).all()
-        assert back.gt_relative.scale == pytest.approx(scene.gt_relative.scale, rel=1e-12)
-        np.testing.assert_allclose(
-            back.cloud_t2.points, scene.cloud_t2.points, atol=1e-4
-        )
-        # Re-exporting the re-read scene reproduces the cloud and gt.json bytes.
-        write_scene_dir(back, tmp_path / "s2")
-        for name in ("e1/frame_0001.ply", "gt.json"):
-            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+        # scene.json and the transforms of gt.json regenerate the scene, and
+        # re-exporting it reproduces every file, the joint clouds included.
+        write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
+        spec = _scene_spec(tmp_path / "s" / "scene.json")
+        gt = read_ground_truth(tmp_path / "s" / "gt.json")
+        back = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+        write_scene_dir(back, tmp_path / "s2", joint_sigma=0.01)
+        files = [_files(tmp_path / name) for name in ("s", "s2")]
+        assert files[0] == files[1] and len(files[0]) == 4 * scene.spec.n_frames_per_epoch + 6
+        for name in files[0]:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes(), name
 
     def test_joint_dir_round_trip(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
@@ -147,10 +145,13 @@ class TestSceneDirectory:
     def test_ground_truth_fields(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
         gt = read_ground_truth(tmp_path / "s" / "gt.json")
-        assert gt["seed"] == scene.spec.seed
+        assert (gt["seed"], gt["n_frames"], gt["extent"]) == (
+            scene.spec.seed, scene.spec.n_frames_per_epoch, scene.extent
+        )
         # Per-point fields: base64 of little-endian uint8 flags and int64 indices.
+        raw = json.loads((tmp_path / "s" / "gt.json").read_text())
         for key, dtype in (("labels_t2", "u1"), ("edge_t1", "u1"), ("origin_t2", "<i8")):
-            decoded = np.frombuffer(base64.b64decode(gt[key], validate=True), dtype=dtype)
+            decoded = np.frombuffer(base64.b64decode(raw[key], validate=True), dtype=dtype)
             assert decoded.tolist() == getattr(scene, key).astype(int).tolist()
         # JSON floats round-trip exactly, so the derived transform is bit-identical.
         assert compose_relative(*gt["epoch_transforms"]).to_dict() == scene.gt_relative.to_dict()
@@ -171,27 +172,34 @@ class TestSceneDirectory:
         scene = generate_scene(SceneSpec(seed=0, n_static=40, n_frames_per_epoch=30))
         assert int((np.diff(scene.frame_bounds(1)) == 0).sum()) == 8
         write_scene_dir(scene, tmp_path / "s")
-        back = read_scene_dir(tmp_path / "s")
-        joint = mock_joint_inference(back, all_frames_keyframes(back))
+        joint = read_joint_dir(tmp_path / "s" / "joint")
         for epoch_id, name in ((1, "e1"), (2, "e2")):
-            on_disk = [len(f) for f in read_epoch_dir(tmp_path / "s" / name)]
-            frames = back.epoch_frames(epoch_id)
-            assert [len(f) for f in frames] == on_disk
+            frames = read_epoch_dir(tmp_path / "s" / name)
+            on_disk = [len(f) for f in frames]
+            assert [len(f) for f in scene.epoch_frames(epoch_id)] == on_disk
             assert [len(joint.clouds[(epoch_id, i)]) for i in range(1, 31)] == on_disk
             merged = PointCloud.concatenate(frames)
-            cloud = back.cloud(epoch_id)
-            assert merged.points.tobytes() == cloud.points.tobytes()
-            assert merged.confidence.tobytes() == cloud.confidence.tobytes()
-        assert PointCloud.concatenate(back.epoch_frames(1)).points.tobytes() == (
-            scene.cloud_t1.points.astype(np.float32).astype(np.float64).tobytes()
-        )
+            cloud = scene.cloud(epoch_id)
+            assert merged.points.tobytes() == (
+                cloud.points.astype(np.float32).astype(np.float64).tobytes()
+            )
+            assert merged.confidence.tobytes() == (
+                cloud.confidence.astype(np.float32).astype(np.float64).tobytes()
+            )
 
-    def test_frame_count_differs_from_spec(self, tmp_path, scene):
+    def test_frame_count_differs_from_spec(self, tmp_path, scene, capsys):
+        # ablate regenerates the scene from scene.json, so a gt.json whose
+        # frame count disagrees with it is rejected, naming gt.json.
         write_scene_dir(scene, tmp_path / "s")
+        gt_path = tmp_path / "s" / "gt.json"
+        gt = json.loads(gt_path.read_text())
+        gt["n_frames"] += 1
+        gt_path.write_text(json.dumps(gt))
+        out = tmp_path / "t.csv"
+        assert main(["ablate", "--scene", str(tmp_path / "s"), "--k-list", "2", "--out", str(out)]) == 2
         last = scene.spec.n_frames_per_epoch
-        (tmp_path / "s" / "e2" / f"frame_{last:04d}.ply").unlink()
-        with pytest.raises(SchemaError, match=f"{last - 1} frame files, scene.json declares {last}"):
-            read_scene_dir(tmp_path / "s")
+        assert f"{gt_path}: n_frames is {last + 1}, scene.json gives {last}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_gt_file(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s")
@@ -283,18 +291,14 @@ def _replaced(node, path, value):
 
 
 # Reader under test: the JSON file it reads, relative to the scene directory,
-# and how to run it on that directory and file.
+# and how to run it on that file.
 JSON_READERS = {
-    "read_trajectory": ("e1/trajectory.json", lambda scene, path: read_trajectory(path)),
-    "read_ground_truth": ("gt.json", lambda scene, path: read_ground_truth(path)),
-    "read_scene_dir[gt]": ("gt.json", lambda scene, path: read_scene_dir(scene)),
-    "read_scene_dir[spec]": ("scene.json", lambda scene, path: read_scene_dir(scene)),
-    "read_scene_dir[trajectory]": (
-        "gt_trajectories/e2.json", lambda scene, path: read_scene_dir(scene)
-    ),
-    "final_sim3": ("report.json", lambda scene, path: RunReport.read(path).final_sim3()),
+    "read_trajectory": ("e1/trajectory.json", read_trajectory),
+    "read_ground_truth": ("gt.json", read_ground_truth),
+    "scene_spec_file": ("scene.json", _scene_spec),
+    "final_sim3": ("report.json", lambda path: RunReport.read(path).final_sim3()),
     "SceneSpec.from_dict": (
-        "spec.json", lambda scene, path: SceneSpec.from_dict(json.loads(path.read_text()))
+        "spec.json", lambda path: SceneSpec.from_dict(json.loads(path.read_text()))
     ),
 }
 
@@ -326,7 +330,7 @@ class TestFuzzedJsonReaders:
         original = path.read_text()
         path.write_text(json.dumps(data.draw(_one_field_edits(json.loads(original)))))
         try:
-            read(json_scene, path)
+            read(path)
         except CloudChangeError:
             pass
         finally:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import csv
 import json
 import shutil
@@ -11,10 +10,13 @@ import numpy as np
 import pytest
 
 from cloudchange import compose_relative
-from cloudchange.bundles import read_ground_truth, read_trajectory
+from cloudchange.bundles import (
+    read_ground_truth, read_trajectory, scene_ground_truth_dict, write_json, write_scene_dir,
+)
 from cloudchange.cli import main
-from cloudchange.pipeline import RunReport
-from cloudchange.synthetic import ChangeSpec, SceneSpec
+from cloudchange.metrics import ablation_sweep
+from cloudchange.pipeline import MODES, PipelineConfig, RunReport
+from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +74,18 @@ class TestSynth:
             {"n_static": "many"},
             {"n_statc": 500},
             {"seed": -1},
+            {"n_static": 0},
+            {"change_spec": [{"kind": "warped", "n_points": 5}]},
         ],
-        ids=["change_without_n_points", "non_integer_n_static", "unknown_key", "negative_seed"],
+        ids=["change_without_n_points", "non_integer_n_static", "unknown_key", "negative_seed",
+             "zero_n_static", "unknown_change_kind"],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, overrides):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(overrides))
         code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
         assert code == 2
-        _assert_one_error_line(capsys, "synth")
+        assert f"{spec_path}: " in _assert_one_error_line(capsys, "synth")
 
     def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -331,48 +336,15 @@ def test_malformed_eval_input_is_data_error(scene_dir, report_data, tmp_path, ca
     assert name in _assert_one_error_line(capsys, "eval")
 
 
-def _set_all(path: str, key: str, value):
-    """Edit of one JSON file: every element of the list at ``key`` set to ``value``."""
-    return path, lambda data: data.update({key: [value] * len(data[key])})
-
-
-def _recode(key: str, dtype: str, change):
-    """Edit of gt.json: the base64 array at ``key`` decoded, passed through
-    ``change`` and encoded again."""
-
-    def edit(data):
-        values = np.frombuffer(base64.b64decode(data[key]), dtype=dtype).copy()
-        data[key] = base64.b64encode(change(values).astype(dtype).tobytes()).decode("ascii")
-
-    return "gt.json", edit
-
-
-def _set_at(index: int, value):
-    def change(values):
-        values[index] = value
-        return values
-
-    return change
-
+_ABLATE_FILES = ("scene.json", "gt.json")
 
 MALFORMED_ABLATE_INPUTS = {
     **MALFORMED_GT_HEADERS,
-    "string_origin": _set("gt.json", "origin_t1", ["x"]),
-    "label_out_of_range": _recode("labels_t1", "u1", _set_at(0, 2)),
-    "boolean_edge_flags": _set_all("gt.json", "edge_t2", True),
-    "missing_labels": ("gt.json", lambda data: data.pop("labels_t1")),
-    "invalid_base64": _set("gt.json", "edge_t1", "AA*A"),
-    "unpadded_base64": _set("gt.json", "labels_t2", "AAA"),
-    "non_ascii_base64": _set("gt.json", "labels_t1", "AA\u00e9A"),
-    "short_labels": _recode("labels_t2", "u1", lambda values: values[:-1]),
-    "long_origin": _recode("origin_t1", "<i8", lambda values: np.append(values, 0)),
-    "origin_out_of_range": _recode("origin_t2", "<i8", lambda values: values + len(values)),
-    "negative_origin": _recode("origin_t1", "<i8", _set_at(-1, -1)),
-    # The JSON-list form of the per-point fields is no longer read.
-    "legacy_list_labels": (
-        "gt.json",
-        lambda data: data.update(labels_t1=list(base64.b64decode(data["labels_t1"]))),
-    ),
+    "unknown_spec_key": _set("scene.json", "bogus", 1),
+    "zero_n_static": _set("scene.json", "n_static", 0),
+    "unknown_change_kind": _set("scene.json", "change_spec", 0, "kind", "warped"),
+    # gt.json must describe the scene that scene.json generates.
+    "other_extent": _set("gt.json", "extent", 1.0),
 }
 
 
@@ -380,7 +352,7 @@ MALFORMED_ABLATE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_ABLATE_INPUTS))
 def test_malformed_ablate_input_is_data_error(scene_dir, tmp_path, capsys, case):
     scene = tmp_path / "scene"
-    shutil.copytree(scene_dir, scene)
+    _copy_scene_files(scene_dir, scene, _ABLATE_FILES)
     name, edit = MALFORMED_ABLATE_INPUTS[case]
     _edit_json(scene / name, edit)
     out = tmp_path / "t.csv"
@@ -583,6 +555,37 @@ class TestAblate:
         assert [row["k"] for row in rows] == ["2", "5"]
         for row in rows:
             assert float(row["delta_pct"]) >= 0.0
+
+    def test_csv_is_the_library_sweep(self, tmp_path, capsys):
+        # ablate reads scene.json and gt.json alone and tabulates exactly
+        # what ablation_sweep gives on the generated scene.
+        spec = SceneSpec(
+            seed=3, n_static=2000, n_frames_per_epoch=8, noise_sigma=0.002,
+            change_spec=(ChangeSpec("moved", 200, (1.0, 0.5, 0.2)),),
+        )
+        scene = generate_scene(spec)
+        write_scene_dir(scene, tmp_path / "full")
+        _copy_scene_files(tmp_path / "full", tmp_path / "s", _ABLATE_FILES)
+        out = tmp_path / "sweep.csv"
+        argv = ["ablate", "--scene", str(tmp_path / "s"), "--k-list", "2,3", "--out", str(out),
+                "--joint-sigma", "0.01"]
+        assert main(argv) == 0
+        expected = ablation_sweep(scene, [2, 3], modes=MODES, config=PipelineConfig(),
+                                  joint_sigma=0.01)
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+
+        def untimed(row):
+            return {k: "" if v is None else str(v) for k, v in row.items() if not k.startswith("time_")}
+
+        assert [untimed(row) for row in rows] == [untimed(row) for row in expected]
+        # A gt.json of another scene does not describe this one.
+        other = generate_scene(SceneSpec(seed=4, n_static=2000, n_frames_per_epoch=8))
+        write_json(tmp_path / "s" / "gt.json", scene_ground_truth_dict(other))
+        capsys.readouterr()
+        assert main(argv) == 2
+        line = _assert_one_error_line(capsys, "ablate")
+        assert f"{tmp_path / 's' / 'gt.json'}: seed is 4" in line
 
     def test_bad_k_list_is_usage_error(self, scene_dir, tmp_path):
         code = main([

@@ -20,13 +20,21 @@ from cloudchange import (
     refine_translation,
 )
 from cloudchange.cloud import SpatialIndex
-from cloudchange.fine import MIN_STATIC_POINTS, _refined_median
+from cloudchange.fine import MIN_STATIC_POINTS, FineResult, _refined_median
 
 from conftest import identity_sim3, random_rotation, random_sim3
 
 
 def _identity_with_translation(t):
     return Sim3Transform(1.0, np.eye(3), np.asarray(t, dtype=float))
+
+
+def test_fine_result_keeps_its_own_translation():
+    t = np.zeros(3)
+    result = FineResult(t, False, 1.0, 1.0, 0)
+    t[0] = 5.0
+    assert t.flags.writeable and not result.translation.flags.writeable
+    assert result.translation.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestPurify:

@@ -87,6 +87,14 @@ class TestSim3Transform:
         single = np.stack([t.apply(p) for p in pts])
         np.testing.assert_allclose(t.apply(pts), single, rtol=1e-14)
 
+    def test_keeps_its_own_copy_of_the_callers_arrays(self):
+        r, t = np.eye(3), np.zeros(3)
+        transform = Sim3Transform(1.0, r, t)
+        assert r.flags.writeable and t.flags.writeable
+        r[0, 0], r[1, 1], t[0] = -1.0, -1.0, 5.0
+        assert transform.apply(np.ones(3)).tolist() == [1.0, 1.0, 1.0]
+        assert not (transform.rotation.flags.writeable or transform.translation.flags.writeable)
+
     def test_rejects_non_positive_scale(self):
         with pytest.raises(ValueError):
             Sim3Transform(0.0, np.eye(3), np.zeros(3))

@@ -289,6 +289,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _ablate_scene(directory):
+    """The scene that ``directory``'s scene.json and the transforms of its
+    gt.json generate; a gt.json header that disagrees with it is a SchemaError."""
+    spec = _scene_spec(directory / "scene.json")
+    gt_path = directory / "gt.json"
+    gt = bundles.read_ground_truth(gt_path)
+    scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+    # JSON numbers round-trip exactly, so files written together agree exactly.
+    for key, value in (("seed", spec.seed), ("n_frames", spec.n_frames_per_epoch),
+                       ("extent", scene.extent)):
+        if gt[key] != value:
+            raise SchemaError(f"{gt_path}: {key} is {gt[key]!r}, scene.json gives {value!r}")
+    return scene
+
+
 def _cmd_ablate(args) -> int:
     try:
         k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
@@ -306,17 +321,8 @@ def _cmd_ablate(args) -> int:
                 config.replace(k_keyframes=k, mode=mode)
         check_non_negative("--joint-sigma", args.joint_sigma)
         check_non_negative("--joint-warp", args.joint_warp)
-    spec = _scene_spec(args.scene / "scene.json")
-    gt_path = args.scene / "gt.json"
-    gt = bundles.read_ground_truth(gt_path)
-    scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
-    # JSON numbers round-trip exactly, so files written together agree exactly.
-    for key, value in (("seed", spec.seed), ("n_frames", spec.n_frames_per_epoch),
-                       ("extent", scene.extent)):
-        if gt[key] != value:
-            raise SchemaError(f"{gt_path}: {key} is {gt[key]!r}, scene.json gives {value!r}")
     rows = ablation_sweep(
-        scene,
+        _ablate_scene(args.scene),
         k_values,
         modes=modes,
         config=config,

@@ -23,7 +23,7 @@ from cloudchange.bundles import (
     write_scene_dir,
     write_trajectory,
 )
-from cloudchange.cli import _scene_spec, main
+from cloudchange.cli import _ablate_scene, _scene_spec, main
 from cloudchange.coarse import JointReconstruction
 from cloudchange.metrics import Trajectory
 from cloudchange.pipeline import PipelineConfig, RunReport
@@ -294,7 +294,9 @@ def _replaced(node, path, value):
 # and how to run it on that file.
 JSON_READERS = {
     "read_trajectory": ("e1/trajectory.json", read_trajectory),
+    "read_trajectory[gt]": ("gt_trajectories/e2.json", read_trajectory),
     "read_ground_truth": ("gt.json", read_ground_truth),
+    "ablate_scene[gt]": ("gt.json", lambda path: _ablate_scene(path.parent)),
     "scene_spec_file": ("scene.json", _scene_spec),
     "final_sim3": ("report.json", lambda path: RunReport.read(path).final_sim3()),
     "SceneSpec.from_dict": (

@@ -48,6 +48,13 @@ def lower_median(values) -> float:
     return float(np.partition(v, k)[k])
 
 
+def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical distances of paired (n, 3) rows: ``sqrt((dx² + dy²) + dz²)``."""
+    squares = a - b
+    squares *= squares
+    return np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+
+
 def robust_extent(points) -> float:
     """Outlier-resistant spatial extent of a point set.
 
@@ -215,7 +222,7 @@ class SpatialIndex:
         idx = np.asarray(idx, dtype=np.int64)
         n = len(self._points)
         found = idx < n
-        dist = np.sqrt(np.sum((q - self.points[np.where(found, idx, 0)]) ** 2, axis=1))
+        dist = pair_distances(q, self.points[np.where(found, idx, 0)])
         if upper_bound != np.inf:
             # The canonical distance may round up to the bound where the tree's did not.
             found &= dist < upper_bound

@@ -9,7 +9,8 @@ small angular errors into large displacements far from the centroid, so both
 stay locked at their coarse values.  A final residual self-check accepts the
 refined translation only if it strictly lowers the median nearest-neighbor
 distance over all points, which makes the stage a no-op in the worst case
-rather than a regression.
+rather than a regression.  The source is rotated once for all three steps,
+and the result carries the final transform, scale and rotation locked.
 
 Purify needs only the near part of its answer, so it searches within twice
 ``max(1, alpha)`` times a median guessed from a strided sample (see
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, SpatialIndex, build_index, lower_median
+from .cloud import PointCloud, SpatialIndex, build_index, lower_median, pair_distances
 from .errors import EmptyCloud, EmptyStaticSet, check_non_negative
 from .geometry import Sim3Transform, rotate
 
@@ -103,23 +104,20 @@ class FineResult:
     survive no candidate is computed and it equals ``coarse_median_residual``;
     after a self-check rejection it is the rejected candidate's median, which
     is at least the coarse one.  ``accepted_refinement`` is exactly
-    ``refined_median_residual < coarse_median_residual``, and
-    ``translation`` is the coarse translation whenever it is False.
+    ``refined_median_residual < coarse_median_residual``; ``transform`` is
+    the coarse one with the candidate translation when it is True, else the
+    coarse one itself.
     """
 
-    translation: np.ndarray
+    transform: Sim3Transform
     accepted_refinement: bool
     coarse_median_residual: float
     refined_median_residual: float
     n_static: int
 
     def __post_init__(self):
-        t = np.array(self.translation, dtype=np.float64).reshape(3)  # a copy: never the caller's
-        t.setflags(write=False)
-        object.__setattr__(self, "translation", t)
-        if self.accepted_refinement and not (
-            self.refined_median_residual < self.coarse_median_residual
-        ):
+        lowered = self.refined_median_residual < self.coarse_median_residual
+        if self.accepted_refinement and not lowered:
             raise ValueError("an accepted refinement must strictly lower the median residual")
 
 
@@ -160,15 +158,12 @@ def purify(
 
 
 def refine_translation(
-    source: PointCloud,
-    target_index: SpatialIndex,
-    coarse: Sim3Transform,
-    purification: PurificationResult,
+    rotated: np.ndarray, target_index: SpatialIndex, purification: PurificationResult
 ) -> np.ndarray:
     """Replacement translation from the purified static correspondences.
 
-    Averages target_nn - s*R*p over the static set, reusing the nearest
-    neighbors frozen in ``purification`` (single-shot, not iterative).
+    Averages target_nn - s*R*p over the static set, from ``rotated`` = s*R*p
+    and the nearest neighbors frozen in ``purification`` (single-shot).
 
     Raises:
         EmptyStaticSet: if the static mask selects nothing.
@@ -176,9 +171,8 @@ def refine_translation(
     mask = purification.static_mask
     if not mask.any():
         raise EmptyStaticSet("no static correspondences to refine from")
-    rotated = coarse.scale * rotate(source.points[mask], coarse.rotation)
-    matched = target_index.points[purification.nn_indices[mask]]
-    return np.mean(matched - rotated, axis=0)
+    matched = target_index.points.take(purification.nn_indices.compress(mask), axis=0)
+    return np.mean(matched - np.compress(mask, rotated, axis=0), axis=0)
 
 
 def _refined_median(
@@ -199,10 +193,7 @@ def _refined_median(
     n_target = len(index.points)
     found = purification.nn_indices < n_target
     nearest = np.minimum(purification.nn_indices, n_target - 1)
-    squares = shifted - index.points.take(nearest, axis=0)
-    squares *= squares
-    # SpatialIndex's canonical distance, its row sums written out.
-    upper = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+    upper = pair_distances(shifted, index.points.take(nearest, axis=0))
     upper += _BOUND_SLACK * upper + reach
     upper[~found] = np.inf
     # Purify leaves a point unfound only beyond max(1, alpha) times its median.
@@ -222,10 +213,7 @@ def _refined_median(
 
 
 def fine_stage(
-    source: PointCloud,
-    target: PointCloud,
-    coarse: Sim3Transform,
-    alpha: float,
+    source: PointCloud, target: PointCloud, coarse: Sim3Transform, alpha: float
 ) -> FineResult:
     """Run the full translation refinement on downsampled epoch clouds.
 
@@ -235,7 +223,8 @@ def fine_stage(
     and self-checked (median nearest-neighbor residual over all points);
     otherwise the candidate is the coarse translation with the coarse median.
     It is accepted only when its median lies strictly below the coarse one.
-    Scale and rotation are never modified.
+    Scale and rotation are never modified: the result's ``transform`` is the
+    coarse one with the accepted translation, or ``coarse`` itself.
 
     The clouds arrive already filtered and downsampled (see
     ``pipeline.prepare_fine_inputs``); the index over ``target`` is built
@@ -247,23 +236,22 @@ def fine_stage(
     if len(source) == 0 or len(target) == 0:
         raise EmptyCloud("fine stage requires non-empty clouds")
     index = build_index(target)
-    # Both alignments go through Sim3Transform.apply so the medians compared
-    # here reproduce bit for bit when recomputed from the returned transform.
-    aligned = coarse.apply(source.points)
-    purification = purify(source.with_points(aligned), index, alpha)
+    # One rotation; adding a translation is Sim3Transform.apply's arithmetic, so
+    # the medians compared here reproduce bit for bit from the returned transform.
+    rotated = coarse.scale * rotate(source.points, coarse.rotation)
+    purification = purify(source.with_points(rotated + coarse.translation), index, alpha)
     n_static = purification.n_static
     coarse_median = purification.median_distance
 
     candidate, refined_median = coarse.translation, coarse_median
     if n_static >= MIN_STATIC_POINTS:
-        candidate = refine_translation(source, index, coarse, purification)
-        shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
+        candidate = refine_translation(rotated, index, purification)
         step = float(np.linalg.norm(candidate - coarse.translation))
-        refined_median = _refined_median(index, shifted, purification, step)
+        refined_median = _refined_median(index, rotated + candidate, purification, step)
 
     accepted = refined_median < coarse_median
     return FineResult(
-        translation=candidate if accepted else coarse.translation,
+        transform=Sim3Transform(coarse.scale, coarse.rotation, candidate) if accepted else coarse,
         accepted_refinement=accepted,
         coarse_median_residual=coarse_median,
         refined_median_residual=refined_median,

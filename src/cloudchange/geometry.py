@@ -37,7 +37,10 @@ def rotate(points, rotation: np.ndarray) -> np.ndarray:
     Rows go through ``np.matmul`` in near-equal blocks of at most
     ``ROTATE_BLOCK_ROWS`` into one preallocated output, so every row gets the
     bits of a single whole-array product while OpenBLAS stays on the calling
-    thread.
+    thread.  A row's bits do not depend on the other rows, so rotating a
+    subset of the rows gives the same bits, except for a single row: numpy
+    sends a 1-row product (and a 3-vector) to gemv, which rounds differently
+    from gemm.  So no block holds a single row.
     """
     p = np.asarray(points, dtype=np.float64)
     r_t = rotation.T
@@ -45,8 +48,6 @@ def rotate(points, rotation: np.ndarray) -> np.ndarray:
         return p @ r_t
     n = len(p)
     out = np.empty((n, 3))
-    # Near-equal blocks, so none has a single row: numpy sends a 1-row
-    # product to gemv, which rounds differently from gemm.
     blocks = max(1, -(-n // ROTATE_BLOCK_ROWS))
     edges = [n * i // blocks for i in range(blocks + 1)]
     for start, stop in zip(edges, edges[1:]):

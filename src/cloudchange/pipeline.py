@@ -205,7 +205,6 @@ def register_epochs(
     cloud_stats = {"t1_total": sum(map(len, frames1)), "t2_total": sum(map(len, frames2))}
 
     fine = None
-    final = coarse
     fine_elapsed = 0.0
     if config.mode == "full":
         start = time.perf_counter()
@@ -213,7 +212,6 @@ def register_epochs(
             fine_inputs = prepare_fine_inputs(frames1, frames2, config.grid_resolution)
         cloud_stats.update(fine_inputs.cloud_stats)
         fine = fine_stage(fine_inputs.source, fine_inputs.target, coarse, alpha=config.alpha)
-        final = Sim3Transform(coarse.scale, coarse.rotation, fine.translation)
         fine_elapsed = time.perf_counter() - start
 
     return RegistrationResult(
@@ -221,7 +219,7 @@ def register_epochs(
         alignment2=alignments[1],
         coarse_relative=coarse,
         fine=fine,
-        final_transform=final,
+        final_transform=coarse if fine is None else fine.transform,
         cloud_stats=cloud_stats,
         timings={
             "coarse_s": coarse_elapsed,
@@ -332,7 +330,7 @@ class RunReport:
                 "relative": result.coarse_relative.to_dict(),
             },
             fine=None if fine is None else {
-                "translation": fine.translation.tolist(),
+                "translation": fine.transform.translation.tolist(),
                 "accepted_refinement": bool(fine.accepted_refinement),
                 "coarse_median_residual": fine.coarse_median_residual,
                 "refined_median_residual": fine.refined_median_residual,

@@ -134,8 +134,8 @@ class SceneSpec:
             raise InvalidSpec("n_frames_per_epoch must be >= 1")
         if not 0.0 <= self.edge_noise_fraction <= 1.0:
             raise InvalidSpec("edge_noise_fraction must lie in [0, 1]")
-        if self.noise_sigma < 0.0 or self.edge_noise_elongation < 0.0:
-            raise InvalidSpec("noise parameters must be non-negative")
+        if not all(0.0 <= v < math.inf for v in (self.noise_sigma, self.edge_noise_elongation)):
+            raise InvalidSpec("noise parameters must be finite and non-negative")
         changes = tuple(self.change_spec)
         if not all(isinstance(c, ChangeSpec) for c in changes):
             raise InvalidSpec("change_spec entries must be ChangeSpec; decode dicts with from_dict")

@@ -181,7 +181,7 @@ def test_criterion_04_monotonicity_guarantee(monkeypatch):
         target = PointCloud(target_pts)
         result = fine_stage(source, target, coarse, alpha=alpha)
 
-        final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
+        final = result.transform
         index = build_index(target)
         d_final, _ = index.query(apply_transform(final, source).points)
         d_coarse, _ = index.query(apply_transform(coarse, source).points)
@@ -216,7 +216,7 @@ def test_criterion_05_fine_stage_recovery():
         result = fine_stage(source, target, coarse, alpha=3.0)
         tolerance = max(1e-6, 3.0 * sigma_fraction / math.sqrt(max(result.n_static, 1)))
         if result.accepted_refinement and (
-            np.linalg.norm(result.translation) < tolerance * extent
+            np.linalg.norm(result.transform.translation) < tolerance * extent
         ):
             passes += 1
     assert passes >= 95, f"only {passes}/100 seeds within tolerance"
@@ -265,7 +265,7 @@ def test_criterion_06_purification_purity():
     coarse = Sim3Transform(1.0, np.eye(3), np.array([0.05, -0.02, 0.01]))
     result = fine_stage(PointCloud(pts), PointCloud(pts), coarse, alpha=3.0)
     assert not result.accepted_refinement
-    assert (result.translation == coarse.translation).all()
+    assert (result.transform.translation == coarse.translation).all()
     _report(6, "Purification purity", "20/20 scenes >= 95%, 99-point guard holds")
 
 

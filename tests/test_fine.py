@@ -20,7 +20,8 @@ from cloudchange import (
     refine_translation,
 )
 from cloudchange.cloud import SpatialIndex
-from cloudchange.fine import MIN_STATIC_POINTS, FineResult, _refined_median
+from cloudchange.fine import MIN_STATIC_POINTS, _refined_median
+from cloudchange.geometry import rotate
 
 from conftest import identity_sim3, random_rotation, random_sim3
 
@@ -29,12 +30,9 @@ def _identity_with_translation(t):
     return Sim3Transform(1.0, np.eye(3), np.asarray(t, dtype=float))
 
 
-def test_fine_result_keeps_its_own_translation():
-    t = np.zeros(3)
-    result = FineResult(t, False, 1.0, 1.0, 0)
-    t[0] = 5.0
-    assert t.flags.writeable and not result.translation.flags.writeable
-    assert result.translation.tolist() == [0.0, 0.0, 0.0]
+def _rotated(coarse, source):
+    """The source under the coarse scale and rotation, without its translation."""
+    return coarse.scale * rotate(source.points, coarse.rotation)
 
 
 class TestPurify:
@@ -104,7 +102,7 @@ class TestRefineTranslation:
             threshold=result.threshold,
             alpha=result.alpha,
         )
-        refined = refine_translation(source, index, coarse, full)
+        refined = refine_translation(_rotated(coarse, source), index, full)
         np.testing.assert_allclose(refined, coarse.translation, atol=1e-9)
 
     def test_recovers_constructed_shift(self, rng):
@@ -118,7 +116,7 @@ class TestRefineTranslation:
         aligned = apply_transform(coarse, source)
         result = purify(aligned, index, alpha=3.0)
         assert result.static_mask.all()
-        refined = refine_translation(source, index, coarse, result)
+        refined = refine_translation(_rotated(coarse, source), index, result)
         np.testing.assert_allclose(refined, coarse.translation + delta, atol=1e-12)
 
     def test_mask_excludes_gross_outliers(self, rng):
@@ -140,7 +138,7 @@ class TestRefineTranslation:
         aligned = apply_transform(coarse, source)
         result = purify(aligned, index, alpha=3.0)
         assert result.static_mask[:n_static].sum() == n_static
-        refined = refine_translation(source, index, coarse, result)
+        refined = refine_translation(_rotated(coarse, source), index, result)
         np.testing.assert_allclose(refined, coarse.translation + delta, atol=1e-9)
 
     def test_empty_static_set_raises(self, rng):
@@ -149,7 +147,7 @@ class TestRefineTranslation:
         index = build_index(source)
         result = purify(source, index, alpha=0.0)
         with pytest.raises(EmptyStaticSet):
-            refine_translation(source, index, coarse, result)
+            refine_translation(_rotated(coarse, source), index, result)
 
 
 class TestFineStage:
@@ -159,7 +157,7 @@ class TestFineStage:
         target = apply_transform(coarse, source)
         result = fine_stage(source, target, coarse, alpha=3.0)
         assert not result.accepted_refinement
-        assert (result.translation == coarse.translation).all()
+        assert result.transform is coarse
         assert result.coarse_median_residual == 0.0
 
     def test_guard_keeps_coarse_below_hundred_points(self, rng):
@@ -171,7 +169,7 @@ class TestFineStage:
         result = fine_stage(source, target, coarse, alpha=3.0)
         assert result.n_static <= 99
         assert not result.accepted_refinement
-        assert (result.translation == coarse.translation).all()
+        assert result.transform is coarse
 
     def test_recovers_translation_perturbation(self, rng):
         # A grid-structured cloud with a known coarse translation error:
@@ -186,7 +184,7 @@ class TestFineStage:
         target = PointCloud(grid)
         result = fine_stage(source, target, coarse, alpha=3.0)
         assert result.accepted_refinement
-        np.testing.assert_allclose(result.translation, gt.translation, atol=1e-9)
+        np.testing.assert_allclose(result.transform.translation, gt.translation, atol=1e-9)
         assert result.refined_median_residual < result.coarse_median_residual
 
     def test_adversarial_scene_never_degrades(self, monkeypatch):
@@ -204,7 +202,7 @@ class TestFineStage:
                 1.0, np.eye(3), rng.normal(0.0, 0.5, 3)
             )
             result = fine_stage(source, target, coarse, alpha=3.0)
-            final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
+            final = result.transform
             index = build_index(target)
             d_final, _ = index.query(apply_transform(final, source).points)
             d_coarse, _ = index.query(apply_transform(coarse, source).points)
@@ -215,7 +213,7 @@ class TestFineStage:
         target = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         coarse = random_sim3(rng)
         result = fine_stage(source, target, coarse, alpha=3.0)
-        final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
+        final = result.transform
         assert final.scale == coarse.scale
         assert (final.rotation == coarse.rotation).all()
 
@@ -233,11 +231,12 @@ class TestFineStage:
         source = PointCloud(grid)
         target = PointCloud(grid)
         result = fine_stage(source, target, coarse, alpha=3.0)
-        assert (result.translation != coarse.translation).any() or not result.accepted_refinement
+        moved = (result.transform.translation != coarse.translation).any()
+        assert moved or not result.accepted_refinement
         assert result.refined_median_residual <= result.coarse_median_residual or (
             not result.accepted_refinement
         )
-        final = Sim3Transform(coarse.scale, coarse.rotation, result.translation)
+        final = result.transform
         index = build_index(target)
         d_final, _ = index.query(apply_transform(final, source).points)
         d_coarse, _ = index.query(apply_transform(coarse, source).points)
@@ -263,10 +262,25 @@ class TestFineStage:
             result = fine_stage(source, target, coarse, alpha=3.0)
             if not result.accepted_refinement:
                 continue
-            err = np.linalg.norm(result.translation - np.zeros(3))
+            err = np.linalg.norm(result.transform.translation - np.zeros(3))
             if err < 3.0 * sigma / np.sqrt(result.n_static):
                 passes += 1
         assert passes >= 95
+
+    def test_rotates_the_source_once(self, monkeypatch):
+        # Purify, the refinement and the self-check share one rotation.
+        source, target, coarse = _accepted_scene()
+        calls = []
+
+        def counting(points, rotation):
+            calls.append(len(points))
+            return rotate(points, rotation)
+
+        monkeypatch.setattr("cloudchange.fine.rotate", counting)
+        monkeypatch.setattr("cloudchange.geometry.rotate", counting)
+        result = fine_stage(source, target, coarse, alpha=3.0)
+        assert result.accepted_refinement
+        assert calls == [len(source)]
 
     def test_empty_inputs_raise(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
@@ -296,7 +310,7 @@ class TestFineStage:
             skipped = result.n_static < min_static
             outcomes.add((result.accepted_refinement, skipped))
             if not result.accepted_refinement:
-                assert (result.translation == coarse.translation).all()
+                assert result.transform is coarse
                 if skipped:
                     assert result.refined_median_residual == result.coarse_median_residual
                 else:
@@ -402,7 +416,8 @@ class TestBoundedQueriesMatchExactReference:
             bounds, sizes = _record_queries(monkeypatch)
             monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
             result = fine_stage(source, target, coarse, alpha=alpha)
-        assert result.translation.tobytes() == np.asarray(expected[0], dtype=np.float64).tobytes()
+        translation = np.asarray(expected[0], dtype=np.float64)
+        assert result.transform.translation.tobytes() == translation.tobytes()
         assert (
             result.accepted_refinement,
             result.coarse_median_residual,

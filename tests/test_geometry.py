@@ -168,6 +168,24 @@ class TestRotate:
             assert np.array_equal(rotate(points, t.rotation), product)
             assert np.array_equal(t.apply(points), t.scale * product + t.translation)
 
+    @given(
+        rows=st.sampled_from([B - 1, B, B + 1, 3 * B + 7]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_subset_keeps_its_bits(self, rows, seed, data):
+        # The fine stage rotates its source once and reads the static rows
+        # out of that product.  Any subset of at least two rows, in any
+        # order, gets the bits of rotating those rows alone.
+        rng = np.random.default_rng(seed)
+        t = random_sim3(rng)
+        points = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, 1))
+        size = data.draw(st.integers(2, rows), label="size")
+        subset = rng.choice(rows, size=size, replace=False)
+        if data.draw(st.booleans(), label="sorted"):
+            subset.sort()
+        assert np.array_equal(t.apply(points)[subset], t.apply(points[subset]))
+
     def test_single_vector(self, rng):
         t = random_sim3(rng)
         p = rng.normal(size=3)

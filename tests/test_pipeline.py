@@ -79,7 +79,7 @@ class TestRegisterScene:
         result = register_scene(scene, PipelineConfig(seed=1), joint_sigma=0.005)
         ratio = result.final_transform.scale / scene.gt_relative.scale
         assert abs(ratio - 1.0) < 0.01
-        assert result.fine is not None
+        assert result.final_transform is result.fine.transform
         assert result.timings["registration_s"] > 0.0
 
     def test_coarse_only_mode_has_no_fine_block(self, scene):
@@ -140,7 +140,7 @@ class TestRegistrationChangeParadox:
         assert final.scale == coarse.scale and (final.rotation == coarse.rotation).all()
         if fine.accepted_refinement:
             assert fine.refined_median_residual < fine.coarse_median_residual
-            assert (final.translation == fine.translation).all()
+            assert (final.translation == fine.transform.translation).all()
         else:
             assert (final.translation == coarse.translation).all()
 

@@ -1,6 +1,7 @@
 """Every public module-level function and class in the package is used, and
 so is every public method and property of a public class.  Every defaulted
-parameter of a package function or method is passed by some call.
+parameter of a package function or method is passed by some call, and every
+name a module imports at its top level is named in that module.
 
 A name that no module of the package refers to can be reached only from
 tests or by callers outside the package, so it is code that no command runs.
@@ -100,6 +101,38 @@ def test_methods_and_properties_are_checked():
         "print(Shape().area())\n"
     )
     assert _unused({"shapes.py": tree}) == ["shapes.py:Shape.size"]
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by a module's top-level imports that its code never names."""
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.extend((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.extend(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    # An import kept only for the benchmark harness to patch would need an
+    # allow-list entry with its reason; none does today.
+    unused = [
+        f"{module}:{name}" for module, tree in _modules().items() for name in _unused_imports(tree)
+    ]
+    assert unused == [], f"imported but never used: {unused}"
+
+
+def test_import_scan():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import pi, tau as turn\n"
+        "print(np.e, os.sep, turn)\n"
+    )
+    assert _unused_imports(tree) == ["pi"]
 
 
 def _defaulted_parameters(tree: ast.Module) -> list:

@@ -137,6 +137,21 @@ class TestGenerateScene:
         with pytest.raises(InvalidSpec):
             ChangeSpec("renamed", 10)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
+            {"edge_noise_fraction": 0.1, "edge_noise_elongation": float("nan")},
+        ],
+        ids=["nan_sigma", "inf_sigma", "nan_elongation"],
+    )
+    def test_non_finite_noise_is_invalid_spec(self, noise):
+        # Spec files reject non-finite numbers while decoding; the Python API
+        # must reject them too, before generation fails on the coordinates.
+        with pytest.raises(InvalidSpec, match="finite"):
+            SceneSpec(seed=0, n_static=200, **noise)
+
     def test_change_given_as_dict_is_invalid_spec(self):
         # from_dict is the one decoder of JSON changes; it rejects n_points 5.5.
         change = {"kind": "added", "n_points": 5.5}

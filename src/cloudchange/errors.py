@@ -18,6 +18,15 @@ def check_non_negative(name: str, value: float):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def check_integer(name: str, value, minimum: int = None, error: type = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``name`` unless an integer (no bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def check_fields(data, types: dict, required: tuple, what: str, error: type) -> dict:
     """The fields of ``types`` that the JSON object ``data`` holds, each of its type.
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
+
 
 @dataclass(frozen=True)
 class KeyframeSet:
@@ -20,13 +22,12 @@ class KeyframeSet:
     indices: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "epoch_id", check_integer("epoch_id", self.epoch_id))
         if self.epoch_id not in (1, 2):
             raise ValueError("epoch_id must be 1 or 2")
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(check_integer("keyframe index", i, 1) for i in self.indices)
         if list(idx) != sorted(set(idx)):
             raise ValueError("indices must be strictly sorted and unique")
-        if idx and idx[0] < 1:
-            raise ValueError("frame indices are 1-based")
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:

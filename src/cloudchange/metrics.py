@@ -16,8 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LabelMismatch, TooFewPoses, check_numbers
+from .errors import LabelMismatch, TooFewPoses, check_integer, check_numbers
 from .geometry import Sim3Transform, rotation_angle_deg, umeyama
+
+# A coarse ATE of at most this fraction of the scene extent is round-off.
+ROUND_OFF_ATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,16 +40,14 @@ class Trajectory:
 
     def __post_init__(self):
         centers = check_numbers(self.centers, "centers").copy()
-        frames = tuple(int(f) for f in self.frame_indices)
-        epochs = tuple(int(e) for e in self.epoch_ids)
+        frames = tuple(check_integer("frame index", f, 0) for f in self.frame_indices)
+        epochs = tuple(check_integer("epoch id", e) for e in self.epoch_ids)
         if centers.shape != (len(frames), 3) or len(epochs) != len(frames):
             raise ValueError("need one 3-vector center, frame index and epoch id per camera")
         if not np.isfinite(centers).all():
             raise ValueError("centers must be finite")
         last = {}
         for frame, epoch in zip(frames, epochs):
-            if frame < 0:
-                raise ValueError("frame indices must be non-negative")
             if epoch in last and frame <= last[epoch]:
                 raise ValueError("frame indices must strictly increase within an epoch")
             last[epoch] = frame
@@ -200,7 +201,9 @@ def ablation_sweep(
 
     Returns one row per budget with the coarse-only and full ATE, the
     relative improvement delta_pct of full over coarse, and wall-clock
-    registration times.  Columns for modes that were not requested are None.
+    registration times.  Columns for modes that were not requested are None,
+    and so is delta_pct when the coarse ATE is at most ``ROUND_OFF_ATE`` times
+    the extent: a percentage of a round-off baseline is undefined.
     ``config`` sets all but each row's budget and mode; the keyword
     arguments configure the mock joint-inference error model.
 
@@ -240,10 +243,7 @@ def ablation_sweep(
             "time_coarse_s": result.timings["coarse_s"] if coarse else None,
             "time_full_s": result.timings["registration_s"] if full else None,
         }
-        if coarse and full:
-            if row["ate_coarse"] > 0.0:
-                row["delta_pct"] = 100.0 * (row["ate_coarse"] - row["ate_full"]) / row["ate_coarse"]
-            else:
-                row["delta_pct"] = 0.0
+        if coarse and full and row["ate_coarse"] > ROUND_OFF_ATE * scene.extent:
+            row["delta_pct"] = 100.0 * (row["ate_coarse"] - row["ate_full"]) / row["ate_coarse"]
         rows.append(row)
     return rows

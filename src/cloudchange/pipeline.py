@@ -38,7 +38,7 @@ from .coarse import (
     build_keyframe_correspondences,
     estimate_epoch_alignment,
 )
-from .errors import MisalignedInputs, SchemaError, check_fields
+from .errors import MisalignedInputs, SchemaError, check_fields, check_integer
 from .fine import FineResult, fine_stage
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
@@ -72,11 +72,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         # A similarity fit needs 3 pairs, so a smaller cap can never succeed.
-        if self.k_keyframes < 1 or self.correspondence_cap < 3:
-            raise ValueError("k_keyframes must be >= 1 and correspondence_cap >= 3")
+        minimums = {"k_keyframes": 1, "correspondence_cap": 3, "grid_resolution": None, "seed": 0}
+        for name, minimum in minimums.items():
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         check_grid_resolution(self.grid_resolution)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.mode not in MODES:

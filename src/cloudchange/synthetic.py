@@ -24,7 +24,7 @@ import numpy as np
 
 from .cloud import PointCloud, robust_extent
 from .coarse import JointReconstruction
-from .errors import InvalidSpec, check_fields, check_non_negative, check_numbers
+from .errors import InvalidSpec, check_fields, check_integer, check_non_negative, check_numbers
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import KeyframeSet
 from .metrics import Trajectory
@@ -71,8 +71,7 @@ class ChangeSpec:
     def __post_init__(self):
         if self.kind not in _CHANGE_KINDS:
             raise InvalidSpec(f"unknown change kind {self.kind!r}")
-        if self.n_points < 1:
-            raise InvalidSpec("each change needs at least one point")
+        object.__setattr__(self, "n_points", check_integer("n_points", self.n_points, 1, InvalidSpec))
         try:
             displacement = check_numbers(self.displacement, "displacement")
         except ValueError:
@@ -126,12 +125,9 @@ class SceneSpec:
     epoch_transforms: tuple = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidSpec("seed must be >= 0")
-        if self.n_static < 1:
-            raise InvalidSpec("n_static must be >= 1")
-        if self.n_frames_per_epoch < 1:
-            raise InvalidSpec("n_frames_per_epoch must be >= 1")
+        for name, minimum in (("seed", 0), ("n_static", 1), ("n_frames_per_epoch", 1)):
+            value = check_integer(name, getattr(self, name), minimum, InvalidSpec)
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.edge_noise_fraction <= 1.0:
             raise InvalidSpec("edge_noise_fraction must lie in [0, 1]")
         if not all(0.0 <= v < math.inf for v in (self.noise_sigma, self.edge_noise_elongation)):

@@ -556,6 +556,14 @@ class TestAblate:
         for row in rows:
             assert float(row["delta_pct"]) >= 0.0
 
+    def test_round_off_baseline_leaves_delta_pct_empty(self, scene_dir, tmp_path):
+        # Without a joint error the coarse ATE is round-off, so no percentage.
+        out = tmp_path / "sweep.csv"
+        assert main(["ablate", "--scene", str(scene_dir), "--k-list", "2", "--out", str(out)]) == 0
+        with open(out) as handle:
+            (row,) = csv.DictReader(handle)
+        assert float(row["ate_coarse"]) < 1e-12 and row["delta_pct"] == ""
+
     def test_csv_is_the_library_sweep(self, tmp_path, capsys):
         # ablate reads scene.json and gt.json alone and tabulates exactly
         # what ablation_sweep gives on the generated scene.

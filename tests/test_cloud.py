@@ -19,7 +19,7 @@ from cloudchange import (
     voxel_downsample_indices,
     voxel_grid_params,
 )
-from cloudchange.cloud import MAX_GRID_RESOLUTION, VoxelGrid
+from cloudchange.cloud import MAX_GRID_RESOLUTION, VoxelGrid, _percentile_box
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 
@@ -179,6 +179,48 @@ class TestRobustExtent:
 
 
 @st.composite
+def _percentile_clouds(draw):
+    """Tie-heavy, constant-column and wide-range clouds, among them sizes
+    where (n - 1) * 0.01 is whole (101, 4,101 and 10,001) and sizes whose
+    stride-64 sample is too small to cut a tail."""
+    n = draw(st.sampled_from([1, 2, 101, 4096, 4101, 10001]) | st.integers(1, 12000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-9, 9))
+    kind = draw(st.sampled_from(["ties", "constant", "wide"]))
+    if kind == "ties":
+        return rng.integers(0, draw(st.integers(1, 6)), size=(n, 3)) * scale
+    if kind == "constant":
+        points = rng.normal(size=(n, 3)) * scale
+        points[:, draw(st.integers(0, 2))] = rng.normal() * scale
+        return points
+    return rng.standard_cauchy(size=(n, 3)) * scale
+
+
+class TestPercentileBox:
+    @given(points=_percentile_clouds())
+    def test_equals_numpy_percentile_bit_for_bit(self, points):
+        expected = np.percentile(points, [1.0, 99.0], axis=0)
+        assert _percentile_box(points).tobytes() == expected.tobytes()
+        assert robust_extent(points) == float(np.max(expected[1] - expected[0]))
+        assert voxel_grid_params(PointCloud(points), 50).origin.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("n", [4096, 10001, 100_000])
+    def test_large_clouds_select_their_tails(self, rng, n, monkeypatch):
+        points = rng.normal(size=(n, 3))
+        expected = np.percentile(points, [1.0, 99.0], axis=0)
+        monkeypatch.setattr(np, "percentile", None)
+        assert _percentile_box(points).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_unsampled_non_finite_row_matches_numpy(self, rng, value):
+        """Row 1 is outside the stride-64 sample; a NaN there is in no tail."""
+        points = rng.normal(size=(10001, 3))
+        points[1, 2] = value
+        expected = np.percentile(points, [1.0, 99.0], axis=0)
+        assert _percentile_box(points).tobytes() == expected.tobytes()
+
+
+@st.composite
 def _tied_clouds(draw):
     """Clouds on a coarse lattice with few confidence levels: many points share
     a voxel, many share a confidence, and some share their coordinates."""
@@ -335,6 +377,16 @@ class TestVoxelSelectionMatchesLexsort:
         grid = voxel_grid_params(cloud, resolution)
         np.testing.assert_array_equal(
             voxel_downsample_indices(cloud, grid=grid), _lexsort_voxel_indices(cloud, grid)
+        )
+
+    def test_large_tied_cloud(self, rng):
+        """Thousands of points per voxel, where an unstable sort reorders them."""
+        cloud = PointCloud(
+            rng.integers(0, 40, size=(20_000, 3)) * 0.25, rng.choice([0.2, 0.5, 0.9], 20_000)
+        )
+        grid = voxel_grid_params(cloud, 3)
+        np.testing.assert_array_equal(
+            voxel_downsample_indices(cloud, grid), _lexsort_voxel_indices(cloud, grid)
         )
 
     def test_zero_voxel_size_keeps_first_maximum(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cloudchange import (
@@ -19,9 +19,18 @@ from cloudchange import (
     purify,
     refine_translation,
 )
+from cloudchange import fine
 from cloudchange.cloud import SpatialIndex
-from cloudchange.fine import MIN_STATIC_POINTS, _refined_median
+from cloudchange.fine import MIN_STATIC_POINTS, PurificationResult, _refined_median
 from cloudchange.geometry import rotate
+from cloudchange.pipeline import register_epochs
+from cloudchange.synthetic import (
+    ChangeSpec,
+    SceneSpec,
+    all_frames_keyframes,
+    generate_scene,
+    mock_joint_inference,
+)
 
 from conftest import identity_sim3, random_rotation, random_sim3
 
@@ -151,6 +160,37 @@ class TestRefineTranslation:
 
 
 class TestFineStage:
+    def test_pair_100k_samples_its_band(self, monkeypatch):
+        """A 100k-static-point pair: the self-check samples its band, queries
+        fewer points than the band holds and matches an unbounded query."""
+        n = 100_000
+        scene = generate_scene(SceneSpec(
+            seed=1, n_static=n, n_frames_per_epoch=30, noise_sigma=0.002,
+            edge_noise_fraction=0.15, edge_noise_elongation=0.3,
+            change_spec=(
+                ChangeSpec("added", n // 20), ChangeSpec("removed", n // 25),
+                ChangeSpec("moved", n // 16, (1.0, 0.8, 0.3)),
+            ),
+        ))
+        joint = mock_joint_inference(
+            scene, all_frames_keyframes(scene), sigma=0.005, epoch_bias=0.005, frame_drift=0.005
+        )
+        refined_median, medians = fine._refined_median, []
+
+        def checked(index, shifted, purification, step):
+            median = refined_median(index, shifted, purification, step)
+            medians.append((median, lower_median(index.query(shifted)[0])))
+            return median
+
+        monkeypatch.setattr(fine, "_refined_median", checked)
+        _, sizes = _record_queries(monkeypatch)
+        result = register_epochs(scene.epoch_frames(1), scene.epoch_frames(2), joint).fine
+        # Purify's sample and query, the band sample and the narrowed query,
+        # then the unbounded reference.  Every 16th band point is sampled, so
+        # the band holds more than 16 * (sizes[2] - 1) points.
+        assert len(sizes) == 5 and sizes[3] < 16 * (sizes[2] - 1)
+        assert medians == [(result.refined_median_residual,) * 2]
+
     def test_perfect_alignment_reverts_to_coarse(self, rng):
         coarse = random_sim3(rng)
         source = PointCloud(rng.normal(size=(300, 3)))
@@ -360,14 +400,14 @@ def _record_queries(monkeypatch) -> tuple:
 
 
 def _purify_fallback_scene():
-    """Every 16th source point sits 0.01 from the target, the rest 1.0 away.
+    """Purify's sampled source points sit 0.01 from the target, the rest 1.0 away.
 
     Purify's strided sample then guesses a median of 0.01 and bounds its
     search at 2 * 3 * 0.01, below the true median of 1.0.
     """
     target = np.stack(np.meshgrid(*[np.arange(8.0) * 10.0] * 3, indexing="ij"), -1).reshape(-1, 3)
     offsets = np.full(len(target), 1.0)
-    offsets[::16] = 0.01
+    offsets[:: fine._SAMPLE_STRIDE] = 0.01
     source = target + offsets[:, None] * np.array([0.0, 0.0, 1.0])
     return PointCloud(source), PointCloud(target)
 
@@ -375,15 +415,16 @@ def _purify_fallback_scene():
 def _triangle_bound_scene():
     """A rejected refinement whose median reaches the triangle bound.
 
-    Under alpha = 1 the 40 points 0.25 above their targets are static and the
-    60 points 1.0 below theirs (the median) are not.  The candidate moves
+    Under alpha = 1 the 40 points 0.25 above their targets (rows 1-40) are
+    static and the 60 points 1.0 below theirs (the median, and purify's
+    sampled rows) are not.  The candidate moves
     every point down by 0.25, so the refined median is 1.25: exactly the
     coarse median plus the length of the update, and exactly the upper end
     of the self-check's bracket before its margin.
     """
     axis = np.arange(10.0) * 10.0
     target = np.stack(np.meshgrid(axis, axis, [0.0], indexing="ij"), -1).reshape(-1, 3)
-    shift = np.where(np.arange(100) < 40, 0.25, -1.0)
+    shift = np.where((np.arange(100) >= 1) & (np.arange(100) <= 40), 0.25, -1.0)
     source = target + shift[:, None] * np.array([0.0, 0.0, 1.0])
     return PointCloud(source), PointCloud(target)
 
@@ -437,16 +478,17 @@ class TestBoundedQueriesMatchExactReference:
         source, target, coarse = _accepted_scene()
         result, bounds, sizes = self._assert_matches(source, target, coarse)
         assert result.accepted_refinement
-        # Sample, then bounded purify and self-check queries, no fallback.
-        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+        # Sample, then bounded purify, band sample and narrowed self-check
+        # queries, no fallback.
+        assert len(bounds) == 4 and np.isfinite(bounds[1:]).all()
         # The self-check queries only the points its bracket cannot place.
-        assert sizes[1] == len(source) and 0 < sizes[2] < len(source)
+        assert sizes[1] == len(source) and 0 < sizes[3] < len(source)
 
     def test_self_check_rejected(self):
         result, bounds, _ = self._assert_matches(*_self_check_rejected_scene())
         assert not result.accepted_refinement
         assert result.n_static >= MIN_STATIC_POINTS
-        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+        assert len(bounds) == 4 and np.isfinite(bounds[1:]).all()
 
     @pytest.mark.parametrize(
         "make_scene", [_accepted_scene, _self_check_rejected_scene], ids=["accepted", "rejected"]
@@ -455,8 +497,8 @@ class TestBoundedQueriesMatchExactReference:
         """alpha < 1: the median, not the threshold, must lie below the bound."""
         _, bounds, _ = self._assert_matches(*make_scene(), alpha=0.5, min_static=30)
         # Purify bounds its search at twice the sampled median, not at twice
-        # alpha times it, so both bounded answers stand: no fallback.
-        assert len(bounds) == 3 and np.isfinite(bounds[1:]).all()
+        # alpha times it, so the bounded answers stand: no fallback.
+        assert len(bounds) == 4 and np.isfinite(bounds[1:]).all()
 
     def test_too_few_static(self, rng):
         target = rng.uniform(0, 10, size=(400, 3))
@@ -482,11 +524,19 @@ class TestBoundedQueriesMatchExactReference:
         result, bounds, _ = self._assert_matches(
             source, target, identity_sim3(), alpha=1.0, min_static=40
         )
-        # Sample and bounded purify query, then one bounded self-check query
-        # whose bound clears the median by the bracket's margin.
-        assert len(bounds) == 3 and 1.25 < bounds[2] < 1.25 * (1.0 + 1e-6)
+        # Sample and bounded purify query, then the band sample and the
+        # narrowed self-check query, whose bound clears the median by the
+        # bracket's margin.
+        assert len(bounds) == 4 and 1.25 < bounds[3] < 1.25 * (1.0 + 1e-6)
         assert not result.accepted_refinement
         assert result.refined_median_residual == 1.25
+
+    def test_self_check_falls_back_to_the_whole_band(self, monkeypatch):
+        monkeypatch.setattr(fine, "_BRACKET_SIGMAS", 0.0)
+        _, bounds, sizes = self._assert_matches(*_self_check_rejected_scene())
+        # Band sample, narrowed query, then the whole band within the sample's bound.
+        assert len(bounds) == 5 and bounds[4] == bounds[2]
+        assert sizes[4] > sizes[3]
 
 
 # Displacement of the outlier rows: far beyond purify's bound, so a bounded
@@ -581,3 +631,57 @@ class TestRefinedMedianBracket:
             assert (distances == 0.0).sum() > 1
         if cloud == "lattice":
             assert len(np.unique(distances)) < 10
+
+
+def _loose_bounds_case(seed):
+    """Index, shifted cloud, purification and brute-force median of a small
+    lattice case whose bracket bounds are valid but loose: at step 0 purify's
+    distances are the refined ones, here scaled by 1, 0.5 or 0 (lower bounds),
+    and half the frozen neighbors are random target points (upper bounds)."""
+    rng = np.random.default_rng(seed)
+    target = rng.integers(0, 6, size=(int(rng.integers(2, 8)), 3)).astype(float)
+    n = int(rng.integers(3, 60))
+    shifted = rng.integers(0, 6, size=(n, 3)) + rng.integers(0, 2, size=(n, 3)) * 0.5
+    index = build_index(PointCloud(target))
+    exact, nearest = index.query(shifted)
+    neighbors = np.where(rng.random(n) < 0.5, nearest, rng.integers(0, len(target), n))
+    loose = exact * rng.choice([1.0, 0.5, 0.0], n)
+    purification = PurificationResult(loose, neighbors, loose < 1.0, lower_median(loose), 1.0, 1.0)
+    return index, shifted, purification, lower_median(exact)
+
+
+class TestRefinedMedianSampledBand:
+    """The bracketed median stays exact through the narrowed query and
+    through the whole-band fallback that a narrowest bracket forces."""
+
+    @pytest.mark.parametrize("step", ["zero", "small", "beyond"])
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "copied"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, _OFFSET]),
+        alpha=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_narrowest_equals_brute_force_median(self, cloud, step, seed, offset, alpha):
+        target, source, coarse, candidate = _bracket_scene(seed, cloud, offset, step)
+        index = build_index(target)
+        purification = purify(source.with_points(coarse.apply(source.points)), index, alpha)
+        shifted = Sim3Transform(coarse.scale, coarse.rotation, candidate).apply(source.points)
+        step_length = float(np.linalg.norm(candidate - coarse.translation))
+        brute = np.sqrt(np.sum((shifted[:, None, :] - target.points[None, :, :]) ** 2, axis=2))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(fine, "_BRACKET_SIGMAS", 0.0)
+            median = _refined_median(index, shifted, purification, step_length)
+        assert median == lower_median(brute.min(axis=1))
+
+    # The narrowest bracket spans only the two sample values around the
+    # expected rank, so the exact counts often reject it and the whole band
+    # is queried.
+    @pytest.mark.parametrize("sigmas", [3.0, 0.0], ids=["sampled", "narrowest"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=205)  # narrowed brackets whose lower end falls below the band's
+    @example(seed=314)
+    def test_loose_bounds_keep_the_median(self, sigmas, seed):
+        index, shifted, purification, expected = _loose_bounds_case(seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(fine, "_BRACKET_SIGMAS", sigmas)
+            assert _refined_median(index, shifted, purification, 0.0) == expected

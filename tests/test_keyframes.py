@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from cloudchange import KeyframeSet, fps_temporal
@@ -57,6 +58,19 @@ class TestFpsTemporal:
 
 
 class TestKeyframeSet:
+    @pytest.mark.parametrize(
+        "epoch_id, indices",
+        [(1, (1.5, 2.7)), (1, (1.0, 2.0)), (1, (True, 2)), (1.0, (1, 2)), (True, (1, 2))],
+        ids=["fractional_index", "integral_float_index", "bool_index", "float_epoch", "bool_epoch"],
+    )
+    def test_integer_fields_take_only_integers(self, epoch_id, indices):
+        with pytest.raises(ValueError, match="must be an integer"):
+            KeyframeSet(epoch_id, indices)
+
+    def test_numpy_integers_are_integers(self):
+        keyframes = KeyframeSet(np.int64(2), np.array([1, 4]))
+        assert keyframes.epoch_id == 2 and keyframes.indices == (1, 4)
+
     def test_validates_sorted_unique(self):
         with pytest.raises(ValueError):
             KeyframeSet(1, (3, 1, 2))

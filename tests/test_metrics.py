@@ -15,7 +15,13 @@ from cloudchange import (
     combine_trajectories,
     rte,
 )
-from cloudchange.metrics import ablation_sweep, evaluate_scene_run, stack_epochs, transform_error
+from cloudchange.metrics import (
+    ROUND_OFF_ATE,
+    ablation_sweep,
+    evaluate_scene_run,
+    stack_epochs,
+    transform_error,
+)
 from cloudchange.pipeline import MODES, PipelineConfig
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
@@ -41,7 +47,7 @@ class TestTrajectory:
             Trajectory(np.zeros((2, 3)), (2, 1), (1, 1))
 
     def test_frame_indices_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="frame index must be >= 0"):
             Trajectory(np.zeros((1, 3)), (-1,), (1,))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -57,6 +63,15 @@ class TestTrajectory:
     def test_lengths_must_agree(self, centers, frames, epochs):
         with pytest.raises(ValueError, match="one 3-vector center"):
             Trajectory(centers, frames, epochs)
+
+    @pytest.mark.parametrize(
+        "frames, epochs",
+        [((0.9, 1.2), (1, 1)), ((0.0, 1.0), (1, 1)), ((False, True), (1, 1)), ((0, 1), (1.0, 1.0))],
+        ids=["fractional_frames", "integral_float_frames", "bool_frames", "float_epochs"],
+    )
+    def test_labels_take_only_integers(self, frames, epochs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Trajectory(np.zeros((2, 3)), frames, epochs)
 
     def test_ragged_centers_rejected(self):
         with pytest.raises(ValueError, match="centers must be a regular array"):
@@ -208,6 +223,14 @@ class TestAblationSweep:
             assert row["delta_pct"] is not None
             assert row["delta_pct"] >= 0.0
             assert row["ate_full"] <= row["ate_coarse"] + 1e-15
+
+    def test_delta_pct_is_undefined_at_a_round_off_baseline(self, sweep_scene):
+        # A zero-error joint makes the coarse stage exact up to round-off
+        # (ATE near 1e-15); a percentage of that baseline would read near -1e13 %.
+        rows = ablation_sweep(sweep_scene, [2, 5], MODES, PipelineConfig())
+        for row in rows:
+            assert row["ate_coarse"] <= ROUND_OFF_ATE * sweep_scene.extent
+            assert row["delta_pct"] is None
 
     def test_coarse_only_never_invokes_fine_stage(self, sweep_scene, monkeypatch):
         import cloudchange.pipeline as pipeline_module

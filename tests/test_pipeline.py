@@ -73,6 +73,16 @@ class TestPipelineConfig:
             PipelineConfig(correspondence_cap=2)
         assert PipelineConfig(correspondence_cap=3).correspondence_cap == 3
 
+    @pytest.mark.parametrize("field", ["k_keyframes", "correspondence_cap", "grid_resolution", "seed"])
+    @pytest.mark.parametrize("value", [50.5, 50.0, True], ids=["fraction", "integral_float", "bool"])
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PipelineConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = PipelineConfig(k_keyframes=np.int64(4), seed=np.int32(2))
+        assert config.to_dict()["k_keyframes"] == 4 and type(config.seed) is int
+
 
 class TestRegisterScene:
     def test_recovers_ground_truth(self, scene):

@@ -152,6 +152,20 @@ class TestGenerateScene:
         with pytest.raises(InvalidSpec, match="finite"):
             SceneSpec(seed=0, n_static=200, **noise)
 
+    @pytest.mark.parametrize("field", ["seed", "n_static", "n_frames_per_epoch"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "integral_float", "bool"])
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+            SceneSpec(**{"seed": 0, "n_static": 200, field: value})
+        with pytest.raises(InvalidSpec, match="n_points must be an integer"):
+            ChangeSpec("added", value)
+
+    def test_numpy_integers_are_integers(self):
+        spec = SceneSpec(seed=np.int64(3), n_static=np.uint16(200), n_frames_per_epoch=np.int32(4))
+        assert (spec.seed, spec.n_static, spec.n_frames_per_epoch) == (3, 200, 4)
+        assert type(spec.n_static) is int
+        assert ChangeSpec("added", np.int64(10)).n_points == 10
+
     def test_change_given_as_dict_is_invalid_spec(self):
         # from_dict is the one decoder of JSON changes; it rejects n_points 5.5.
         change = {"kind": "added", "n_points": 5.5}

@@ -14,11 +14,14 @@ predicted and ground-truth trajectories, a joint directory, the spec as
 scene.json, and a gt.json with the two ground-truth epoch transforms (the
 relative transform is derived from them, never stored) and per-point change
 labels.  A scene is a pure function of its spec and those transforms, so
-``ablate`` regenerates it from scene.json and gt.json.  Each per-point field
-of gt.json is one standard base64 string (RFC 4648) of a little-endian array,
-one value per point of its epoch: ``uint8`` change labels and edge flags (0 or
-1), and ``int64`` generation indices; no command reads them, they label the
-clouds for outside users.
+``ablate`` regenerates it from scene.json and gt.json.  scene.json holds the
+generator parameters alone, not the joint error model; a key outside them,
+such as the camera-route flag of older files, is an :class:`errors.InvalidSpec`
+naming the file, and ``synth`` writes the scene again.  Each per-point field of
+gt.json is one standard base64 string (RFC 4648) of a little-endian array, one
+value per point of its epoch: ``uint8`` change labels and edge flags (0 or 1),
+and ``int64`` generation indices; no command reads them, they label the clouds
+for outside users.
 
 A trajectory file lists its cameras under ``poses``, one object per camera:
 ``epoch_id``, ``frame_index`` and ``center``, three numbers in the frame of
@@ -97,9 +100,10 @@ def read_json(path) -> dict:
 
 
 def write_json(path, data: dict):
-    """Write ``data`` as sorted, two-space-indented JSON plus a newline."""
+    """Write ``data`` as sorted, two-space-indented JSON plus a newline;
+    ValueError on a NaN or an infinity, which JSON cannot hold."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2)
+        json.dump(data, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -224,12 +228,12 @@ def read_ground_truth(path) -> dict:
     return gt
 
 
-def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: float = 0.0):
+def write_scene_dir(scene, directory, joint_sigma: float = 0.0):
     """Export a synthetic scene to the directory layout the pipeline ingests.
 
     Layout::
 
-        scene.json                  spec echo
+        scene.json                  generator parameters (SceneSpec.to_dict)
         gt.json                     seed, frame count, extent, both epoch
                                     transforms; per point the change label,
                                     edge flag (base64 uint8) and generation
@@ -256,7 +260,5 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0, warp_amplitude: 
     gt_dir.mkdir(exist_ok=True)
     write_trajectory(gt_dir / "e1.json", scene.trajectory_t1)
     write_trajectory(gt_dir / "e2.json", scene.trajectory_t2)
-    joint = mock_joint_inference(
-        scene, all_frames_keyframes(scene), sigma=joint_sigma, warp_amplitude=warp_amplitude
-    )
+    joint = mock_joint_inference(scene, all_frames_keyframes(scene), sigma=joint_sigma)
     write_joint_dir(directory / "joint", joint)

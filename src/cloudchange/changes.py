@@ -99,10 +99,15 @@ def classify_changes(change_map: ChangeMap, tau_ratio: float = DEFAULT_TAU_RATIO
     a point is changed when its score strictly exceeds it.
 
     Raises:
-        ValueError: if ``tau_ratio`` is NaN, infinite or negative.
+        ValueError: if ``tau_ratio`` is not a finite number >= 0, or if
+            tau overflows to infinity.
     """
-    check_non_negative("tau_ratio", tau_ratio)
+    tau_ratio = check_non_negative("tau_ratio", tau_ratio)
     tau = tau_ratio * change_map.scene_extent
+    if not np.isfinite(tau):
+        raise ValueError(
+            f"tau_ratio {tau_ratio} times the scene extent {change_map.scene_extent} is not finite"
+        )
     return replace(
         change_map,
         forward_labels=change_map.forward_scores > tau,

@@ -113,8 +113,6 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--out", type=Path, required=True, help="output scene directory")
     p_synth.add_argument("--joint-sigma", type=float, default=0.0,
                          help="Gaussian perturbation of the exported joint clouds")
-    p_synth.add_argument("--joint-warp", type=float, default=0.0,
-                         help="systematic warp amplitude of the exported joint clouds")
 
     p_reg = sub.add_parser("register", help="estimate the relative transform between two epochs")
     p_reg.add_argument("--t1", type=Path, required=True, help="epoch 1 directory")
@@ -149,8 +147,9 @@ def _build_parser() -> _Parser:
                        help="comma-separated keyframe budgets, e.g. 2,3,5,9")
     p_abl.add_argument("--out", type=Path, required=True, help="output CSV")
     p_abl.add_argument("--modes", type=str, default=",".join(MODES))
-    p_abl.add_argument("--joint-sigma", type=float, default=0.0)
-    p_abl.add_argument("--joint-warp", type=float, default=0.0)
+    p_abl.add_argument("--joint-sigma", type=float, default=0.0,
+                       help="Gaussian perturbation of the joint clouds; scene.json does not "
+                            "record it, so pass the value synth exported")
     p_abl.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
     return parser
@@ -181,12 +180,9 @@ def _cmd_synth(args) -> int:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     with _flag_checks():
         check_non_negative("--joint-sigma", args.joint_sigma)
-        check_non_negative("--joint-warp", args.joint_warp)
     spec = _scene_spec(args.spec, args.seed)
     scene = generate_scene(spec)
-    bundles.write_scene_dir(
-        scene, args.out, joint_sigma=args.joint_sigma, warp_amplitude=args.joint_warp
-    )
+    bundles.write_scene_dir(scene, args.out, joint_sigma=args.joint_sigma)
     print(f"wrote scene (seed {spec.seed}, {len(scene.cloud_t1)} + {len(scene.cloud_t2)} points) to {args.out}")
     return 0
 
@@ -242,7 +238,10 @@ def _cmd_detect(args) -> int:
         t2 = filter_by_median_confidence(t2)
 
     start = time.perf_counter()
-    change_map, stats = detect_changes(aligned_t1, t2, tau_ratio=args.tau_ratio)
+    try:
+        change_map, stats = detect_changes(aligned_t1, t2, tau_ratio=args.tau_ratio)
+    except ValueError as exc:  # tau = ratio x extent overflows
+        raise _UsageError(f"--tau-ratio: {exc}") from None
     elapsed = time.perf_counter() - start
     colored_t1, colored_t2 = colorize(change_map, aligned_t1, t2)
 
@@ -320,14 +319,12 @@ def _cmd_ablate(args) -> int:
             for mode in modes:
                 config.replace(k_keyframes=k, mode=mode)
         check_non_negative("--joint-sigma", args.joint_sigma)
-        check_non_negative("--joint-warp", args.joint_warp)
     rows = ablation_sweep(
         _ablate_scene(args.scene),
         k_values,
         modes=modes,
         config=config,
         joint_sigma=args.joint_sigma,
-        warp_amplitude=args.joint_warp,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

@@ -12,10 +12,22 @@ _JSON_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a 
                list: "a list", dict: "an object"}
 
 
-def check_non_negative(name: str, value: float):
-    """Reject a NaN, infinite or negative ``value`` with ValueError naming ``name``."""
+def check_number(name: str, value, error: type = ValueError) -> float:
+    """``value`` as a float; ``error`` naming ``name`` unless an integer or a
+    float (no bool or string) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a number, got {reprlib.repr(value)}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise error(f"{name} must be a number within float range, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def check_non_negative(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless a finite number >= 0."""
+    value = check_number(name, value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def check_integer(name: str, value, minimum: int = None, error: type = ValueError) -> int:

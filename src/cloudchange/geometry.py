@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegenerateInput, SchemaError, check_fields, check_numbers
+from .errors import DegenerateInput, SchemaError, check_fields, check_number, check_numbers
 
 ROTATION_TOL = 1e-9
 # Rows per block in :func:`rotate`.  OpenBLAS hands an (n, 3) @ (3, 3) product
@@ -77,7 +77,7 @@ class Sim3Transform:
     translation: np.ndarray
 
     def __post_init__(self):
-        s = float(self.scale)
+        s = check_number("scale", self.scale)
         if not (s > 0.0) or not math.isfinite(s):
             raise ValueError(f"scale must be a positive finite number, got {s}")
         # Copies, so the value neither freezes nor follows the caller's arrays.

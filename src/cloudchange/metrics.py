@@ -193,7 +193,6 @@ def ablation_sweep(
     modes,
     config,
     joint_sigma: float = 0.0,
-    warp_amplitude: float = 0.0,
     epoch_bias: float = 0.0,
     frame_drift: float = 0.0,
 ) -> list:
@@ -229,7 +228,6 @@ def ablation_sweep(
             scene,
             config.replace(k_keyframes=int(k), mode=run_mode),
             joint_sigma=joint_sigma,
-            warp_amplitude=warp_amplitude,
             epoch_bias=epoch_bias,
             frame_drift=frame_drift,
         )

@@ -38,7 +38,7 @@ from .coarse import (
     build_keyframe_correspondences,
     estimate_epoch_alignment,
 )
-from .errors import MisalignedInputs, SchemaError, check_fields, check_integer
+from .errors import MisalignedInputs, SchemaError, check_fields, check_integer, check_number
 from .fine import FineResult, fine_stage
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
@@ -76,6 +76,7 @@ class PipelineConfig:
         for name, minimum in minimums.items():
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         check_grid_resolution(self.grid_resolution)
+        object.__setattr__(self, "alpha", check_number("alpha", self.alpha))
         if not 0.0 < self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.mode not in MODES:
@@ -233,7 +234,6 @@ def register_scene(
     scene,
     config: PipelineConfig,
     joint_sigma: float = 0.0,
-    warp_amplitude: float = 0.0,
     epoch_bias: float = 0.0,
     frame_drift: float = 0.0,
 ) -> RegistrationResult:
@@ -250,12 +250,11 @@ def register_scene(
 
     frames1, frames2 = scene.epoch_frames(1), scene.epoch_frames(2)
     joint = scene.prepared(
-        ("joint", joint_sigma, warp_amplitude, epoch_bias, frame_drift),
+        ("joint", joint_sigma, epoch_bias, frame_drift),
         lambda: mock_joint_inference(
             scene,
             all_frames_keyframes(scene),
             sigma=joint_sigma,
-            warp_amplitude=warp_amplitude,
             epoch_bias=epoch_bias,
             frame_drift=frame_drift,
         ),
@@ -357,7 +356,8 @@ class RunReport:
         }
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        data = self.to_dict(include_timing)
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as handle:

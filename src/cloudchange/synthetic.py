@@ -24,7 +24,9 @@ import numpy as np
 
 from .cloud import PointCloud, robust_extent
 from .coarse import JointReconstruction
-from .errors import InvalidSpec, check_fields, check_integer, check_non_negative, check_numbers
+from .errors import (
+    InvalidSpec, check_fields, check_integer, check_non_negative, check_number, check_numbers,
+)
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import KeyframeSet
 from .metrics import Trajectory
@@ -106,10 +108,6 @@ class SceneSpec:
         edge_noise_fraction: fraction of each epoch's points converted to
             low-confidence outliers elongated along the viewing ray.
         edge_noise_elongation: maximum elongation as a fraction of extent.
-        shared_trajectories: when True both epochs follow the same camera
-            path (a revisit of the same route), so matching frame indices
-            observe matching scene regions; otherwise each epoch gets its
-            own arc.
         epoch_transforms: ground-truth epoch-to-world similarity transforms;
             drawn from the seed (scales in [0.2, 5]) when omitted.
     """
@@ -121,13 +119,14 @@ class SceneSpec:
     noise_sigma: float = 0.0
     edge_noise_fraction: float = 0.0
     edge_noise_elongation: float = 0.1
-    shared_trajectories: bool = False
     epoch_transforms: tuple = None
 
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("n_static", 1), ("n_frames_per_epoch", 1)):
             value = check_integer(name, getattr(self, name), minimum, InvalidSpec)
             object.__setattr__(self, name, value)
+        for name in ("noise_sigma", "edge_noise_fraction", "edge_noise_elongation"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), InvalidSpec))
         if not 0.0 <= self.edge_noise_fraction <= 1.0:
             raise InvalidSpec("edge_noise_fraction must lie in [0, 1]")
         if not all(0.0 <= v < math.inf for v in (self.noise_sigma, self.edge_noise_elongation)):
@@ -180,7 +179,6 @@ _SPEC_TYPES = {
     "noise_sigma": float,
     "edge_noise_fraction": float,
     "edge_noise_elongation": float,
-    "shared_trajectories": bool,
 }
 _CHANGE_TYPES = {"kind": str, "n_points": int, "displacement": list}
 
@@ -466,8 +464,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
     clouds, worlds, edges, trajectories, origins, bounds = [], [], [], [], [], []
     for epoch_id, world in ((1, world_1), (2, world_2)):
         n = len(world)
-        traj_salt = _SALT_FRAMES + (1 if spec.shared_trajectories else epoch_id)
-        traj_rng = np.random.default_rng([spec.seed, traj_salt])
+        traj_rng = np.random.default_rng([spec.seed, _SALT_FRAMES + epoch_id])
         trajectory = _arc_trajectory(traj_rng, half, spec.n_frames_per_epoch, epoch_id)
         frames = _assign_frames(world, trajectory, traj_rng)
 
@@ -526,27 +523,6 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
     )
 
 
-def _warp_field(points: np.ndarray, extent: float, amplitude: float) -> np.ndarray:
-    """Smooth, deterministic low-frequency warp used to emulate the
-    systematic (non-similarity) component of joint reconstruction error.
-
-    Returns a displacement bounded by ``amplitude * extent`` per axis.
-    """
-    if amplitude <= 0.0:
-        return np.zeros_like(points)
-    u = points / extent
-    freq = 2.0 * math.pi * 0.7
-    disp = np.stack(
-        [
-            np.sin(freq * u[:, 1] + 0.9),
-            np.sin(freq * u[:, 2] + 2.1),
-            np.sin(freq * u[:, 0] + 4.2),
-        ],
-        axis=1,
-    )
-    return amplitude * extent * disp
-
-
 def _small_sim3(
     rng: np.random.Generator, magnitude: float, extent: float, fixed_magnitude: bool = False
 ) -> Sim3Transform:
@@ -581,7 +557,6 @@ def mock_joint_inference(
     scene: BiTemporalScene,
     keyframes: tuple,
     sigma: float = 0.0,
-    warp_amplitude: float = 0.0,
     epoch_bias: float = 0.0,
     frame_drift: float = 0.0,
 ) -> JointReconstruction:
@@ -589,13 +564,11 @@ def mock_joint_inference(
 
     For each requested keyframe, returns that frame's epoch points expressed
     in the shared world frame, pixel-aligned with the per-epoch cloud, with
-    configurable error components emulating a real joint pass:
+    three configurable error terms emulating a real joint pass:
 
     - ``sigma``: i.i.d. Gaussian perturbation, per-axis std sigma * extent,
       drawn once per point from the scene seed so the same point receives
       the same perturbation under any keyframe budget.
-    - ``warp_amplitude``: the smooth low-frequency field of
-      :func:`_warp_field`, a spatially systematic reconstruction error.
     - ``epoch_bias``: a near-identity similarity transform of deterministic
       magnitude (random direction) applied to every epoch-2 keyframe cloud,
       emulating a systematic cross-epoch inconsistency of the joint metric
@@ -605,14 +578,13 @@ def mock_joint_inference(
       (pose drift of the joint pass), fixed per frame, whose influence on
       the fit averages down as more keyframes are used.
 
-    All components are deterministic functions of the scene seed.
+    All three are deterministic functions of the scene seed.
 
     Raises:
         ValueError: on a NaN, infinite or negative error term, or keyframe
             sets that do not fit the scene.
     """
-    terms = (sigma, warp_amplitude, epoch_bias, frame_drift)
-    for name, value in zip(("sigma", "warp_amplitude", "epoch_bias", "frame_drift"), terms):
+    for name, value in (("sigma", sigma), ("epoch_bias", epoch_bias), ("frame_drift", frame_drift)):
         check_non_negative(name, value)
     kf1, kf2 = keyframes
     if (kf1.epoch_id, kf2.epoch_id) != (1, 2):
@@ -629,7 +601,6 @@ def mock_joint_inference(
             )
         rng = np.random.default_rng([scene.spec.seed, _SALT_JOINT + kf.epoch_id])
         perturbed = world + rng.normal(0.0, sigma * scene.extent, size=world.shape)
-        perturbed = perturbed + _warp_field(world, scene.extent, warp_amplitude)
         if epoch_bias > 0.0 and kf.epoch_id == 2:
             bias_rng = np.random.default_rng([scene.spec.seed, _SALT_JOINT_BIAS])
             bias = _small_sim3(bias_rng, epoch_bias, scene.extent, fixed_magnitude=True)

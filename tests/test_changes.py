@@ -120,6 +120,19 @@ class TestClassifyChanges:
         with pytest.raises(ValueError, match="tau_ratio must be finite and >= 0"):
             classify_changes(scored, tau_ratio=tau_ratio)
 
+    @pytest.mark.parametrize(
+        "tau_ratio", [True, "0.01", None, 10**400], ids=["bool", "string", "none", "huge_int"]
+    )
+    def test_tau_ratio_must_be_a_number(self, rng, tau_ratio):
+        scored = change_scores(PointCloud(rng.normal(size=(5, 3))), PointCloud(rng.normal(size=(5, 3))))
+        with pytest.raises(ValueError, match="tau_ratio must be a number"):
+            classify_changes(scored, tau_ratio=tau_ratio)
+
+    def test_overflowing_tau_is_rejected(self, rng):
+        scored = change_scores(PointCloud(rng.normal(size=(5, 3))), PointCloud(rng.normal(size=(5, 3))))
+        with pytest.raises(ValueError, match="not finite"):
+            classify_changes(scored, tau_ratio=1e308)
+
     def test_tau_is_ratio_times_extent(self, rng):
         a = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         b = PointCloud(rng.uniform(0, 10, size=(500, 3)))

@@ -11,7 +11,7 @@ import pytest
 
 from cloudchange import compose_relative
 from cloudchange.bundles import (
-    read_ground_truth, read_trajectory, scene_ground_truth_dict, write_json, write_scene_dir,
+    FORMAT_VERSION, read_ground_truth, scene_ground_truth_dict, write_json, write_scene_dir,
 )
 from cloudchange.cli import main
 from cloudchange.metrics import ablation_sweep
@@ -49,9 +49,9 @@ class TestSynth:
         assert echo["seed"] == 9
         assert echo["n_static"] == 500
 
-    def test_spec_round_trip_and_shared_trajectories(self, tmp_path):
+    def test_spec_round_trip(self, tmp_path):
         spec = SceneSpec(
-            seed=3, n_static=400, n_frames_per_epoch=4, shared_trajectories=True,
+            seed=3, n_static=400, n_frames_per_epoch=4,
             change_spec=(ChangeSpec("moved", 50, (1.0, 0.5, 0.2)),),
         )
         assert SceneSpec.from_dict(spec.to_dict()) == spec
@@ -59,13 +59,8 @@ class TestSynth:
         spec_path.write_text(json.dumps(spec.to_dict()))
         out = tmp_path / "scene"
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
-        assert json.loads((out / "scene.json").read_text())["shared_trajectories"] is True
-        # A shared route puts both epochs' cameras at the same world centers.
-        centers = [
-            read_trajectory(out / "gt_trajectories" / f"e{epoch}.json").centers
-            for epoch in (1, 2)
-        ]
-        np.testing.assert_array_equal(centers[0], centers[1])
+        echo = json.loads((out / "scene.json").read_text())
+        assert echo == {"format_version": FORMAT_VERSION, **spec.to_dict()}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -343,6 +338,8 @@ MALFORMED_ABLATE_INPUTS = {
     "unknown_spec_key": _set("scene.json", "bogus", 1),
     "zero_n_static": _set("scene.json", "n_static", 0),
     "unknown_change_kind": _set("scene.json", "change_spec", 0, "kind", "warped"),
+    # Older scene.json files hold this since-deleted field; synth writes them again.
+    "shared_trajectories": _set("scene.json", "shared_trajectories", False),
     # gt.json must describe the scene that scene.json generates.
     "other_extent": _set("gt.json", "extent", 1.0),
 }
@@ -455,6 +452,22 @@ class TestDetect:
 
     def test_detect_without_inputs_is_usage_error(self, tmp_path):
         assert main(["detect", "--out", str(tmp_path / "x")]) == 1
+
+    def test_overflowing_tau_is_usage_error(self, scene_dir, report_data, tmp_path, capsys):
+        # 1e308 passes the flag check, but times the extent it is infinite,
+        # which no JSON file can hold.
+        report_path = tmp_path / "r.json"
+        write_json(report_path, report_data)
+        before = report_path.read_bytes()
+        out = tmp_path / "changes"
+        code = main([
+            "detect", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+            "--report", str(report_path), "--out", str(out), "--tau-ratio", "1e308",
+        ])
+        assert code == 1
+        assert "--tau-ratio" in _assert_one_error_line(capsys, "detect")
+        assert not out.exists()
+        assert report_path.read_bytes() == before
 
 
 def _nan_frame_scene(scene_dir, tmp_path):
@@ -640,7 +653,7 @@ class TestNumericFlagChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--joint-sigma", "-1"], ["--joint-warp", "nan"], ["--joint-sigma", "inf"]]
+        "flags", [["--joint-sigma", "-1"], ["--joint-sigma", "nan"], ["--joint-sigma", "inf"]]
     )
     def test_synth_joint_error_model(self, tmp_path, capsys, flags):
         out = tmp_path / "scene"
@@ -657,7 +670,7 @@ class TestNumericFlagChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--joint-sigma", "-1"], ["--joint-warp", "inf"], ["--joint-warp", "nan"]]
+        "flags", [["--joint-sigma", "-1"], ["--joint-sigma", "inf"], ["--joint-sigma", "nan"]]
     )
     def test_ablate_joint_error_model(self, tmp_path, capsys, flags):
         out = tmp_path / "t.csv"
@@ -668,4 +681,16 @@ class TestNumericFlagChecks:
         assert code == 1
         line = _assert_one_error_line(capsys, "ablate")
         assert f"{flags[0]} must be finite and >= 0" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "ablate"])
+    def test_joint_warp_is_not_a_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--seed", "1", "--out", str(out)],
+            "ablate": ["ablate", "--scene", str(tmp_path / "missing"), "--k-list", "2",
+                       "--out", str(out)],
+        }[command]
+        assert main([*argv, "--joint-warp", "0.1"]) == 1
+        assert "unrecognized arguments: --joint-warp 0.1" in capsys.readouterr().err
         assert not out.exists()

@@ -101,6 +101,11 @@ class TestSim3Transform:
         with pytest.raises(ValueError):
             Sim3Transform(-2.0, np.eye(3), np.zeros(3))
 
+    @pytest.mark.parametrize("scale", [True, "2", None], ids=["bool", "string", "none"])
+    def test_scale_must_be_a_number(self, scale):
+        with pytest.raises(ValueError, match="scale must be a number"):
+            Sim3Transform(scale, np.eye(3), np.zeros(3))
+
     def test_rejects_reflection(self):
         reflect = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):

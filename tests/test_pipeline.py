@@ -17,6 +17,7 @@ from cloudchange import (
     register_epochs,
     register_scene,
 )
+from cloudchange.bundles import write_json
 from cloudchange.keyframes import fps_temporal
 from cloudchange.metrics import ablation_sweep, evaluate_scene_run
 from cloudchange.pipeline import detect_changes
@@ -78,6 +79,11 @@ class TestPipelineConfig:
     def test_integer_fields_take_only_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "3", None], ids=["bool", "string", "none"])
+    def test_alpha_takes_only_numbers(self, value):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            PipelineConfig(alpha=value)
 
     def test_numpy_integers_are_integers(self):
         config = PipelineConfig(k_keyframes=np.int64(4), seed=np.int32(2))
@@ -255,10 +261,11 @@ class TestPreparedScene:
         [
             ({"grid_resolution": 40}, {}),
             ({}, {"joint_sigma": 0.01}),
-            ({}, {"warp_amplitude": 0.002}),
+            ({}, {"epoch_bias": 0.01}),
+            ({}, {"frame_drift": 0.01}),
             ({"mode": "coarse_only"}, {"epoch_bias": 0.0}),
         ],
-        ids=["grid_resolution", "joint_sigma", "warp_amplitude", "coarse_epoch_bias"],
+        ids=["grid_resolution", "joint_sigma", "epoch_bias", "frame_drift", "coarse_epoch_bias"],
     )
     def test_changed_settings_are_not_served_stale(self, config_updates, mock_updates):
         used = generate_scene(_small_spec())
@@ -285,6 +292,15 @@ class TestRunReport:
         final = back.final_sim3()
         assert final.scale == result.final_transform.scale
         np.testing.assert_array_equal(final.translation, result.final_transform.translation)
+
+    def test_non_finite_numbers_are_not_written(self, scene, tmp_path):
+        # JSON (RFC 8259) has no NaN or Infinity.
+        report = RunReport.from_registration(register_scene(scene, PipelineConfig()))
+        report.record_changes({"tau": float("inf")}, elapsed=0.0)
+        with pytest.raises(ValueError):
+            report.to_json()
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "stats.json", {"tau": float("nan")})
 
     def test_byte_identical_excluding_timing(self, scene, tmp_path):
         result_a = register_scene(scene, PipelineConfig(seed=3), joint_sigma=0.005)

@@ -12,13 +12,17 @@ name, so the check cannot tell two methods of the same name apart.
 Likewise a default that no call in the package or the benchmark harness
 overrides is a constant in disguise.  Calls are matched by name alone (a
 class name stands for its ``__init__``), so two callables of one name share
-their calls.
+their calls.  And a command-line option that ``cli.py`` never reads is parsed
+and then ignored.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
+
+from cloudchange import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cloudchange"
@@ -224,3 +228,46 @@ def test_defaulted_parameter_scan():
         "Box.make('a', **{})\n"
     )
     assert _never_passed({"m.py": tree}, [tree]) == ["m.py:grow(by)", "m.py:scale(offset)"]
+
+
+def _option_dests(parser: argparse.ArgumentParser) -> set:
+    """The dest of every option of ``parser`` and of its subcommands."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                dests |= _option_dests(subparser)
+        if not isinstance(action, argparse._HelpAction):
+            dests.add(action.dest)
+    return dests
+
+
+def _ignored_options(parser, tree: ast.Module, config_flags) -> list:
+    """Options of ``parser`` that ``tree`` never reads as ``args.<dest>``,
+    leaving out ``config_flags``, which it reads by name through a table."""
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    return sorted(_option_dests(parser) - read - set(config_flags))
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    flags = [flag for flag, _, _ in cli._CONFIG_FLAGS]
+    ignored = _ignored_options(cli._build_parser(), tree, flags)
+    assert ignored == [], f"options parsed but never read: {ignored}"
+
+
+def test_ignored_option_scan():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run")
+    run.add_argument("--fast", action="store_true")
+    run.add_argument("--depth-limit", type=int)
+    run.add_argument("--level", type=int)
+    tree = ast.parse("def main(args):\n    return args.command, args.fast\n")
+    assert _ignored_options(parser, tree, ["level"]) == ["depth_limit"]

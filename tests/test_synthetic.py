@@ -152,6 +152,17 @@ class TestGenerateScene:
         with pytest.raises(InvalidSpec, match="finite"):
             SceneSpec(seed=0, n_static=200, **noise)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "edge_noise_fraction", "edge_noise_elongation"])
+    @pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "string", "none"])
+    def test_float_fields_take_only_numbers(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"{field} must be a number"):
+            SceneSpec(**{"seed": 0, "n_static": 200, field: value})
+
+    def test_float_fields_are_floats(self):
+        spec = SceneSpec(seed=0, noise_sigma=np.float32(0.25), edge_noise_fraction=1)
+        assert (spec.noise_sigma, spec.edge_noise_fraction) == (0.25, 1.0)
+        assert type(spec.noise_sigma) is float and type(spec.edge_noise_fraction) is float
+
     @pytest.mark.parametrize("field", ["seed", "n_static", "n_frames_per_epoch"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "integral_float", "bool"])
     def test_integer_fields_take_only_integers(self, field, value):
@@ -254,7 +265,7 @@ class TestMockJointInference:
                 hits += 1
         assert hits >= 19
 
-    @pytest.mark.parametrize("term", ["sigma", "warp_amplitude", "epoch_bias", "frame_drift"])
+    @pytest.mark.parametrize("term", ["sigma", "epoch_bias", "frame_drift"])
     @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
     def test_rejects_negative_or_non_finite_error_term(self, term, value):
         scene = generate_scene(SceneSpec(seed=25, n_static=200, n_frames_per_epoch=4))

@@ -15,9 +15,10 @@ scene.json, and a gt.json with the two ground-truth epoch transforms (the
 relative transform is derived from them, never stored) and per-point change
 labels.  A scene is a pure function of its spec and those transforms, so
 ``ablate`` regenerates it from scene.json and gt.json.  scene.json holds the
-generator parameters alone, not the joint error model; a key outside them,
-such as the camera-route flag of older files, is an :class:`errors.InvalidSpec`
-naming the file, and ``synth`` writes the scene again.  Each per-point field of
+generator parameters and the ``joint_sigma`` of its joint directory (a file
+without that key reads as 0.0); a key outside them, such as the camera-route
+flag of older files, is an :class:`errors.InvalidSpec` naming the file, and
+``synth`` writes the scene again.  Each per-point field of
 gt.json is one standard base64 string (RFC 4648) of a little-endian array, one
 value per point of its epoch: ``uint8`` change labels and edge flags (0 or 1),
 and ``int64`` generation indices; no command reads them, they label the clouds
@@ -48,7 +49,7 @@ import re
 from pathlib import Path
 
 from .coarse import JointReconstruction
-from .errors import SchemaError, check_fields
+from .errors import SchemaError, check_fields, check_non_negative
 from .geometry import Sim3Transform
 from .metrics import Trajectory
 from .ply import read_ply, write_ply
@@ -234,6 +235,7 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0):
     Layout::
 
         scene.json                  generator parameters (SceneSpec.to_dict)
+                                    and the joint_sigma of joint/
         gt.json                     seed, frame count, extent, both epoch
                                     transforms; per point the change label,
                                     edge flag (base64 uint8) and generation
@@ -245,9 +247,10 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0):
                                     (and e2.json)
         joint/e{k}_frame_NNNN.ply   shared-frame keyframe clouds (all frames)
     """
+    joint_sigma = check_non_negative("joint_sigma", joint_sigma)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec = {"format_version": FORMAT_VERSION, **scene.spec.to_dict()}
+    spec = {"format_version": FORMAT_VERSION, **scene.spec.to_dict(), "joint_sigma": joint_sigma}
     write_json(directory / "scene.json", spec)
     write_json(directory / "gt.json", scene_ground_truth_dict(scene))
     for epoch_id, name in ((1, "e1"), (2, "e2")):

@@ -11,7 +11,9 @@ Subcommands::
     ablate     scene.json + gt.json + keyframe budgets -> CSV table
 
 ``ablate`` regenerates the scene from those two files alone, so its table is
-:func:`metrics.ablation_sweep` on the generated scene.
+:func:`metrics.ablation_sweep` on the generated scene: scene.json gives the
+generator parameters and the ``joint_sigma`` that ``synth`` exported the joint
+clouds with, gt.json the two epoch transforms.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 """
@@ -26,6 +28,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import bundles
 from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
@@ -35,13 +39,15 @@ from .metrics import (
     MetricsReport, ablation_sweep, ate, combine_trajectories, rte, stack_epochs, transform_error,
 )
 from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
+from .ply import check_ply_range
 from .synthetic import SceneSpec, generate_scene
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
 # The scene ``synth`` writes when no --spec is given; a spec file overrides
-# any of these keys.
+# any of these keys.  ``joint_sigma`` is the Gaussian perturbation of the
+# exported joint clouds (see ``synthetic.mock_joint_inference``).
 DEFAULT_SCENE = {
     "seed": 0,
     "n_static": 10000,
@@ -54,6 +60,7 @@ DEFAULT_SCENE = {
     "noise_sigma": 0.002,
     "edge_noise_fraction": 0.15,
     "edge_noise_elongation": 0.3,
+    "joint_sigma": 0.0,
 }
 
 
@@ -77,6 +84,18 @@ def _flag_checks():
         yield
     except ValueError as exc:
         raise _UsageError(exc) from None
+
+
+@contextmanager
+def _carried_by(path):
+    """Data that the transforms of the file at ``path`` carry out of float
+    range is a SchemaError naming it: a numpy overflow inside the block, or
+    a ValueError from a value that rejects the result."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, ValueError) as exc:
+        raise SchemaError(f"{path}: its transform takes the data out of float range ({exc})") from None
 
 
 _DEFAULTS = PipelineConfig()
@@ -111,8 +130,6 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--spec", type=Path, help="scene spec JSON (defaults used if omitted)")
     p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--out", type=Path, required=True, help="output scene directory")
-    p_synth.add_argument("--joint-sigma", type=float, default=0.0,
-                         help="Gaussian perturbation of the exported joint clouds")
 
     p_reg = sub.add_parser("register", help="estimate the relative transform between two epochs")
     p_reg.add_argument("--t1", type=Path, required=True, help="epoch 1 directory")
@@ -147,17 +164,14 @@ def _build_parser() -> _Parser:
                        help="comma-separated keyframe budgets, e.g. 2,3,5,9")
     p_abl.add_argument("--out", type=Path, required=True, help="output CSV")
     p_abl.add_argument("--modes", type=str, default=",".join(MODES))
-    p_abl.add_argument("--joint-sigma", type=float, default=0.0,
-                       help="Gaussian perturbation of the joint clouds; scene.json does not "
-                            "record it, so pass the value synth exported")
     p_abl.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
     return parser
 
 
-def _scene_spec(path, seed=None) -> SceneSpec:
-    """The spec file at ``path`` (if any) over ``DEFAULT_SCENE``, ``seed``
-    overriding; a library error names ``path``."""
+def _scene_spec(path, seed=None) -> tuple:
+    """(spec, joint_sigma) of the spec file at ``path`` (if any) over
+    ``DEFAULT_SCENE``, ``seed`` overriding; a library error names ``path``."""
     data = dict(DEFAULT_SCENE)
     if path is not None:
         overrides = bundles.load_json(path)
@@ -170,7 +184,8 @@ def _scene_spec(path, seed=None) -> SceneSpec:
     if seed is not None:
         data["seed"] = seed
     try:
-        return SceneSpec.from_dict(data)
+        joint_sigma = check_non_negative("joint_sigma", data.pop("joint_sigma"), InvalidSpec)
+        return SceneSpec.from_dict(data), joint_sigma
     except InvalidSpec as exc:
         raise InvalidSpec(f"{path}: {exc}") from None
 
@@ -178,11 +193,9 @@ def _scene_spec(path, seed=None) -> SceneSpec:
 def _cmd_synth(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    with _flag_checks():
-        check_non_negative("--joint-sigma", args.joint_sigma)
-    spec = _scene_spec(args.spec, args.seed)
+    spec, joint_sigma = _scene_spec(args.spec, args.seed)
     scene = generate_scene(spec)
-    bundles.write_scene_dir(scene, args.out, joint_sigma=args.joint_sigma)
+    bundles.write_scene_dir(scene, args.out, joint_sigma=joint_sigma)
     print(f"wrote scene (seed {spec.seed}, {len(scene.cloud_t1)} + {len(scene.cloud_t2)} points) to {args.out}")
     return 0
 
@@ -225,7 +238,9 @@ def _cmd_detect(args) -> int:
         transform = report.final_sim3()
         t1 = PointCloud.concatenate(bundles.read_epoch_dir(args.t1))
         t2 = PointCloud.concatenate(bundles.read_epoch_dir(args.t2))
-        aligned_t1 = apply_transform(transform, t1)
+        with _carried_by(args.report):
+            aligned_t1 = apply_transform(transform, t1)
+            check_ply_range(aligned_t1.points, "aligned epoch 1")
     else:
         raise _UsageError("provide --t1/--t2/--report or --aligned-ply/--target-ply")
 
@@ -265,21 +280,25 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     report = RunReport.read(args.report)
     scene_dir = Path(args.scene)
-    gt = bundles.read_ground_truth(scene_dir / "gt.json")
+    gt_path = scene_dir / "gt.json"
+    gt = bundles.read_ground_truth(gt_path)
     pred1 = bundles.read_trajectory(scene_dir / "e1" / "trajectory.json")
     pred2 = bundles.read_trajectory(scene_dir / "e2" / "trajectory.json")
     gt1 = bundles.read_trajectory(scene_dir / "gt_trajectories" / "e1.json")
     gt2 = bundles.read_trajectory(scene_dir / "gt_trajectories" / "e2.json")
 
     estimated = report.final_sim3()
-    predicted = combine_trajectories(pred1, pred2, estimated)
     ground_truth = stack_epochs(gt1, gt2)
-    metrics = MetricsReport(
-        ate_m=ate(predicted, ground_truth),
-        rte_m=rte(predicted, ground_truth),
-        transform_error=transform_error(estimated, compose_relative(*gt["epoch_transforms"])),
-        config=report.config,
-    )
+    with _carried_by(args.report):
+        predicted = combine_trajectories(pred1, pred2, estimated)
+        ate_m, rte_m = ate(predicted, ground_truth), rte(predicted, ground_truth)
+    with _carried_by(gt_path):
+        metrics = MetricsReport(
+            ate_m=ate_m,
+            rte_m=rte_m,
+            transform_error=transform_error(estimated, compose_relative(*gt["epoch_transforms"])),
+            config=report.config,
+        )
     out = args.out if args.out is not None else scene_dir / "metrics.json"
     bundles.write_json(out, metrics.to_dict())
     report.record_metrics(metrics)
@@ -288,19 +307,23 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _ablate_scene(directory):
-    """The scene that ``directory``'s scene.json and the transforms of its
-    gt.json generate; a gt.json header that disagrees with it is a SchemaError."""
-    spec = _scene_spec(directory / "scene.json")
+def _ablate_scene(directory) -> tuple:
+    """(scene, joint_sigma): the scene that ``directory``'s scene.json and the
+    transforms of its gt.json generate, and the joint_sigma of scene.json; a
+    gt.json header that disagrees with them is a SchemaError."""
+    spec, joint_sigma = _scene_spec(directory / "scene.json")
     gt_path = directory / "gt.json"
     gt = bundles.read_ground_truth(gt_path)
-    scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+    with _carried_by(gt_path):
+        scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+        for epoch_id in (1, 2):
+            check_ply_range(scene.cloud(epoch_id).points, f"epoch {epoch_id}")
     # JSON numbers round-trip exactly, so files written together agree exactly.
     for key, value in (("seed", spec.seed), ("n_frames", spec.n_frames_per_epoch),
                        ("extent", scene.extent)):
         if gt[key] != value:
             raise SchemaError(f"{gt_path}: {key} is {gt[key]!r}, scene.json gives {value!r}")
-    return scene
+    return scene, joint_sigma
 
 
 def _cmd_ablate(args) -> int:
@@ -311,21 +334,15 @@ def _cmd_ablate(args) -> int:
     modes = tuple(tok.strip() for tok in args.modes.split(",") if tok.strip())
     if not k_values or not modes:
         raise _UsageError(f"{'--k-list' if not k_values else '--modes'} names no value")
-    # Build every swept config and check the joint error model up front, so
-    # a bad value is a usage error before any scene is read or registered.
+    # Build every swept config up front, so a bad value is a usage error
+    # before any scene is read or registered.
     with _flag_checks():
         config = PipelineConfig(seed=args.seed)
         for k in k_values:
             for mode in modes:
                 config.replace(k_keyframes=k, mode=mode)
-        check_non_negative("--joint-sigma", args.joint_sigma)
-    rows = ablation_sweep(
-        _ablate_scene(args.scene),
-        k_values,
-        modes=modes,
-        config=config,
-        joint_sigma=args.joint_sigma,
-    )
+    scene, joint_sigma = _ablate_scene(args.scene)
+    rows = ablation_sweep(scene, k_values, modes=modes, config=config, joint_sigma=joint_sigma)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()

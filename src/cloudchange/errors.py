@@ -22,11 +22,11 @@ def check_number(name: str, value, error: type = ValueError) -> float:
     return float(value)
 
 
-def check_non_negative(name: str, value) -> float:
-    """``value`` as a float; ValueError naming ``name`` unless a finite number >= 0."""
-    value = check_number(name, value)
+def check_non_negative(name: str, value, error: type = ValueError) -> float:
+    """``value`` as a float; ``error`` naming ``name`` unless a finite number >= 0."""
+    value = check_number(name, value, error)
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        raise error(f"{name} must be finite and >= 0, got {value}")
     return value
 
 

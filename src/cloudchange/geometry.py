@@ -176,9 +176,10 @@ def umeyama(source, target) -> Sim3Transform:
         target: (n, 3) paired target points.
 
     Raises:
-        DegenerateInput: fewer than 3 pairs, or near-collinear source points
+        DegenerateInput: fewer than 3 pairs, near-collinear source points
             (second singular value of the source scatter below 1e-12 of the
-            first).
+            first), moments beyond float range, or a fit whose scale is not
+            finite and positive or whose translation is not finite.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -197,11 +198,14 @@ def umeyama(source, target) -> Sim3Transform:
     tgt_c = tgt - mu_tgt
 
     src_scatter = (src_c * w[:, None]).T @ src_c
+    cov = (tgt_c * w[:, None]).T @ src_c
+    # An SVD of a non-finite matrix returns NaNs or fails to converge.
+    if not (np.isfinite(src_scatter).all() and np.isfinite(cov).all()):
+        raise DegenerateInput("the point moments leave float range")
     scatter_svals = np.linalg.svd(src_scatter, compute_uv=False)
     if scatter_svals[1] < 1e-12 * scatter_svals[0] or scatter_svals[0] == 0.0:
         raise DegenerateInput("source points are (near-)collinear; widen the correspondence set")
 
-    cov = (tgt_c * w[:, None]).T @ src_c
     u, d, vt = np.linalg.svd(cov)
     sign = np.ones(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
@@ -211,4 +215,6 @@ def umeyama(source, target) -> Sim3Transform:
     var_src = float(np.sum(w * np.sum(src_c**2, axis=1)))
     scale = float(np.sum(d * sign)) / var_src
     translation = mu_tgt - scale * (rotation @ mu_src)
+    if not (0.0 < scale < math.inf and np.isfinite(translation).all()):
+        raise DegenerateInput(f"the fit leaves float range (scale {scale})")
     return Sim3Transform(scale, rotation, translation)

@@ -12,6 +12,7 @@ same alignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -158,10 +159,10 @@ class MetricsReport:
     config: dict
 
     def __post_init__(self):
-        if self.ate_m < 0.0 or self.rte_m < 0.0:
-            raise ValueError("error metrics cannot be negative")
-        if any(v < 0.0 for v in self.transform_error.values()):
-            raise ValueError("transform error components cannot be negative")
+        # JSON holds no infinity, and an overflowed metric measures nothing.
+        if not all(0.0 <= v < math.inf for v in (self.ate_m, self.rte_m,
+                                                   *self.transform_error.values())):
+            raise ValueError("error metrics must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -46,13 +46,27 @@ _KNOWN_PROPERTIES = ("x", "y", "z", "confidence", "red", "green", "blue")
 # values alive at once on large clouds.
 _ASCII_BLOCK_ROWS = 65_536
 
+# Largest coordinate magnitude a float32 PLY field holds.
+_COORDINATE_LIMIT = float(np.finfo(np.float32).max)
+
+
+def check_ply_range(points: np.ndarray, what: str):
+    """ValueError naming ``what`` unless every coordinate of ``points`` lies
+    within float32 range: a larger one would be written as an infinity, which
+    :func:`read_ply` rejects."""
+    limit = _COORDINATE_LIMIT
+    if len(points) and not (-limit <= points.min() and points.max() <= limit):
+        raise ValueError(f"{what}: coordinates beyond float32 range, which a PLY file cannot hold")
+
 
 def write_ply(cloud: PointCloud, path, binary: bool = True):
     """Write ``cloud`` to ``path``.
 
     The vertex element always carries x, y, z and confidence; red, green,
-    blue are appended when the cloud has colors.
+    blue are appended when the cloud has colors.  A coordinate beyond float32
+    range is a ValueError raised before the file is opened.
     """
+    check_ply_range(cloud.points, str(path))
     has_color = cloud.color is not None
     header = ["ply"]
     header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")

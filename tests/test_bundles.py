@@ -123,12 +123,14 @@ class TestSceneDirectory:
 
     def test_scene_round_trip_and_idempotent_export(self, tmp_path, scene):
         # scene.json and the transforms of gt.json regenerate the scene, and
-        # re-exporting it reproduces every file, the joint clouds included.
+        # re-exporting it with the joint_sigma scene.json records reproduces
+        # every file, the joint clouds included.
         write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
-        spec = _scene_spec(tmp_path / "s" / "scene.json")
+        spec, joint_sigma = _scene_spec(tmp_path / "s" / "scene.json")
+        assert joint_sigma == 0.01
         gt = read_ground_truth(tmp_path / "s" / "gt.json")
         back = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
-        write_scene_dir(back, tmp_path / "s2", joint_sigma=0.01)
+        write_scene_dir(back, tmp_path / "s2", joint_sigma=joint_sigma)
         files = [_files(tmp_path / name) for name in ("s", "s2")]
         assert files[0] == files[1] and len(files[0]) == 4 * scene.spec.n_frames_per_epoch + 6
         for name in files[0]:

@@ -2,21 +2,38 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudchange import compose_relative
+from cloudchange import Sim3Transform, compose_relative
 from cloudchange.bundles import (
     FORMAT_VERSION, read_ground_truth, scene_ground_truth_dict, write_json, write_scene_dir,
 )
 from cloudchange.cli import main
 from cloudchange.metrics import ablation_sweep
 from cloudchange.pipeline import MODES, PipelineConfig, RunReport
+from cloudchange.ply import read_ply
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
+
+from conftest import random_rotation
+
+
+# joint_sigma values that a spec file or scene.json may not hold.
+MALFORMED_JOINT_SIGMAS = {
+    "negative_joint_sigma": -0.01,
+    "string_joint_sigma": "0.01",
+    "boolean_joint_sigma": True,
+    "non_finite_joint_sigma": float("inf"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +73,11 @@ class TestSynth:
         )
         assert SceneSpec.from_dict(spec.to_dict()) == spec
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
+        spec_path.write_text(json.dumps({**spec.to_dict(), "joint_sigma": 0.01}))
         out = tmp_path / "scene"
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         echo = json.loads((out / "scene.json").read_text())
-        assert echo == {"format_version": FORMAT_VERSION, **spec.to_dict()}
+        assert echo == {"format_version": FORMAT_VERSION, **spec.to_dict(), "joint_sigma": 0.01}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -71,9 +88,10 @@ class TestSynth:
             {"seed": -1},
             {"n_static": 0},
             {"change_spec": [{"kind": "warped", "n_points": 5}]},
+            *({"joint_sigma": value} for value in MALFORMED_JOINT_SIGMAS.values()),
         ],
         ids=["change_without_n_points", "non_integer_n_static", "unknown_key", "negative_seed",
-             "zero_n_static", "unknown_change_kind"],
+             "zero_n_static", "unknown_change_kind", *MALFORMED_JOINT_SIGMAS],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, overrides):
         spec_path = tmp_path / "spec.json"
@@ -81,6 +99,7 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
         assert code == 2
         assert f"{spec_path}: " in _assert_one_error_line(capsys, "synth")
+        assert not (tmp_path / "s").exists()
 
     def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -340,6 +359,8 @@ MALFORMED_ABLATE_INPUTS = {
     "unknown_change_kind": _set("scene.json", "change_spec", 0, "kind", "warped"),
     # Older scene.json files hold this since-deleted field; synth writes them again.
     "shared_trajectories": _set("scene.json", "shared_trajectories", False),
+    **{case: _set("scene.json", "joint_sigma", value)
+       for case, value in MALFORMED_JOINT_SIGMAS.items()},
     # gt.json must describe the scene that scene.json generates.
     "other_extent": _set("gt.json", "extent", 1.0),
 }
@@ -356,6 +377,97 @@ def test_malformed_ablate_input_is_data_error(scene_dir, tmp_path, capsys, case)
     assert main(["ablate", "--scene", str(scene), "--k-list", "2", "--out", str(out)]) == 2
     assert name in _assert_one_error_line(capsys, "ablate")
     assert not out.exists()
+
+
+# Valid Sim(3)s that carry a command's data beyond float range: the file
+# edited, the fields of its transform and the command that reads it.
+OVERFLOWING_TRANSFORMS = {
+    "detect_scale_1e308": ("detect", "r.json", {"scale": 1e308}),
+    # Finite in float64, but beyond float32: a PLY would hold infinities.
+    "detect_scale_1e300": ("detect", "r.json", {"scale": 1e300}),
+    "eval_scale_1e308": ("eval", "r.json", {"scale": 1e308}),
+    "eval_translation_1e308": ("eval", "r.json", {"translation": [1e308, 1e308, 0.0]}),
+    "ablate_scale_1e-307": ("ablate", "gt.json", {"scale": 1e-307}),
+    "ablate_scale_1e-308": ("ablate", "gt.json", {"scale": 1e-308}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_TRANSFORMS))
+def test_overflowing_transform_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
+    command, name, fields = OVERFLOWING_TRANSFORMS[case]
+    scene, report, out = tmp_path / "scene", tmp_path / "r.json", tmp_path / "out"
+    _copy_scene_files(scene_dir, scene, ("e1", "e2", "gt_trajectories", *_ABLATE_FILES))
+    write_json(report, _with_transform(report_data, **fields) if name == "r.json" else report_data)
+    if name == "gt.json":
+        _edit_json(scene / "gt.json", lambda data: data["epoch_transforms"][0].update(fields))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = {
+        "detect": ["detect", "--t1", scene / "e1", "--t2", scene / "e2", "--report", report,
+                   "--out", out],
+        "eval": ["eval", "--report", report, "--scene", scene, "--out", out],
+        "ablate": ["ablate", "--scene", scene, "--k-list", "2", "--out", out],
+    }[command]
+    assert main([str(arg) for arg in argv]) == 2
+    named = report if name == "r.json" else scene / "gt.json"
+    assert f"{named}: its transform takes the data out of float range" in _assert_one_error_line(
+        capsys, command
+    )
+    assert not out.exists()
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@st.composite
+def sim3_dicts(draw):
+    """The dict of a Sim(3) that ``Sim3Transform.from_dict`` accepts: a
+    log-uniform scale in [1e-300, 1e300], translation components up to
+    +-1e300 and a random rotation."""
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    translation = draw(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3))
+    rotation = random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return Sim3Transform(scale, rotation, translation).to_dict()
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    """A small synth scene with a registered report."""
+    root = tmp_path_factory.mktemp("transforms")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps({"seed": 2, "n_static": 400, "n_frames_per_epoch": 4,
+                                "change_spec": [{"kind": "added", "n_points": 40}]}))
+    assert main(["synth", "--spec", str(spec), "--out", str(root / "s")]) == 0
+    report = root / "report.json"
+    assert main(["register", "--t1", str(root / "s" / "e1"), "--t2", str(root / "s" / "e2"),
+                 "--joint", str(root / "s" / "joint"), "--report", str(report)]) == 0
+    return root
+
+
+@settings(max_examples=30)
+@given(transform=sim3_dicts())
+def test_any_sim3_in_a_file_is_read_or_a_data_error(fuzz_scene, transform):
+    # Each command ends in exit 0 or 2 (a RuntimeWarning is an error here),
+    # with one error line on 2 and readable PLYs on 0.
+    scene, report, out = fuzz_scene / "s", fuzz_scene / "r.json", fuzz_scene / "out"
+    gt = json.loads((scene / "gt.json").read_text())
+    gt["epoch_transforms"][0] = transform
+    write_json(scene / "gt.json", gt)
+    report_data = json.loads((fuzz_scene / "report.json").read_text())
+    write_json(report, _with_transform(report_data, **transform))
+    shutil.rmtree(out, ignore_errors=True)
+    commands = {
+        "detect": ["--t1", scene / "e1", "--t2", scene / "e2", "--report", report, "--out", out],
+        "eval": ["--report", report, "--scene", scene, "--out", fuzz_scene / "metrics.json"],
+        "ablate": ["--scene", scene, "--k-list", "2", "--out", fuzz_scene / "sweep.csv"],
+    }
+    for command, args in commands.items():
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, *map(str, args)])
+        lines = stderr.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 2 and len(lines) == 1 and lines[0].startswith(f"{command}: error: ")
+        ), (command, code, lines)
+        for ply in out.glob("*.ply"):
+            read_ply(ply)
 
 
 def _bad_path_argv(case, scene_dir, report, a_file, a_dir, out):
@@ -555,13 +667,22 @@ class TestEval:
         assert lean.read_bytes() == full.read_bytes()
 
 
+def _untimed(row) -> dict:
+    """A sweep row as its CSV cells, without the wall-clock columns."""
+    return {k: "" if v is None else str(v) for k, v in row.items() if not k.startswith("time_")}
+
+
 class TestAblate:
-    def test_csv_table(self, scene_dir, tmp_path):
+    def test_csv_table(self, tmp_path):
+        # The scene_dir scene, exported with a perturbed joint that
+        # scene.json records and ablate sweeps against.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 7, "joint_sigma": 0.01}))
+        scene = tmp_path / "s"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(scene)]) == 0
+        assert json.loads((scene / "scene.json").read_text())["joint_sigma"] == 0.01
         out = tmp_path / "sweep.csv"
-        code = main([
-            "ablate", "--scene", str(scene_dir), "--k-list", "2,5",
-            "--out", str(out), "--joint-sigma", "0.01",
-        ])
+        code = main(["ablate", "--scene", str(scene), "--k-list", "2,5", "--out", str(out)])
         assert code == 0
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
@@ -585,21 +706,17 @@ class TestAblate:
             change_spec=(ChangeSpec("moved", 200, (1.0, 0.5, 0.2)),),
         )
         scene = generate_scene(spec)
-        write_scene_dir(scene, tmp_path / "full")
+        write_scene_dir(scene, tmp_path / "full", joint_sigma=0.01)
         _copy_scene_files(tmp_path / "full", tmp_path / "s", _ABLATE_FILES)
+        assert json.loads((tmp_path / "s" / "scene.json").read_text())["joint_sigma"] == 0.01
         out = tmp_path / "sweep.csv"
-        argv = ["ablate", "--scene", str(tmp_path / "s"), "--k-list", "2,3", "--out", str(out),
-                "--joint-sigma", "0.01"]
+        argv = ["ablate", "--scene", str(tmp_path / "s"), "--k-list", "2,3", "--out", str(out)]
         assert main(argv) == 0
         expected = ablation_sweep(scene, [2, 3], modes=MODES, config=PipelineConfig(),
                                   joint_sigma=0.01)
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
-
-        def untimed(row):
-            return {k: "" if v is None else str(v) for k, v in row.items() if not k.startswith("time_")}
-
-        assert [untimed(row) for row in rows] == [untimed(row) for row in expected]
+        assert [_untimed(row) for row in rows] == [_untimed(row) for row in expected]
         # A gt.json of another scene does not describe this one.
         other = generate_scene(SceneSpec(seed=4, n_static=2000, n_frames_per_epoch=8))
         write_json(tmp_path / "s" / "gt.json", scene_ground_truth_dict(other))
@@ -607,6 +724,45 @@ class TestAblate:
         assert main(argv) == 2
         line = _assert_one_error_line(capsys, "ablate")
         assert f"{tmp_path / 's' / 'gt.json'}: seed is 4" in line
+
+    def test_sweeps_the_joint_synth_exported(self, tmp_path):
+        # register + eval read the joint clouds synth wrote; ablate
+        # regenerates them from scene.json.  Both see the same perturbed
+        # joint, so their ATEs agree up to the float32 rounding of the PLYs.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 3, "joint_sigma": 0.01}))
+        scene, report, csv_path = tmp_path / "s", tmp_path / "r.json", tmp_path / "sweep.csv"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(scene)]) == 0
+        assert main(["register", "--t1", str(scene / "e1"), "--t2", str(scene / "e2"),
+                     "--joint", str(scene / "joint"), "--report", str(report)]) == 0
+        assert main(["eval", "--report", str(report), "--scene", str(scene),
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert main(["ablate", "--scene", str(scene), "--k-list", "5", "--modes", "full",
+                     "--out", str(csv_path)]) == 0
+        ate_eval = json.loads((tmp_path / "m.json").read_text())["ate_m"]
+        with open(csv_path, newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert ate_eval > 1e-4
+        assert float(row["ate_full"]) == pytest.approx(ate_eval, rel=1e-3)
+
+    def test_scene_json_without_joint_sigma_sweeps_the_exact_joint(self, scene_dir, tmp_path):
+        # Directories written before scene.json recorded joint_sigma read as
+        # 0.0: the sweep of an unperturbed joint.
+        scene = tmp_path / "s"
+        _copy_scene_files(scene_dir, scene, _ABLATE_FILES)
+        _edit_json(scene / "scene.json", lambda data: data.pop("joint_sigma"))
+        out = tmp_path / "sweep.csv"
+        assert main(["ablate", "--scene", str(scene), "--k-list", "2,5", "--out", str(out)]) == 0
+        data = json.loads((scene / "scene.json").read_text())
+        spec = SceneSpec.from_dict({k: v for k, v in data.items() if k != "format_version"})
+        gt = read_ground_truth(scene / "gt.json")
+        expected = ablation_sweep(
+            generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"])), [2, 5],
+            modes=MODES, config=PipelineConfig(), joint_sigma=0.0,
+        )
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [_untimed(row) for row in rows] == [_untimed(row) for row in expected]
 
     def test_bad_k_list_is_usage_error(self, scene_dir, tmp_path):
         code = main([
@@ -637,7 +793,8 @@ class TestAblate:
 
 class TestNumericFlagChecks:
     """Negative or non-finite numeric flags are usage errors raised before
-    any file is read or written."""
+    any file is read or written.  The joint sigma is no longer a flag: the
+    values its flags were checked with are data errors in the spec file."""
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_detect_tau_ratio(self, tmp_path, capsys, value):
@@ -657,10 +814,13 @@ class TestNumericFlagChecks:
     )
     def test_synth_joint_error_model(self, tmp_path, capsys, flags):
         out = tmp_path / "scene"
-        code = main(["synth", "--seed", "1", "--out", str(out), *flags])
-        assert code == 1
+        assert main(["synth", "--seed", "1", "--out", str(out), *flags]) == 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 1, "joint_sigma": float(flags[1])}))
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
         line = _assert_one_error_line(capsys, "synth")
-        assert f"{flags[0]} must be finite and >= 0" in line
+        assert f"{spec_path}: joint_sigma must be finite and >= 0" in line
         assert not out.exists()
 
     def test_synth_negative_seed(self, tmp_path, capsys):
@@ -672,25 +832,29 @@ class TestNumericFlagChecks:
     @pytest.mark.parametrize(
         "flags", [["--joint-sigma", "-1"], ["--joint-sigma", "inf"], ["--joint-sigma", "nan"]]
     )
-    def test_ablate_joint_error_model(self, tmp_path, capsys, flags):
+    def test_ablate_joint_error_model(self, scene_dir, tmp_path, capsys, flags):
+        scene = tmp_path / "scene"
+        _copy_scene_files(scene_dir, scene, _ABLATE_FILES)
         out = tmp_path / "t.csv"
-        code = main([
-            "ablate", "--scene", str(tmp_path / "missing"), "--k-list", "2",
-            "--out", str(out), *flags,
-        ])
-        assert code == 1
+        argv = ["ablate", "--scene", str(scene), "--k-list", "2", "--out", str(out)]
+        assert main([*argv, *flags]) == 1
+        _edit_json(scene / "scene.json", lambda data: data.update(joint_sigma=float(flags[1])))
+        capsys.readouterr()
+        assert main(argv) == 2
         line = _assert_one_error_line(capsys, "ablate")
-        assert f"{flags[0]} must be finite and >= 0" in line
+        assert f"{scene / 'scene.json'}: joint_sigma must be finite and >= 0" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "ablate"])
     def test_joint_warp_is_not_a_flag(self, tmp_path, capsys, command):
+        # Nor is the joint sigma, which scene.json records.
         out = tmp_path / "out"
         argv = {
             "synth": ["synth", "--seed", "1", "--out", str(out)],
             "ablate": ["ablate", "--scene", str(tmp_path / "missing"), "--k-list", "2",
                        "--out", str(out)],
         }[command]
-        assert main([*argv, "--joint-warp", "0.1"]) == 1
-        assert "unrecognized arguments: --joint-warp 0.1" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in ("--joint-warp", "--joint-sigma"):
+            assert main([*argv, flag, "0.1"]) == 1
+            assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+            assert not out.exists()

@@ -281,6 +281,24 @@ class TestUmeyama:
         with pytest.raises(DegenerateInput):
             umeyama(line, line + 1.0)
 
+    def test_single_target_point_is_degenerate(self, rng):
+        # Every target at one point: the fitted scale is 0.
+        with pytest.raises(DegenerateInput, match=r"float range \(scale 0.0\)"):
+            umeyama(rng.normal(size=(5, 3)), np.ones((5, 3)))
+
+    def test_scale_beyond_float_range_is_degenerate(self, rng):
+        src = rng.normal(size=(5, 3))
+        with pytest.raises(DegenerateInput, match=r"float range \(scale inf\)"):
+            umeyama(1e-155 * src, 1e155 * src)
+
+    def test_moments_beyond_float_range_are_degenerate(self, rng):
+        src = rng.normal(size=(5, 3))
+        # The SVD of a non-finite matrix would return NaNs or not converge.
+        with np.errstate(over="ignore"), pytest.raises(DegenerateInput, match="moments"):
+            umeyama(1e200 * src, src)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateInput, match="moments"):
+            umeyama(1e10 * src, 1e300 * src)
+
     def test_optimality_against_perturbed_candidates(self, rng):
         src = rng.normal(size=(60, 3))
         gt = random_sim3(rng)

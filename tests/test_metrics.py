@@ -297,6 +297,17 @@ class TestMetricsReport:
         with pytest.raises(ValueError):
             MetricsReport(-1.0, 0.0, {"scale_ratio_error": 0.0}, {})
 
+    @pytest.mark.parametrize(
+        "values",
+        [(np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.inf)],
+        ids=["ate", "rte", "transform_error"],
+    )
+    def test_rejects_non_finite_errors(self, values):
+        # JSON cannot hold them, and an overflowed metric measures nothing.
+        ate_m, rte_m, scale_error = values
+        with pytest.raises(ValueError, match="finite"):
+            MetricsReport(ate_m, rte_m, {"scale_ratio_error": scale_error}, {})
+
     def test_evaluate_scene_run_roundtrip(self):
         from cloudchange import register_scene
 

@@ -48,6 +48,20 @@ class TestRoundTrip:
         write_ply(cloud, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("value", [1e300, -1e39], ids=["huge", "below_float32"])
+    def test_coordinate_beyond_float32_is_refused(self, tmp_path, value):
+        # It would be written as an infinity, which read_ply rejects.
+        points = np.zeros((3, 3))
+        points[1, 2] = value
+        path = tmp_path / "far.ply"
+        with pytest.raises(ValueError, match="far.ply: coordinates beyond float32 range"):
+            write_ply(PointCloud(points.copy()), path)
+        assert not path.exists()
+        # The float32 extremes themselves are written and read back.
+        points[1, 2] = np.copysign(float(np.finfo(np.float32).max), value)
+        write_ply(PointCloud(points), path)
+        np.testing.assert_array_equal(read_ply(path).points, points)
+
     def test_empty_cloud_round_trip(self, tmp_path):
         cloud = PointCloud(np.zeros((0, 3)))
         path = tmp_path / "empty.ply"

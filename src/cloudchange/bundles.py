@@ -100,12 +100,15 @@ def read_json(path) -> dict:
     return data
 
 
-def write_json(path, data: dict):
-    """Write ``data`` as sorted, two-space-indented JSON plus a newline;
+def json_text(data: dict) -> str:
+    """``data`` as sorted, two-space-indented JSON plus a newline;
     ValueError on a NaN or an infinity, which JSON cannot hold."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=2, allow_nan=False)
-        handle.write("\n")
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(path, data: dict):
+    """Write :func:`json_text` of ``data``; a value it rejects leaves ``path`` as it was."""
+    Path(path).write_text(json_text(data), encoding="utf-8")
 
 
 def _frame_stem(index: int) -> str:

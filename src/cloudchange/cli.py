@@ -4,16 +4,18 @@ Subcommands::
 
     synth      scene spec JSON (or defaults) -> scene directory
     register   two epoch directories + joint keyframe directory ->
-               relative transform + run report JSON
+               relative transform + run report JSON; --k, --alpha and
+               --mode set the PipelineConfig
     detect     aligned inputs or a register output -> colored change PLYs
                + statistics
     eval       run report + scene ground truth -> metrics JSON
     ablate     scene.json + gt.json + keyframe budgets -> CSV table
 
 ``ablate`` regenerates the scene from those two files alone, so its table is
-:func:`metrics.ablation_sweep` on the generated scene: scene.json gives the
-generator parameters and the ``joint_sigma`` that ``synth`` exported the joint
-clouds with, gt.json the two epoch transforms.
+:func:`metrics.ablation_sweep` on the generated scene under the default
+PipelineConfig: scene.json gives the generator parameters and the
+``joint_sigma`` that ``synth`` exported the joint clouds with, gt.json the two
+epoch transforms.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from . import bundles
 from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
-from .errors import CloudChangeError, InvalidSpec, SchemaError, check_non_negative
+from .errors import CloudChangeError, DegenerateInput, InvalidSpec, SchemaError, check_non_negative
 from .geometry import apply_transform, compose_relative
 from .metrics import (
     MetricsReport, ablation_sweep, ate, combine_trajectories, rte, stack_epochs, transform_error,
@@ -89,37 +91,16 @@ def _flag_checks():
 @contextmanager
 def _carried_by(path):
     """Data that the transforms of the file at ``path`` carry out of float
-    range is a SchemaError naming it: a numpy overflow inside the block, or
-    a ValueError from a value that rejects the result."""
+    range, or collapse so that no similarity fits it, is a SchemaError naming
+    it: a numpy overflow inside the block, a ValueError from a value that
+    rejects the result, or a DegenerateInput from a fit."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, ValueError) as exc:
         raise SchemaError(f"{path}: its transform takes the data out of float range ({exc})") from None
-
-
-_DEFAULTS = PipelineConfig()
-# Numeric PipelineConfig flags: flag name, config field, help; the type and
-# default come from the field's default.
-_CONFIG_FLAGS = (
-    ("k", "k_keyframes", "keyframe budget per epoch"),
-    ("cap", "correspondence_cap", "correspondence cap per epoch"),
-    ("alpha", "alpha", "static-set threshold multiplier"),
-    ("grid", "grid_resolution", "voxel grid resolution"),
-    ("seed", "seed", "subsampling seed"),
-)
-
-
-def _add_config_flags(parser: argparse.ArgumentParser):
-    for flag, field, help_text in _CONFIG_FLAGS:
-        default = getattr(_DEFAULTS, field)
-        parser.add_argument(f"--{flag}", type=type(default), default=default, help=help_text)
-    parser.add_argument("--mode", choices=MODES, default=_DEFAULTS.mode)
-
-
-def _config_from_args(args) -> PipelineConfig:
-    fields = {field: getattr(args, flag) for flag, field, _ in _CONFIG_FLAGS}
-    return PipelineConfig(mode=args.mode, **fields)
+    except DegenerateInput:
+        raise SchemaError(f"{path}: its transform collapses the data; no similarity fits it") from None
 
 
 def _build_parser() -> _Parser:
@@ -136,7 +117,11 @@ def _build_parser() -> _Parser:
     p_reg.add_argument("--t2", type=Path, required=True, help="epoch 2 directory")
     p_reg.add_argument("--joint", type=Path, required=True, help="joint keyframe cloud directory")
     p_reg.add_argument("--report", type=Path, help="write the run report JSON here")
-    _add_config_flags(p_reg)
+    defaults = PipelineConfig()
+    p_reg.add_argument("--k", type=int, default=defaults.k_keyframes, help="keyframe budget per epoch")
+    p_reg.add_argument("--alpha", type=float, default=defaults.alpha,
+                       help="static-set threshold multiplier")
+    p_reg.add_argument("--mode", choices=MODES, default=defaults.mode)
 
     p_det = sub.add_parser("detect", help="compute the 3D change map")
     p_det.add_argument("--t1", type=Path, help="epoch 1 directory (with --report)")
@@ -164,7 +149,6 @@ def _build_parser() -> _Parser:
                        help="comma-separated keyframe budgets, e.g. 2,3,5,9")
     p_abl.add_argument("--out", type=Path, required=True, help="output CSV")
     p_abl.add_argument("--modes", type=str, default=",".join(MODES))
-    p_abl.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
     return parser
 
@@ -202,7 +186,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_register(args) -> int:
     with _flag_checks():
-        config = _config_from_args(args)
+        config = PipelineConfig(k_keyframes=args.k, alpha=args.alpha, mode=args.mode)
     frames1 = bundles.read_epoch_dir(args.t1)
     frames2 = bundles.read_epoch_dir(args.t2)
     joint = bundles.read_joint_dir(args.joint)
@@ -337,12 +321,12 @@ def _cmd_ablate(args) -> int:
     # Build every swept config up front, so a bad value is a usage error
     # before any scene is read or registered.
     with _flag_checks():
-        config = PipelineConfig(seed=args.seed)
         for k in k_values:
             for mode in modes:
-                config.replace(k_keyframes=k, mode=mode)
+                PipelineConfig(k_keyframes=k, mode=mode)
     scene, joint_sigma = _ablate_scene(args.scene)
-    rows = ablation_sweep(scene, k_values, modes=modes, config=config, joint_sigma=joint_sigma)
+    with _carried_by(args.scene / "gt.json"):
+        rows = ablation_sweep(scene, k_values, modes, PipelineConfig(), joint_sigma=joint_sigma)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()

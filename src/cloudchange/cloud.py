@@ -317,25 +317,21 @@ class VoxelGrid:
         return (idx3[:, 0] * self.dims[1] + idx3[:, 1]) * self.dims[2] + idx3[:, 2]
 
 
-def check_grid_resolution(grid_resolution: int):
-    """Reject a resolution outside [1, MAX_GRID_RESOLUTION] with ValueError."""
-    if not 1 <= grid_resolution <= MAX_GRID_RESOLUTION:
-        raise ValueError(
-            f"grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], got {grid_resolution}"
-        )
-
-
 def voxel_grid_params(cloud: PointCloud, grid_resolution: int) -> VoxelGrid:
     """Adaptive voxel grid for ``cloud``.
 
     The voxel edge is the robust extent divided by ``grid_resolution``; the
     grid is anchored at the lower corner of the percentile-clipped bounding
     box and spans exactly that box, so stray outliers neither shrink the
-    voxels nor shift the anchoring.
+    voxels nor shift the anchoring.  ValueError on a resolution outside
+    [1, MAX_GRID_RESOLUTION].
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot size a voxel grid for an empty cloud")
-    check_grid_resolution(grid_resolution)
+    if not 1 <= grid_resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(
+            f"grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], got {grid_resolution}"
+        )
     lo, hi = _percentile_box(cloud.points)
     delta = float(np.max(hi - lo)) / grid_resolution
     if delta <= 0.0:

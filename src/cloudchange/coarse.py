@@ -19,6 +19,9 @@ from .errors import MisalignedInputs, TooFewCorrespondences
 from .geometry import Sim3Transform, umeyama
 from .keyframes import KeyframeSet
 
+# Correspondence pairs kept per epoch fit; more are subsampled to this many.
+CORRESPONDENCE_CAP = 5000
+
 
 @dataclass(frozen=True)
 class JointReconstruction:
@@ -60,15 +63,15 @@ class EpochAlignment:
 def build_keyframe_correspondences(
     per_epoch_kf_cloud: PointCloud,
     joint_kf_cloud: PointCloud,
-    cap: int,
-    seed,
+    epoch_id: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Paired (source, target) points for the per-epoch similarity fit.
+    """Paired (source, target) points for epoch ``epoch_id``'s similarity fit.
 
     The clouds must be pixel-aligned (same keyframes, same pixel order).
     Pairs whose per-epoch depth confidence does not exceed the median are
-    dropped; if more than ``cap`` pairs remain they are uniformly subsampled
-    to exactly ``cap`` with the given seed, preserving the pairing.
+    dropped; if more than ``CORRESPONDENCE_CAP`` pairs remain they are
+    uniformly subsampled to exactly that many, preserving the pairing, by a
+    generator seeded with ``[0, epoch_id]``.
 
     Raises:
         MisalignedInputs: if the clouds have different lengths.
@@ -81,9 +84,9 @@ def build_keyframe_correspondences(
         )
     mask = median_confidence_mask(per_epoch_kf_cloud.confidence)
     kept = np.nonzero(mask)[0]
-    if kept.size > cap:
-        rng = np.random.default_rng(seed)
-        kept = np.sort(rng.choice(kept, size=cap, replace=False))
+    if kept.size > CORRESPONDENCE_CAP:
+        rng = np.random.default_rng([0, epoch_id])
+        kept = np.sort(rng.choice(kept, size=CORRESPONDENCE_CAP, replace=False))
     if kept.size < 3:
         raise TooFewCorrespondences(f"only {kept.size} correspondences survived filtering")
     return per_epoch_kf_cloud.points[kept], joint_kf_cloud.points[kept]

@@ -13,7 +13,7 @@ same alignment.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -227,7 +227,7 @@ def ablation_sweep(
     for k in k_values:
         result = register_scene(
             scene,
-            config.replace(k_keyframes=int(k), mode=run_mode),
+            replace(config, k_keyframes=int(k), mode=run_mode),
             joint_sigma=joint_sigma,
             epoch_bias=epoch_bias,
             frame_drift=frame_drift,

@@ -1,5 +1,11 @@
 """Run orchestration: configuration, the two-stage registration, run reports.
 
+:class:`PipelineConfig` holds what a caller varies: the keyframe budget, the
+fine stage's static-set threshold multiplier and the mode.  The rest of the
+method's operating point is fixed: ``coarse.CORRESPONDENCE_CAP`` pairs per
+epoch fit, drawn by a generator seeded with the epoch id, and
+``GRID_RESOLUTION`` voxels across the fine stage's clouds.
+
 The registration proper is a sequential stage graph: keyframe selection,
 pixel-aligned correspondences against the joint reconstruction, one
 closed-form similarity fit per epoch, composition into the relative
@@ -19,15 +25,14 @@ so its timings cover the coarse stage and the refinement alone.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
-from .bundles import FORMAT_VERSION, read_json
+from .bundles import FORMAT_VERSION, json_text, read_json
 from .changes import DEFAULT_TAU_RATIO, ChangeMap, change_scores, classify_changes
 from .cloud import (
     PointCloud,
-    check_grid_resolution,
     median_confidence_mask,
     voxel_downsample_indices,
     voxel_grid_params,
@@ -44,49 +49,36 @@ from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
 from .metrics import MetricsReport
 
-RNG_NAME = "numpy PCG64"
-
 MODES = ("coarse_only", "full")
+
+# Voxels across the robust extent of each fine-stage cloud.
+GRID_RESOLUTION = 200
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline knobs with their default operating points.
+    """Pipeline settings with their default operating points.
 
     Attributes:
         k_keyframes: keyframe budget per epoch.
-        correspondence_cap: maximum correspondence pairs per epoch fit, >= 3.
         alpha: static-set threshold multiplier for the fine stage, finite, > 0.
-        grid_resolution: adaptive voxel grid resolution, at most
-            ``cloud.MAX_GRID_RESOLUTION``.
-        seed: non-negative seed for the correspondence subsampling generator.
         mode: "coarse_only" or "full".
     """
 
     k_keyframes: int = 5
-    correspondence_cap: int = 5000
     alpha: float = 3.0
-    grid_resolution: int = 200
-    seed: int = 0
     mode: str = "full"
 
     def __post_init__(self):
-        # A similarity fit needs 3 pairs, so a smaller cap can never succeed.
-        minimums = {"k_keyframes": 1, "correspondence_cap": 3, "grid_resolution": None, "seed": 0}
-        for name, minimum in minimums.items():
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
-        check_grid_resolution(self.grid_resolution)
+        object.__setattr__(self, "k_keyframes", check_integer("k_keyframes", self.k_keyframes, 1))
         object.__setattr__(self, "alpha", check_number("alpha", self.alpha))
         if not 0.0 < self.alpha < float("inf"):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
-    def replace(self, **updates) -> "PipelineConfig":
-        return replace(self, **updates)
-
     def to_dict(self) -> dict:
-        return {**asdict(self), "rng": RNG_NAME}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,8 @@ def _alignment_dict(a: EpochAlignment) -> dict:
 
 @dataclass(frozen=True)
 class FineInputs:
-    """The fine stage's input clouds, which depend on the grid resolution
-    but not on the keyframe budget.
+    """The fine stage's input clouds, which depend on the frames alone, not
+    on the keyframe budget.
 
     Attributes:
         source: epoch 1, confidence-filtered and voxel-downsampled.
@@ -130,13 +122,13 @@ class FineInputs:
     cloud_stats: dict
 
 
-def prepare_fine_inputs(frames1: list, frames2: list, grid_resolution: int) -> FineInputs:
+def prepare_fine_inputs(frames1: list, frames2: list) -> FineInputs:
     """Concatenate, confidence-filter and voxel-downsample each epoch's frames."""
     downsampled, stats = [], {}
     for label, frames in (("t1", frames1), ("t2", frames2)):
         cloud = PointCloud.concatenate(frames)
         filtered = cloud.select(median_confidence_mask(cloud.confidence))
-        grid = voxel_grid_params(filtered, grid_resolution)
+        grid = voxel_grid_params(filtered, GRID_RESOLUTION)
         voxel_keep = voxel_downsample_indices(filtered, grid)
         downsampled.append(filtered.select(voxel_keep))
         stats[f"{label}_filtered"] = len(filtered)
@@ -160,9 +152,9 @@ def register_epochs(
         joint: shared-frame keyframe clouds covering at least the keyframes
             the budget selects, pixel-aligned with the per-frame clouds.
         config: pipeline parameters; defaults apply when omitted.
-        fine_inputs: ``prepare_fine_inputs(frames1, frames2,
-            config.grid_resolution)`` made beforehand, which full mode then
-            neither rebuilds nor times; built and timed here when omitted.
+        fine_inputs: ``prepare_fine_inputs(frames1, frames2)`` made
+            beforehand, which full mode then neither rebuilds nor times;
+            built and timed here when omitted.
 
     Raises:
         MisalignedInputs: when a selected keyframe is missing from the joint
@@ -192,12 +184,7 @@ def register_epochs(
                     f"{len(cloud)} points, joint cloud {len(joint_cloud)}"
                 )
         epoch_kf_cloud = PointCloud.concatenate(per_frame)
-        source, target = build_keyframe_correspondences(
-            epoch_kf_cloud,
-            joint_kf_cloud,
-            cap=config.correspondence_cap,
-            seed=[config.seed, kf.epoch_id],
-        )
+        source, target = build_keyframe_correspondences(epoch_kf_cloud, joint_kf_cloud, kf.epoch_id)
         alignments.append(estimate_epoch_alignment(source, target, epoch_id=kf.epoch_id))
     coarse = compose_relative(alignments[0].transform, alignments[1].transform)
     coarse_elapsed = time.perf_counter() - start
@@ -209,7 +196,7 @@ def register_epochs(
     if config.mode == "full":
         start = time.perf_counter()
         if fine_inputs is None:
-            fine_inputs = prepare_fine_inputs(frames1, frames2, config.grid_resolution)
+            fine_inputs = prepare_fine_inputs(frames1, frames2)
         cloud_stats.update(fine_inputs.cloud_stats)
         fine = fine_stage(fine_inputs.source, fine_inputs.target, coarse, alpha=config.alpha)
         fine_elapsed = time.perf_counter() - start
@@ -243,8 +230,7 @@ def register_scene(
     ``mock_joint_inference``.  What does not depend on the keyframe budget
     is built on the first call that needs it and kept with the scene: the
     all-frames mock joint for each error model and, in full mode, the fine
-    stage's inputs for each grid resolution.  Neither is in the returned
-    timings.
+    stage's inputs.  Neither is in the returned timings.
     """
     from .synthetic import all_frames_keyframes, mock_joint_inference
 
@@ -261,10 +247,7 @@ def register_scene(
     )
     fine_inputs = None
     if config.mode == "full":
-        fine_inputs = scene.prepared(
-            ("fine", config.grid_resolution),
-            lambda: prepare_fine_inputs(frames1, frames2, config.grid_resolution),
-        )
+        fine_inputs = scene.prepared(("fine",), lambda: prepare_fine_inputs(frames1, frames2))
     return register_epochs(frames1, frames2, joint, config, fine_inputs=fine_inputs)
 
 
@@ -302,7 +285,7 @@ class RunReport:
 
     All deterministic content serializes under stable keys; wall-clock
     values live exclusively in the ``timing`` section so two runs with the
-    same inputs, config and seed produce byte-identical reports once that
+    same inputs and config produce byte-identical reports once that
     section is dropped.
     """
 
@@ -356,12 +339,10 @@ class RunReport:
         }
 
     def to_json(self, include_timing: bool = True) -> str:
-        data = self.to_dict(include_timing)
-        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict(include_timing))
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @staticmethod
     def read(path) -> "RunReport":

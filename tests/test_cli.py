@@ -121,7 +121,7 @@ class TestRegister:
         report_path = tmp_path / "r.json"
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--joint", str(scene_dir / "joint"), "--report", str(report_path), "--seed", "3",
+            "--joint", str(scene_dir / "joint"), "--report", str(report_path),
         ])
         assert code == 0
         report = RunReport.read(report_path)
@@ -171,21 +171,14 @@ class TestRegister:
         "flag, value",
         [
             pytest.param("--k", "0", id="--k"),
-            pytest.param("--cap", "0", id="--cap"),
-            pytest.param("--grid", "0", id="--grid"),
             pytest.param("--alpha", "0", id="--alpha"),
             pytest.param("--alpha", "inf", id="--alpha-inf"),
-            pytest.param("--cap", "1", id="--cap-1"),
-            pytest.param("--cap", "2", id="--cap-2"),
-            pytest.param("--grid", "3000000", id="--grid-3000000"),
-            pytest.param("--seed", "-1", id="--seed--1"),
         ],
     )
     def test_zero_config_value_is_usage_error(self, scene_dir, capsys, flag, value):
-        # A negative seed must fail up front even when the cap subsamples.
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-            "--joint", str(scene_dir / "joint"), "--cap", "10", flag, value,
+            "--joint", str(scene_dir / "joint"), flag, value,
         ])
         assert code == 1
         _assert_one_error_line(capsys, "register")
@@ -206,7 +199,7 @@ class TestRegister:
         for path, metrics_path in zip(paths, metrics):
             assert main([
                 "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
-                "--joint", str(scene_dir / "joint"), "--report", str(path), "--seed", "5",
+                "--joint", str(scene_dir / "joint"), "--report", str(path),
             ]) == 0
             assert main([
                 "eval", "--report", str(path), "--scene", str(scene_dir),
@@ -229,6 +222,50 @@ def report_data(scene_dir, tmp_path_factory):
         "--joint", str(scene_dir / "joint"), "--report", str(path),
     ]) == 0
     return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("register", "--cap", "10"), ("register", "--grid", "50"), ("register", "--seed", "1"),
+     ("ablate", "--seed", "1")],
+    ids=["register--cap", "register--grid", "register--seed", "ablate--seed"],
+)
+def test_removed_knob_is_not_a_flag(scene_dir, tmp_path, capsys, command, flag, value):
+    # The correspondence cap, the subsampling seed and the grid resolution
+    # are constants of the method, not settings.
+    out = tmp_path / "out"
+    argv = {
+        "register": ["register", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2",
+                     "--joint", scene_dir / "joint", "--report", out],
+        "ablate": ["ablate", "--scene", scene_dir, "--k-list", "2", "--out", out],
+    }[command]
+    assert main([*map(str, argv), flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_with_the_removed_config_keys_reads_the_same(scene_dir, report_data, tmp_path):
+    # Reports written while the config held the cap, the grid resolution and
+    # the seed carry four more keys, which detect and eval pass over.
+    removed = {"correspondence_cap": 5000, "grid_resolution": 200, "seed": 0, "rng": "numpy PCG64"}
+    old = {**report_data, "config": {**report_data["config"], **removed}}
+    outputs = []
+    for name, data in (("current", report_data), ("old", old)):
+        directory = tmp_path / name
+        directory.mkdir()
+        report = directory / "r.json"
+        write_json(report, data)
+        for argv in (
+            ["detect", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2", "--report", report,
+             "--out", directory / "out"],
+            ["eval", "--report", report, "--scene", scene_dir, "--out", directory / "m.json"],
+        ):
+            assert main([str(arg) for arg in argv]) == 0
+        metrics = json.loads((directory / "m.json").read_text())
+        assert metrics.pop("config") == data["config"]
+        files = ("changes_t1.ply", "changes_t2.ply", "change_stats.json")
+        outputs.append(([(directory / "out" / f).read_bytes() for f in files], metrics))
+    assert outputs[0] == outputs[1]
 
 
 def _with_transform(report, **fields):
@@ -392,9 +429,34 @@ OVERFLOWING_TRANSFORMS = {
 }
 
 
+# Valid Sim(3)s that leave a command's data in float range but collapse it
+# so far that no similarity fits it any more.
+COLLAPSING_TRANSFORMS = {
+    "eval_translation_1e20": ("eval", "r.json", {"translation": [1e20, 1e20, 1e20]}),
+    "ablate_translation_1e20": (
+        "ablate", "gt.json", {"scale": 1.0, "translation": [1e20, 1e20, 1e20]}
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_TRANSFORMS))
 def test_overflowing_transform_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
     command, name, fields = OVERFLOWING_TRANSFORMS[case]
+    line, named = _run_with_transform(scene_dir, report_data, tmp_path, capsys, command, name, fields)
+    assert f"{named}: its transform takes the data out of float range" in line
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSING_TRANSFORMS))
+def test_collapsing_transform_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
+    command, name, fields = COLLAPSING_TRANSFORMS[case]
+    line, named = _run_with_transform(scene_dir, report_data, tmp_path, capsys, command, name, fields)
+    assert f"{named}: its transform collapses the data" in line
+
+
+def _run_with_transform(scene_dir, report_data, tmp_path, capsys, command, name, fields):
+    """Run ``command`` with ``fields`` set in the transform of the file
+    ``name`` (the report, or gt.json's epoch 1), check that it exits 2 having
+    written nothing, and return its one error line and the edited file."""
     scene, report, out = tmp_path / "scene", tmp_path / "r.json", tmp_path / "out"
     _copy_scene_files(scene_dir, scene, ("e1", "e2", "gt_trajectories", *_ABLATE_FILES))
     write_json(report, _with_transform(report_data, **fields) if name == "r.json" else report_data)
@@ -408,12 +470,10 @@ def test_overflowing_transform_is_data_error(scene_dir, report_data, tmp_path, c
         "ablate": ["ablate", "--scene", scene, "--k-list", "2", "--out", out],
     }[command]
     assert main([str(arg) for arg in argv]) == 2
-    named = report if name == "r.json" else scene / "gt.json"
-    assert f"{named}: its transform takes the data out of float range" in _assert_one_error_line(
-        capsys, command
-    )
+    line = _assert_one_error_line(capsys, command)
     assert not out.exists()
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    return line, report if name == "r.json" else scene / "gt.json"
 
 
 @st.composite
@@ -445,7 +505,7 @@ def fuzz_scene(tmp_path_factory):
 @given(transform=sim3_dicts())
 def test_any_sim3_in_a_file_is_read_or_a_data_error(fuzz_scene, transform):
     # Each command ends in exit 0 or 2 (a RuntimeWarning is an error here),
-    # with one error line on 2 and readable PLYs on 0.
+    # with one error line naming a file it read on 2 and readable PLYs on 0.
     scene, report, out = fuzz_scene / "s", fuzz_scene / "r.json", fuzz_scene / "out"
     gt = json.loads((scene / "gt.json").read_text())
     gt["epoch_transforms"][0] = transform
@@ -458,6 +518,7 @@ def test_any_sim3_in_a_file_is_read_or_a_data_error(fuzz_scene, transform):
         "eval": ["--report", report, "--scene", scene, "--out", fuzz_scene / "metrics.json"],
         "ablate": ["--scene", scene, "--k-list", "2", "--out", fuzz_scene / "sweep.csv"],
     }
+    named = {"detect": (report,), "eval": (report, scene / "gt.json"), "ablate": (scene / "gt.json",)}
     for command, args in commands.items():
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -465,6 +526,7 @@ def test_any_sim3_in_a_file_is_read_or_a_data_error(fuzz_scene, transform):
         lines = stderr.getvalue().splitlines()
         assert (code, lines) == (0, []) or (
             code == 2 and len(lines) == 1 and lines[0].startswith(f"{command}: error: ")
+            and any(f"{path}: " in lines[0] for path in named[command])
         ), (command, code, lines)
         for ply in out.glob("*.ply"):
             read_ply(ply)
@@ -777,11 +839,10 @@ class TestAblate:
             ["--k-list", "0"],
             ["--k-list", "2,-2"],
             ["--k-list", "2", "--modes", "fast"],
-            ["--k-list", "2", "--seed", "-1"],
             ["--k-list", ""],
             ["--k-list", "2", "--modes", ","],
         ],
-        ids=["zero_k", "negative_k", "unknown_mode", "negative_seed", "no_k", "no_mode"],
+        ids=["zero_k", "negative_k", "unknown_mode", "no_k", "no_mode"],
     )
     def test_invalid_config_is_usage_error(self, scene_dir, tmp_path, capsys, flags):
         out = tmp_path / "t.csv"

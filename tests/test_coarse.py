@@ -15,6 +15,8 @@ from cloudchange import (
     compose_relative,
     estimate_epoch_alignment,
 )
+from cloudchange import coarse
+from cloudchange.cloud import median_confidence_mask
 
 from conftest import identity_sim3, random_sim3
 
@@ -28,24 +30,30 @@ def _aligned_pair(rng, n, confidence=None):
 class TestBuildKeyframeCorrespondences:
     def test_small_input_skips_subsampling(self, rng):
         epoch, joint = _aligned_pair(rng, 10)
-        src, tgt = build_keyframe_correspondences(epoch, joint, cap=5000, seed=0)
+        src, tgt = build_keyframe_correspondences(epoch, joint, 1)
         expected = int((epoch.confidence > np.sort(epoch.confidence)[4]).sum())
         assert len(src) == expected
         np.testing.assert_array_equal(tgt - src, 100.0)
 
     def test_cap_forces_exact_count_and_is_reproducible(self, rng):
         epoch, joint = _aligned_pair(rng, 20000)
-        src_a, tgt_a = build_keyframe_correspondences(epoch, joint, cap=5000, seed=11)
-        src_b, tgt_b = build_keyframe_correspondences(epoch, joint, cap=5000, seed=11)
-        src_c, _ = build_keyframe_correspondences(epoch, joint, cap=5000, seed=12)
-        assert len(src_a) == 5000
+        src_a, tgt_a = build_keyframe_correspondences(epoch, joint, 1)
+        src_b, tgt_b = build_keyframe_correspondences(epoch, joint, 1)
+        src_c, _ = build_keyframe_correspondences(epoch, joint, 2)
+        assert len(src_a) == coarse.CORRESPONDENCE_CAP == 5000
         np.testing.assert_array_equal(src_a, src_b)
         np.testing.assert_array_equal(tgt_a, tgt_b)
         assert not np.array_equal(src_a, src_c)
+        # The draw of a generator seeded with [0, epoch_id].
+        kept = np.nonzero(median_confidence_mask(epoch.confidence))[0]
+        draw = np.random.default_rng([0, 1]).choice(kept, size=5000, replace=False)
+        np.testing.assert_array_equal(src_a, epoch.points[np.sort(draw)])
 
-    def test_pairing_preserved_under_subsampling(self, rng):
+    def test_pairing_preserved_under_subsampling(self, rng, monkeypatch):
+        monkeypatch.setattr(coarse, "CORRESPONDENCE_CAP", 300)
         epoch, joint = _aligned_pair(rng, 12000)
-        src, tgt = build_keyframe_correspondences(epoch, joint, cap=300, seed=5)
+        src, tgt = build_keyframe_correspondences(epoch, joint, 1)
+        assert len(src) == 300
         np.testing.assert_array_equal(tgt - src, 100.0)
 
     def test_median_filter_applied_on_per_epoch_confidence(self, rng):
@@ -53,19 +61,19 @@ class TestBuildKeyframeCorrespondences:
         conf = np.concatenate([np.full(50, 0.2), np.full(50, 0.9)])
         epoch = PointCloud(pts, conf)
         joint = PointCloud(pts, np.full(100, 1.0))
-        src, _ = build_keyframe_correspondences(epoch, joint, cap=5000, seed=0)
+        src, _ = build_keyframe_correspondences(epoch, joint, 1)
         np.testing.assert_array_equal(np.sort(src, axis=0), np.sort(pts[50:], axis=0))
 
     def test_length_mismatch(self, rng):
         epoch, _ = _aligned_pair(rng, 10)
         joint = PointCloud(rng.normal(size=(11, 3)))
         with pytest.raises(MisalignedInputs):
-            build_keyframe_correspondences(epoch, joint, cap=10, seed=0)
+            build_keyframe_correspondences(epoch, joint, 1)
 
     def test_too_few_survivors(self, rng):
         epoch, joint = _aligned_pair(rng, 3, confidence=np.array([0.1, 0.2, 0.9]))
         with pytest.raises(TooFewCorrespondences):
-            build_keyframe_correspondences(epoch, joint, cap=10, seed=0)
+            build_keyframe_correspondences(epoch, joint, 1)
 
 
 class TestEstimateEpochAlignment:

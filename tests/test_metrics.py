@@ -272,11 +272,10 @@ class TestAblationSweep:
     def test_coarse_column_equals_a_coarse_only_run(self, sweep_scene):
         from cloudchange import register_scene
 
-        config = PipelineConfig(seed=3)
         mock = {"joint_sigma": 0.01, "epoch_bias": 0.005}
-        rows = ablation_sweep(sweep_scene, [2, 5], MODES, config, **mock)
+        rows = ablation_sweep(sweep_scene, [2, 5], MODES, PipelineConfig(), **mock)
         for row in rows:
-            coarse_only = config.replace(k_keyframes=row["k"], mode="coarse_only")
+            coarse_only = PipelineConfig(k_keyframes=row["k"], mode="coarse_only")
             expected = evaluate_scene_run(sweep_scene, register_scene(sweep_scene, coarse_only, **mock))
             assert row["ate_coarse"] == expected.ate_m
 

@@ -242,9 +242,8 @@ def _option_dests(parser: argparse.ArgumentParser) -> set:
     return dests
 
 
-def _ignored_options(parser, tree: ast.Module, config_flags) -> list:
-    """Options of ``parser`` that ``tree`` never reads as ``args.<dest>``,
-    leaving out ``config_flags``, which it reads by name through a table."""
+def _ignored_options(parser, tree: ast.Module) -> list:
+    """Options of ``parser`` that ``tree`` never reads as ``args.<dest>``."""
     read = {
         node.attr
         for node in ast.walk(tree)
@@ -252,13 +251,12 @@ def _ignored_options(parser, tree: ast.Module, config_flags) -> list:
         and isinstance(node.value, ast.Name)
         and node.value.id == "args"
     }
-    return sorted(_option_dests(parser) - read - set(config_flags))
+    return sorted(_option_dests(parser) - read)
 
 
 def test_every_cli_option_is_read():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    flags = [flag for flag, _, _ in cli._CONFIG_FLAGS]
-    ignored = _ignored_options(cli._build_parser(), tree, flags)
+    ignored = _ignored_options(cli._build_parser(), tree)
     assert ignored == [], f"options parsed but never read: {ignored}"
 
 
@@ -270,4 +268,4 @@ def test_ignored_option_scan():
     run.add_argument("--depth-limit", type=int)
     run.add_argument("--level", type=int)
     tree = ast.parse("def main(args):\n    return args.command, args.fast\n")
-    assert _ignored_options(parser, tree, ["level"]) == ["depth_limit"]
+    assert _ignored_options(parser, tree) == ["depth_limit", "level"]

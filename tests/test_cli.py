@@ -226,9 +226,11 @@ def report_data(scene_dir, tmp_path_factory):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("register", "--cap", "10"), ("register", "--grid", "50"), ("register", "--seed", "1"),
-     ("ablate", "--seed", "1")],
-    ids=["register--cap", "register--grid", "register--seed", "ablate--seed"],
+    [("register", "--cap", "0"), ("register", "--cap", "1"), ("register", "--cap", "2"),
+     ("register", "--grid", "0"), ("register", "--grid", "3000000"),
+     ("register", "--seed", "1"), ("ablate", "--seed", "1")],
+    ids=["register--cap", "register--cap-1", "register--cap-2", "register--grid",
+         "register--grid-3000000", "register--seed", "ablate--seed"],
 )
 def test_removed_knob_is_not_a_flag(scene_dir, tmp_path, capsys, command, flag, value):
     # The correspondence cap, the subsampling seed and the grid resolution

@@ -249,9 +249,20 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0):
         gt_trajectories/e1.json     world-frame ground-truth camera centers
                                     (and e2.json)
         joint/e{k}_frame_NNNN.ply   shared-frame keyframe clouds (all frames)
+
+    A frame file in ``directory`` that this export does not write (another
+    scene's, which the readers would mix in) is a :class:`SchemaError`,
+    raised before anything is written.
     """
     joint_sigma = check_non_negative("joint_sigma", joint_sigma)
     directory = Path(directory)
+    frames = {f"{_frame_stem(index)}.ply" for index in range(1, scene.spec.n_frames_per_epoch + 1)}
+    joint_frames = {f"e{epoch_id}_{name}" for epoch_id in (1, 2) for name in frames}
+    for name, pattern, written in (("e1", "frame_*.ply", frames), ("e2", "frame_*.ply", frames),
+                                   ("joint", "e*_frame_*.ply", joint_frames)):
+        for path in sorted((directory / name).glob(pattern)):
+            if path.name not in written:
+                raise SchemaError(f"{path}: not a frame of this scene; export into an empty directory")
     directory.mkdir(parents=True, exist_ok=True)
     spec = {"format_version": FORMAT_VERSION, **scene.spec.to_dict(), "joint_sigma": joint_sigma}
     write_json(directory / "scene.json", spec)

@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    synth      scene spec JSON (or defaults) -> scene directory
+    synth      scene spec JSON, seed included (or defaults) -> scene directory
     register   two epoch directories + joint keyframe directory ->
                relative transform + run report JSON; --k, --alpha and
                --mode set the PipelineConfig
-    detect     aligned inputs or a register output -> colored change PLYs
-               + statistics
+    detect     two epoch directories + register output -> colored change
+               PLYs + statistics, scored on the confidence-filtered clouds
     eval       run report + scene ground truth -> metrics JSON
     ablate     scene.json + gt.json + keyframe budgets -> CSV table
 
@@ -109,7 +109,6 @@ def _build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene directory")
     p_synth.add_argument("--spec", type=Path, help="scene spec JSON (defaults used if omitted)")
-    p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--out", type=Path, required=True, help="output scene directory")
 
     p_reg = sub.add_parser("register", help="estimate the relative transform between two epochs")
@@ -123,18 +122,15 @@ def _build_parser() -> _Parser:
                        help="static-set threshold multiplier")
     p_reg.add_argument("--mode", choices=MODES, default=defaults.mode)
 
-    p_det = sub.add_parser("detect", help="compute the 3D change map")
-    p_det.add_argument("--t1", type=Path, help="epoch 1 directory (with --report)")
-    p_det.add_argument("--t2", type=Path, help="epoch 2 directory (with --report)")
-    p_det.add_argument("--report", type=Path, help="register output holding the transform")
-    p_det.add_argument("--aligned-ply", type=Path, help="already-aligned epoch 1 cloud")
-    p_det.add_argument("--target-ply", type=Path, help="epoch 2 cloud for --aligned-ply")
+    p_det = sub.add_parser("detect", help="compute the 3D change map", description=(
+        "Scores epoch 1, moved by the report's final transform, against epoch 2, both without "
+        "their below-median-confidence points; already aligned clouds go in as two epoch "
+        "directories and a report whose final_transform is the identity."))
+    p_det.add_argument("--t1", type=Path, required=True, help="epoch 1 directory")
+    p_det.add_argument("--t2", type=Path, required=True, help="epoch 2 directory")
+    p_det.add_argument("--report", type=Path, required=True,
+                       help="register output holding the transform")
     p_det.add_argument("--tau-ratio", type=float, default=DEFAULT_TAU_RATIO)
-    p_det.add_argument(
-        "--no-filter-confidence",
-        action="store_true",
-        help="score the raw clouds instead of dropping below-median-confidence points first",
-    )
     p_det.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_eval = sub.add_parser("eval", help="trajectory metrics against ground truth")
@@ -153,9 +149,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _scene_spec(path, seed=None) -> tuple:
+def _scene_spec(path) -> tuple:
     """(spec, joint_sigma) of the spec file at ``path`` (if any) over
-    ``DEFAULT_SCENE``, ``seed`` overriding; a library error names ``path``."""
+    ``DEFAULT_SCENE``; a library error names ``path``."""
     data = dict(DEFAULT_SCENE)
     if path is not None:
         overrides = bundles.load_json(path)
@@ -165,8 +161,6 @@ def _scene_spec(path, seed=None) -> tuple:
         if "format_version" in overrides:
             bundles.check_version(overrides.pop("format_version"), path)
         data.update(overrides)
-    if seed is not None:
-        data["seed"] = seed
     try:
         joint_sigma = check_non_negative("joint_sigma", data.pop("joint_sigma"), InvalidSpec)
         return SceneSpec.from_dict(data), joint_sigma
@@ -175,9 +169,7 @@ def _scene_spec(path, seed=None) -> tuple:
 
 
 def _cmd_synth(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    spec, joint_sigma = _scene_spec(args.spec, args.seed)
+    spec, joint_sigma = _scene_spec(args.spec)
     scene = generate_scene(spec)
     bundles.write_scene_dir(scene, args.out, joint_sigma=joint_sigma)
     print(f"wrote scene (seed {spec.seed}, {len(scene.cloud_t1)} + {len(scene.cloud_t2)} points) to {args.out}")
@@ -209,32 +201,20 @@ def _cmd_register(args) -> int:
 def _cmd_detect(args) -> int:
     with _flag_checks():
         check_non_negative("--tau-ratio", args.tau_ratio)
-    report = None
-    if args.aligned_ply is not None or args.target_ply is not None:
-        if args.aligned_ply is None or args.target_ply is None:
-            raise _UsageError("--aligned-ply and --target-ply go together")
-        from .ply import read_ply
+    report = RunReport.read(args.report)
+    transform = report.final_sim3()
+    t1 = PointCloud.concatenate(bundles.read_epoch_dir(args.t1))
+    t2 = PointCloud.concatenate(bundles.read_epoch_dir(args.t2))
+    with _carried_by(args.report):
+        aligned_t1 = apply_transform(transform, t1)
+        check_ply_range(aligned_t1.points, "aligned epoch 1")
 
-        aligned_t1 = read_ply(args.aligned_ply)
-        t2 = read_ply(args.target_ply)
-    elif args.t1 is not None and args.t2 is not None and args.report is not None:
-        report = RunReport.read(args.report)
-        transform = report.final_sim3()
-        t1 = PointCloud.concatenate(bundles.read_epoch_dir(args.t1))
-        t2 = PointCloud.concatenate(bundles.read_epoch_dir(args.t2))
-        with _carried_by(args.report):
-            aligned_t1 = apply_transform(transform, t1)
-            check_ply_range(aligned_t1.points, "aligned epoch 1")
-    else:
-        raise _UsageError("provide --t1/--t2/--report or --aligned-ply/--target-ply")
+    # Low-confidence points are dominated by edge-flying depth noise and
+    # would be scored as spurious changes.
+    from .cloud import filter_by_median_confidence
 
-    if not args.no_filter_confidence:
-        # Low-confidence points are dominated by edge-flying depth noise and
-        # would be scored as spurious changes.
-        from .cloud import filter_by_median_confidence
-
-        aligned_t1 = filter_by_median_confidence(aligned_t1)
-        t2 = filter_by_median_confidence(t2)
+    aligned_t1 = filter_by_median_confidence(aligned_t1)
+    t2 = filter_by_median_confidence(t2)
 
     start = time.perf_counter()
     try:
@@ -251,9 +231,8 @@ def _cmd_detect(args) -> int:
     write_ply(colored_t1, out / "changes_t1.ply")
     write_ply(colored_t2, out / "changes_t2.ply")
     bundles.write_json(out / "change_stats.json", stats)
-    if report is not None:
-        report.record_changes(stats, elapsed=elapsed)
-        report.write(args.report)
+    report.record_changes(stats, elapsed=elapsed)
+    report.write(args.report)
     print(
         f"changed: {stats['n_forward_changed']} forward + {stats['n_backward_changed']} backward "
         f"of {stats['n_t1_points'] + stats['n_t2_points']} points (tau {stats['tau']:.4g})"

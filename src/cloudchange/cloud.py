@@ -29,9 +29,8 @@ from .errors import EmptyCloud
 # interleaved pairs) and 64 took 2 % less.
 _LEAF_SIZE = 32
 
-# Largest adaptive grid resolution: the linearized voxel keys reach about
-# (resolution + 1)^3, which must stay below 2^63.
-MAX_GRID_RESOLUTION = 2_000_000
+# Voxels across the robust extent of an adaptive grid.
+GRID_RESOLUTION = 200
 
 
 def lower_median(values) -> float:
@@ -317,23 +316,18 @@ class VoxelGrid:
         return (idx3[:, 0] * self.dims[1] + idx3[:, 1]) * self.dims[2] + idx3[:, 2]
 
 
-def voxel_grid_params(cloud: PointCloud, grid_resolution: int) -> VoxelGrid:
+def voxel_grid_params(cloud: PointCloud) -> VoxelGrid:
     """Adaptive voxel grid for ``cloud``.
 
-    The voxel edge is the robust extent divided by ``grid_resolution``; the
+    The voxel edge is the robust extent divided by ``GRID_RESOLUTION``; the
     grid is anchored at the lower corner of the percentile-clipped bounding
     box and spans exactly that box, so stray outliers neither shrink the
-    voxels nor shift the anchoring.  ValueError on a resolution outside
-    [1, MAX_GRID_RESOLUTION].
+    voxels nor shift the anchoring.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot size a voxel grid for an empty cloud")
-    if not 1 <= grid_resolution <= MAX_GRID_RESOLUTION:
-        raise ValueError(
-            f"grid_resolution must lie in [1, {MAX_GRID_RESOLUTION}], got {grid_resolution}"
-        )
     lo, hi = _percentile_box(cloud.points)
-    delta = float(np.max(hi - lo)) / grid_resolution
+    delta = float(np.max(hi - lo)) / GRID_RESOLUTION
     if delta <= 0.0:
         dims = np.ones(3, dtype=np.int64)
     else:

@@ -89,8 +89,12 @@ def combine_trajectories(
 
 
 def _check_labels(predicted: Trajectory, ground_truth: Trajectory):
+    """Equal labels, and at least two poses in each epoch, before any fit."""
     if predicted.labels() != ground_truth.labels():
         raise LabelMismatch("trajectories carry different (epoch, frame) labels")
+    epochs, counts = np.unique(predicted.epoch_ids, return_counts=True)
+    if (counts < 2).any():
+        raise TooFewPoses(f"epoch {epochs[counts < 2][0]} has fewer than 2 poses")
 
 
 def _alignment(predicted: Trajectory, ground_truth: Trajectory) -> Sim3Transform:
@@ -103,6 +107,7 @@ def ate(predicted: Trajectory, ground_truth: Trajectory) -> float:
 
     Raises:
         LabelMismatch: if the trajectories' (epoch, frame) labels differ.
+        TooFewPoses: if any epoch has fewer than two poses.
     """
     _check_labels(predicted, ground_truth)
     aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
@@ -123,9 +128,6 @@ def rte(predicted: Trajectory, ground_truth: Trajectory) -> float:
     _check_labels(predicted, ground_truth)
     epochs = sorted(set(predicted.epoch_ids))
     ids = np.asarray(predicted.epoch_ids)
-    for epoch in epochs:
-        if int((ids == epoch).sum()) < 2:
-            raise TooFewPoses(f"epoch {epoch} has fewer than 2 poses")
     aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
     gt = ground_truth.centers
     errors = []

@@ -4,7 +4,7 @@
 fine stage's static-set threshold multiplier and the mode.  The rest of the
 method's operating point is fixed: ``coarse.CORRESPONDENCE_CAP`` pairs per
 epoch fit, drawn by a generator seeded with the epoch id, and
-``GRID_RESOLUTION`` voxels across the fine stage's clouds.
+``cloud.GRID_RESOLUTION`` voxels across the fine stage's clouds.
 
 The registration proper is a sequential stage graph: keyframe selection,
 pixel-aligned correspondences against the joint reconstruction, one
@@ -50,9 +50,6 @@ from .keyframes import fps_temporal
 from .metrics import MetricsReport
 
 MODES = ("coarse_only", "full")
-
-# Voxels across the robust extent of each fine-stage cloud.
-GRID_RESOLUTION = 200
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def prepare_fine_inputs(frames1: list, frames2: list) -> FineInputs:
     for label, frames in (("t1", frames1), ("t2", frames2)):
         cloud = PointCloud.concatenate(frames)
         filtered = cloud.select(median_confidence_mask(cloud.confidence))
-        grid = voxel_grid_params(filtered, GRID_RESOLUTION)
+        grid = voxel_grid_params(filtered)
         voxel_keep = voxel_downsample_indices(filtered, grid)
         downsampled.append(filtered.select(voxel_keep))
         stats[f"{label}_filtered"] = len(filtered)

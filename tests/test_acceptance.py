@@ -223,10 +223,10 @@ def test_criterion_05_fine_stage_recovery():
     _report(5, "Fine-stage recovery", f"{passes}/100 seeds")
 
 
-def _downsampled_with_labels(cloud, labels, grid_resolution):
+def _downsampled_with_labels(cloud, labels):
     keep = np.nonzero(median_confidence_mask(cloud.confidence))[0]
     filtered = cloud.select(keep)
-    voxel_keep = voxel_downsample_indices(filtered, voxel_grid_params(filtered, grid_resolution))
+    voxel_keep = voxel_downsample_indices(filtered, voxel_grid_params(filtered))
     return filtered.select(voxel_keep), labels[keep[voxel_keep]]
 
 
@@ -252,8 +252,8 @@ def test_criterion_06_purification_purity():
         coarse = register_scene(
             scene, PipelineConfig(mode="coarse_only"), joint_sigma=0.003
         ).final_transform
-        down1, labels1 = _downsampled_with_labels(scene.cloud_t1, scene.labels_t1, 200)
-        down2, _ = _downsampled_with_labels(scene.cloud_t2, scene.labels_t2, 200)
+        down1, labels1 = _downsampled_with_labels(scene.cloud_t1, scene.labels_t1)
+        down2, _ = _downsampled_with_labels(scene.cloud_t2, scene.labels_t2)
         purification = purify(apply_transform(coarse, down1), build_index(down2), alpha=3.0)
         static_labels = labels1[purification.static_mask]
         purity = float((~static_labels).mean())
@@ -438,8 +438,9 @@ def test_criterion_09_brute_force_oracle_equivalence():
 def test_criterion_10_determinism_and_round_trips(tmp_path):
     """Identical seeds produce byte-identical run reports outside the timing
     section; PLY write-read round trips are lossless."""
-    scene_dir = tmp_path / "scene"
-    assert cli_main(["synth", "--seed", "42", "--out", str(scene_dir)]) == 0
+    scene_dir, spec = tmp_path / "scene", tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 42}))
+    assert cli_main(["synth", "--spec", str(spec), "--out", str(scene_dir)]) == 0
     reports = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name

@@ -136,6 +136,20 @@ class TestSceneDirectory:
         for name in files[0]:
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "stray", ["e1/frame_0007.ply", "e2/frame_1.ply", "joint/e2_frame_0007.ply"]
+    )
+    def test_export_over_another_scenes_frames_is_schema_error(self, tmp_path, scene, stray):
+        # The readers would mix a frame file this export does not write into
+        # the scene, so the export refuses it before it writes anything.
+        write_scene_dir(scene, tmp_path / "s")
+        (tmp_path / "s" / stray).write_bytes((tmp_path / "s" / "e1" / "frame_0001.ply").read_bytes())
+        before = {name: (tmp_path / "s" / name).read_bytes() for name in _files(tmp_path / "s")}
+        with pytest.raises(SchemaError, match=stray):
+            write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
+        assert {name: (tmp_path / "s" / name).read_bytes() for name in before} == before
+        assert _files(tmp_path / "s") == sorted(before)
+
     def test_joint_dir_round_trip(self, tmp_path, scene):
         write_scene_dir(scene, tmp_path / "s", joint_sigma=0.01)
         joint = read_joint_dir(tmp_path / "s" / "joint")

@@ -38,9 +38,10 @@ MALFORMED_JOINT_SIGMAS = {
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("scenes") / "s"
-    assert main(["synth", "--seed", "7", "--out", str(path)]) == 0
-    return path
+    root = tmp_path_factory.mktemp("scenes")
+    (root / "spec.json").write_text(json.dumps({"seed": 7}))
+    assert main(["synth", "--spec", str(root / "spec.json"), "--out", str(root / "s")]) == 0
+    return root / "s"
 
 
 class TestSynth:
@@ -55,16 +56,28 @@ class TestSynth:
     def test_spec_file_and_seed_override(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
-            json.dumps({"seed": 1, "n_static": 500, "n_frames_per_epoch": 4,
+            json.dumps({"seed": 9, "n_static": 500, "n_frames_per_epoch": 4,
                         "change_spec": [], "noise_sigma": 0.0,
                         "edge_noise_fraction": 0.0})
         )
         out = tmp_path / "scene"
-        assert main(["synth", "--spec", str(spec_path), "--seed", "9",
-                     "--out", str(out)]) == 0
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         echo = json.loads((out / "scene.json").read_text())
         assert echo["seed"] == 9
         assert echo["n_static"] == 500
+
+    def test_synth_over_another_scene_is_data_error(self, scene_dir, tmp_path, capsys):
+        # A 10-frame scene over a 30-frame one would leave frames 11-30 for
+        # register to mix into it.
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        before = {path: path.read_bytes() for path in scene.rglob("*") if path.is_file()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 2, "n_frames_per_epoch": 10, "n_static": 3000}))
+        assert main(["synth", "--spec", str(spec_path), "--out", str(scene)]) == 2
+        line = _assert_one_error_line(capsys, "synth")
+        assert f"{scene / 'e1' / 'frame_0011.ply'}: " in line
+        assert {path: path.read_bytes() for path in scene.rglob("*") if path.is_file()} == before
 
     def test_spec_round_trip(self, tmp_path):
         spec = SceneSpec(
@@ -225,25 +238,47 @@ def report_data(scene_dir, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "command, flag, value",
-    [("register", "--cap", "0"), ("register", "--cap", "1"), ("register", "--cap", "2"),
-     ("register", "--grid", "0"), ("register", "--grid", "3000000"),
-     ("register", "--seed", "1"), ("ablate", "--seed", "1")],
+    "command, flags",
+    [("register", ("--cap", "0")), ("register", ("--cap", "1")), ("register", ("--cap", "2")),
+     ("register", ("--grid", "0")), ("register", ("--grid", "3000000")),
+     ("register", ("--seed", "1")), ("ablate", ("--seed", "1")),
+     ("detect", ("--aligned-ply", "a.ply")), ("detect", ("--target-ply", "b.ply")),
+     ("detect", ("--no-filter-confidence",)), ("synth", ("--seed", "1"))],
     ids=["register--cap", "register--cap-1", "register--cap-2", "register--grid",
-         "register--grid-3000000", "register--seed", "ablate--seed"],
+         "register--grid-3000000", "register--seed", "ablate--seed", "detect--aligned-ply",
+         "detect--target-ply", "detect--no-filter-confidence", "synth--seed"],
 )
-def test_removed_knob_is_not_a_flag(scene_dir, tmp_path, capsys, command, flag, value):
+def test_removed_knob_is_not_a_flag(scene_dir, tmp_path, capsys, command, flags):
     # The correspondence cap, the subsampling seed and the grid resolution
-    # are constants of the method, not settings.
+    # are constants of the method, not settings.  detect always scores the
+    # confidence-filtered clouds of two epoch directories, and a scene's
+    # seed is in its spec file.
     out = tmp_path / "out"
     argv = {
         "register": ["register", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2",
                      "--joint", scene_dir / "joint", "--report", out],
         "ablate": ["ablate", "--scene", scene_dir, "--k-list", "2", "--out", out],
+        "detect": ["detect", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2",
+                   "--report", tmp_path / "r.json", "--out", out],
+        "synth": ["synth", "--out", out],
     }[command]
-    assert main([*map(str, argv), flag, value]) == 1
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert main([*map(str, argv), *flags]) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--t1", "--t2", "--report"])
+def test_detect_without_a_required_flag_is_usage_error(scene_dir, report_data, tmp_path, capsys,
+                                                       flag):
+    report = tmp_path / "r.json"
+    write_json(report, report_data)
+    before = report.read_bytes()
+    argv = {"--t1": scene_dir / "e1", "--t2": scene_dir / "e2", "--report": report,
+            "--out": tmp_path / "out"}
+    del argv[flag]
+    assert main(["detect", *(str(arg) for pair in argv.items() for arg in pair)]) == 1
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [report] and report.read_bytes() == before
 
 
 def test_report_with_the_removed_config_keys_reads_the_same(scene_dir, report_data, tmp_path):
@@ -537,7 +572,7 @@ def test_any_sim3_in_a_file_is_read_or_a_data_error(fuzz_scene, transform):
 def _bad_path_argv(case, scene_dir, report, a_file, a_dir, out):
     epochs = ["--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2")]
     return {
-        "synth_out_is_file": ["synth", "--seed", "1", "--out", a_file],
+        "synth_out_is_file": ["synth", "--out", a_file],
         "detect_out_is_file": ["detect", *epochs, "--report", report, "--out", a_file],
         "register_report_is_dir": [
             "register", *epochs, "--joint", str(scene_dir / "joint"), "--report", a_dir
@@ -545,9 +580,7 @@ def _bad_path_argv(case, scene_dir, report, a_file, a_dir, out):
         "eval_out_is_dir": ["eval", "--report", report, "--scene", str(scene_dir), "--out", a_dir],
         "ablate_out_is_dir": ["ablate", "--scene", str(scene_dir), "--k-list", "2", "--out", a_dir],
         "eval_report_is_dir": ["eval", "--report", a_dir, "--scene", str(scene_dir), "--out", out],
-        "detect_aligned_ply_is_dir": [
-            "detect", "--aligned-ply", a_dir, "--target-ply", a_file, "--out", out
-        ],
+        "detect_report_is_dir": ["detect", *epochs, "--report", a_dir, "--out", out],
         "synth_spec_is_dir": ["synth", "--spec", a_dir, "--out", out],
     }[case]
 
@@ -556,7 +589,7 @@ def _bad_path_argv(case, scene_dir, report, a_file, a_dir, out):
     "case",
     [
         "synth_out_is_file", "detect_out_is_file", "register_report_is_dir", "eval_out_is_dir",
-        "ablate_out_is_dir", "eval_report_is_dir", "detect_aligned_ply_is_dir", "synth_spec_is_dir",
+        "ablate_out_is_dir", "eval_report_is_dir", "detect_report_is_dir", "synth_spec_is_dir",
     ],
 )
 def test_path_of_the_wrong_kind_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
@@ -577,10 +610,15 @@ MALFORMED_PLY_HEADERS = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PLY_HEADERS))
-def test_malformed_ply_header_is_data_error(tmp_path, capsys, case):
-    path = tmp_path / "bad.ply"
-    path.write_text(f"ply\nformat ascii 1.0\n{MALFORMED_PLY_HEADERS[case]}end_header\n0\n")
-    argv = ["detect", "--aligned-ply", str(path), "--target-ply", str(path),
+def test_malformed_ply_header_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
+    epoch = tmp_path / "e1"
+    shutil.copytree(scene_dir / "e1", epoch)
+    (epoch / "frame_0001.ply").write_text(
+        f"ply\nformat ascii 1.0\n{MALFORMED_PLY_HEADERS[case]}end_header\n0\n"
+    )
+    report = tmp_path / "r.json"
+    write_json(report, report_data)
+    argv = ["detect", "--t1", str(epoch), "--t2", str(scene_dir / "e2"), "--report", str(report),
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "(line " in _assert_one_error_line(capsys, "detect")
@@ -606,25 +644,44 @@ class TestDetect:
         # The updated report now carries the change section.
         assert json.loads(report_path.read_text())["changes"] is not None
 
-    def test_detect_from_aligned_plys(self, scene_dir, tmp_path):
-        from cloudchange import apply_transform
+    def test_detect_from_aligned_plys(self, scene_dir, report_data, tmp_path):
+        # Through a report that carries the ground-truth relative transform,
+        # and, once aligned, through one-frame epoch directories and a report
+        # carrying the identity: the change map of the aligned clouds alone.
+        from cloudchange import apply_transform, filter_by_median_confidence
         from cloudchange.bundles import read_epoch_dir
         from cloudchange.cloud import PointCloud
+        from cloudchange.pipeline import detect_changes
         from cloudchange.ply import write_ply
 
         gt = read_ground_truth(scene_dir / "gt.json")
-        t1 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e1"))
-        t2 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e2"))
-        aligned = apply_transform(compose_relative(*gt["epoch_transforms"]), t1)
-        write_ply(aligned, tmp_path / "aligned.ply")
-        write_ply(t2, tmp_path / "target.ply")
-        out = tmp_path / "ch"
+        relative = compose_relative(*gt["epoch_transforms"])
+        report = tmp_path / "gt_report.json"
+        write_json(report, {**report_data, "final_transform": relative.to_dict()})
         code = main([
-            "detect", "--aligned-ply", str(tmp_path / "aligned.ply"),
-            "--target-ply", str(tmp_path / "target.ply"), "--out", str(out),
+            "detect", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+            "--report", str(report), "--out", str(tmp_path / "ch"),
         ])
         assert code == 0
-        assert (out / "change_stats.json").exists()
+        assert (tmp_path / "ch" / "change_stats.json").exists()
+
+        t1 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e1"))
+        t2 = PointCloud.concatenate(read_epoch_dir(scene_dir / "e2"))
+        for name, cloud in (("a1", apply_transform(relative, t1)), ("a2", t2)):
+            (tmp_path / name).mkdir()
+            write_ply(cloud, tmp_path / name / "frame_0001.ply")
+        identity = Sim3Transform(1.0, np.eye(3), np.zeros(3)).to_dict()
+        write_json(report, {**report_data, "final_transform": identity})
+        out = tmp_path / "aligned"
+        code = main([
+            "detect", "--t1", str(tmp_path / "a1"), "--t2", str(tmp_path / "a2"),
+            "--report", str(report), "--out", str(out),
+        ])
+        assert code == 0
+        aligned = [filter_by_median_confidence(read_epoch_dir(tmp_path / name)[0])
+                   for name in ("a1", "a2")]
+        _, stats = detect_changes(*aligned)
+        assert json.loads((out / "change_stats.json").read_text()) == stats
 
     def test_detect_without_inputs_is_usage_error(self, tmp_path):
         assert main(["detect", "--out", str(tmp_path / "x")]) == 1
@@ -681,11 +738,46 @@ class TestNonFiniteInput:
         code = main([
             "detect", "--t1", str(scene / "e1"), "--t2", str(scene / "e2"),
             "--report", str(report_path), "--out", str(tmp_path / "ch"),
-            "--no-filter-confidence",
         ])
         assert code == 2
         line = _assert_one_error_line(capsys, "detect")
         assert "frame_0010.ply: non-finite coordinates" in line
+
+
+def _synth_and_register(tmp_path, spec):
+    """The scene directory ``synth`` writes for ``spec`` and its register report."""
+    spec_path, scene = tmp_path / "spec.json", tmp_path / "scene"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(scene)]) == 0
+    assert main(["register", "--t1", str(scene / "e1"), "--t2", str(scene / "e2"),
+                 "--joint", str(scene / "joint"), "--report", str(scene / "r.json")]) == 0
+    return scene, scene / "r.json"
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_one_frame_per_epoch_is_data_error_naming_no_transform(tmp_path, capsys, command):
+    # ATE and RTE need two poses per epoch; a fit to fewer is no fault of
+    # the report or of gt.json.
+    scene, report = _synth_and_register(
+        tmp_path, {"seed": 4, "n_frames_per_epoch": 1, "n_static": 3000}
+    )
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--report", report, "--scene", scene, "--out", out],
+            "ablate": ["ablate", "--scene", scene, "--k-list", "2", "--out", out]}[command]
+    assert main([str(arg) for arg in argv]) == 2
+    line = _assert_one_error_line(capsys, command)
+    assert "epoch 1 has fewer than 2 poses" in line
+    assert "transform" not in line and "r.json" not in line and "gt.json" not in line
+    assert not out.exists()
+
+
+def test_two_frames_per_epoch_evaluate(tmp_path):
+    scene, report = _synth_and_register(
+        tmp_path, {"seed": 4, "n_frames_per_epoch": 2, "n_static": 3000}
+    )
+    assert main(["eval", "--report", str(report), "--scene", str(scene)]) == 0
+    assert json.loads((scene / "metrics.json").read_text())["ate_m"] < 1e-6
 
 
 class TestEval:
@@ -877,7 +969,7 @@ class TestNumericFlagChecks:
     )
     def test_synth_joint_error_model(self, tmp_path, capsys, flags):
         out = tmp_path / "scene"
-        assert main(["synth", "--seed", "1", "--out", str(out), *flags]) == 1
+        assert main(["synth", "--out", str(out), *flags]) == 1
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 1, "joint_sigma": float(flags[1])}))
         capsys.readouterr()
@@ -889,7 +981,11 @@ class TestNumericFlagChecks:
     def test_synth_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "scene"
         assert main(["synth", "--seed", "-1", "--out", str(out)]) == 1
-        assert "--seed must be >= 0" in _assert_one_error_line(capsys, "synth")
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": -1}))
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert f"{spec_path}: " in _assert_one_error_line(capsys, "synth")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -913,7 +1009,7 @@ class TestNumericFlagChecks:
         # Nor is the joint sigma, which scene.json records.
         out = tmp_path / "out"
         argv = {
-            "synth": ["synth", "--seed", "1", "--out", str(out)],
+            "synth": ["synth", "--out", str(out)],
             "ablate": ["ablate", "--scene", str(tmp_path / "missing"), "--k-list", "2",
                        "--out", str(out)],
         }[command]

@@ -19,7 +19,8 @@ from cloudchange import (
     voxel_downsample_indices,
     voxel_grid_params,
 )
-from cloudchange.cloud import MAX_GRID_RESOLUTION, VoxelGrid, _percentile_box
+from cloudchange import cloud as cloud_module
+from cloudchange.cloud import VoxelGrid, _percentile_box
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
 
@@ -202,7 +203,7 @@ class TestPercentileBox:
         expected = np.percentile(points, [1.0, 99.0], axis=0)
         assert _percentile_box(points).tobytes() == expected.tobytes()
         assert robust_extent(points) == float(np.max(expected[1] - expected[0]))
-        assert voxel_grid_params(PointCloud(points), 50).origin.tobytes() == expected[0].tobytes()
+        assert voxel_grid_params(PointCloud(points)).origin.tobytes() == expected[0].tobytes()
 
     @pytest.mark.parametrize("n", [4096, 10001, 100_000])
     def test_large_clouds_select_their_tails(self, rng, n, monkeypatch):
@@ -240,10 +241,17 @@ def _continuous_clouds(draw):
     return PointCloud(pts, conf)
 
 
+def _grid(cloud, resolution):
+    """``voxel_grid_params(cloud)`` at ``resolution`` voxels across."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cloud_module, "GRID_RESOLUTION", resolution)
+        return voxel_grid_params(cloud)
+
+
 class TestVoxelDownsample:
     def test_single_point_unchanged(self):
         cloud = PointCloud([[1.0, 2.0, 3.0]], [0.4])
-        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 200)))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud)))
         np.testing.assert_array_equal(out.points, cloud.points)
 
     def test_keeps_max_confidence_in_voxel(self):
@@ -251,7 +259,7 @@ class TestVoxelDownsample:
             [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [5.0, 5.0, 5.0]],
             [0.3, 0.9, 0.5],
         )
-        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 4)))
+        out = cloud.select(voxel_downsample_indices(cloud, _grid(cloud, 4)))
         assert len(out) == 2
         assert 0.9 in out.confidence and 0.3 not in out.confidence
 
@@ -263,7 +271,7 @@ class TestVoxelDownsample:
         base[:, 0] = np.linspace(0.0, 20.0, 992)
         base[:, 1] = base[:, 0] * 0.15
         cloud = PointCloud(base, np.full(992, 0.5))
-        grid = voxel_grid_params(cloud, 200)
+        grid = voxel_grid_params(cloud)
         lo, hi = np.percentile(base, [1, 99], axis=0)
         assert grid.voxel_size == pytest.approx(np.max(hi - lo) / 200)
         assert grid.voxel_size == pytest.approx(0.1, abs=0.005)
@@ -292,13 +300,13 @@ class TestVoxelDownsample:
             [[0.0, 0.0, 0.0], [0.001, 0.0, 0.0], [9.0, 9.0, 9.0]],
             [0.7, 0.7, 0.2],
         )
-        keep = voxel_downsample_indices(cloud, voxel_grid_params(cloud, 4))
+        keep = voxel_downsample_indices(cloud, _grid(cloud, 4))
         assert 0 in keep and 1 not in keep
 
     @given(cloud=st.one_of(_tied_clouds(), _continuous_clouds()), resolution=st.integers(1, 60))
     def test_idempotent_under_pinned_grid(self, cloud, resolution):
         # Re-downsampling with the same grid keeps every point.
-        grid = voxel_grid_params(cloud, resolution)
+        grid = _grid(cloud, resolution)
         once = cloud.select(voxel_downsample_indices(cloud, grid=grid))
         np.testing.assert_array_equal(voxel_downsample_indices(once, grid=grid), np.arange(len(once)))
 
@@ -306,7 +314,7 @@ class TestVoxelDownsample:
         pts = rng.uniform(0.0, 5.0, size=(2000, 3))
         conf = rng.uniform(0.0, 1.0, 2000)
         cloud = PointCloud(pts, conf)
-        grid = voxel_grid_params(cloud, 10)
+        grid = _grid(cloud, 10)
         keep = voxel_downsample_indices(cloud, grid=grid)
         keys = grid.keys(pts)
         best = {}
@@ -319,7 +327,7 @@ class TestVoxelDownsample:
 
     def test_all_coincident_collapses_to_one_point(self):
         cloud = PointCloud(np.ones((50, 3)), np.linspace(0.1, 0.9, 50))
-        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 200)))
+        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud)))
         assert len(out) == 1
         assert out.confidence[0] == pytest.approx(0.9)
 
@@ -331,7 +339,7 @@ class TestVoxelDownsample:
         pts = rng.uniform(0.0, 10.0, size=(500, 3))
         pts[0] = [1e4, 1e4, 1e4]
         cloud = PointCloud(pts, np.full(500, 0.5))
-        out = cloud.select(voxel_downsample_indices(cloud, voxel_grid_params(cloud, 20)))
+        out = cloud.select(voxel_downsample_indices(cloud, _grid(cloud, 20)))
         # The outlier lands in a boundary voxel; total never exceeds input.
         assert 1 <= len(out) <= 500
 
@@ -347,19 +355,6 @@ class TestVoxelDownsample:
         np.testing.assert_array_equal(keys, grid.keys(edge))
         assert (keys // 100).tolist() == [9, 0]
 
-    @pytest.mark.parametrize("resolution", [0, MAX_GRID_RESOLUTION + 1])
-    def test_out_of_range_resolution_rejected(self, resolution):
-        cloud = PointCloud(np.eye(3))
-        with pytest.raises(ValueError, match="grid_resolution"):
-            voxel_grid_params(cloud, resolution)
-
-    def test_largest_resolution_keys_stay_non_negative(self, rng):
-        # At the largest accepted resolution every linearized key still fits
-        # in int64; at 3e6 some of these keys wrap negative.
-        cloud = PointCloud(rng.uniform(0.0, 1.0, size=(20000, 3)))
-        grid = voxel_grid_params(cloud, MAX_GRID_RESOLUTION)
-        assert (grid.keys(cloud.points) >= 0).all()
-
 
 def _lexsort_voxel_indices(cloud: PointCloud, grid: VoxelGrid) -> np.ndarray:
     """Reference selection: one 3-key lexsort by voxel, falling confidence, index."""
@@ -374,7 +369,7 @@ def _lexsort_voxel_indices(cloud: PointCloud, grid: VoxelGrid) -> np.ndarray:
 class TestVoxelSelectionMatchesLexsort:
     @given(cloud=_tied_clouds(), resolution=st.integers(1, 8))
     def test_adaptive_grid(self, cloud, resolution):
-        grid = voxel_grid_params(cloud, resolution)
+        grid = _grid(cloud, resolution)
         np.testing.assert_array_equal(
             voxel_downsample_indices(cloud, grid=grid), _lexsort_voxel_indices(cloud, grid)
         )
@@ -384,7 +379,7 @@ class TestVoxelSelectionMatchesLexsort:
         cloud = PointCloud(
             rng.integers(0, 40, size=(20_000, 3)) * 0.25, rng.choice([0.2, 0.5, 0.9], 20_000)
         )
-        grid = voxel_grid_params(cloud, 3)
+        grid = _grid(cloud, 3)
         np.testing.assert_array_equal(
             voxel_downsample_indices(cloud, grid), _lexsort_voxel_indices(cloud, grid)
         )

@@ -173,8 +173,9 @@ class TestRte:
 
     def test_too_few_poses(self):
         traj = _combined([[0, 0, 0]], _arc(2))
-        with pytest.raises(TooFewPoses):
-            rte(traj, traj)
+        for metric in (ate, rte):
+            with pytest.raises(TooFewPoses, match="epoch 1 has fewer than 2 poses"):
+                metric(traj, traj)
 
 
 class TestTransformError:

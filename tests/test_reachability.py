@@ -10,10 +10,11 @@ counts as used when any module of the package names an attribute of that
 name, so the check cannot tell two methods of the same name apart.
 
 Likewise a default that no call in the package or the benchmark harness
-overrides is a constant in disguise.  Calls are matched by name alone (a
-class name stands for its ``__init__``), so two callables of one name share
-their calls.  And a command-line option that ``cli.py`` never reads is parsed
-and then ignored.
+overrides is a constant in disguise, and so is a parameter without a default
+that every call passes the same literal or the same ALL_CAPS constant.  Calls
+are matched by name alone (a class name stands for its ``__init__``), so two
+callables of one name share their calls.  And a command-line option that
+``cli.py`` never reads is parsed and then ignored.
 """
 
 from __future__ import annotations
@@ -139,21 +140,24 @@ def test_import_scan():
     assert _unused_imports(tree) == ["pi"]
 
 
-def _defaulted_parameters(tree: ast.Module) -> list:
+def _parameters(tree: ast.Module, defaulted: bool) -> list:
     """(callable name, parameter name, positional index or None) for every
-    parameter with a default of a module-level function or a method; the
-    index counts after ``self``/``cls`` and is None for keyword-only ones."""
+    parameter of a module-level function or a method that has a default
+    (``defaulted``) or has none; the index counts after ``self``/``cls`` and
+    is None for keyword-only ones."""
     found = []
 
     def collect(name: str, node, skip: int):
         args = node.args
         positional = [*args.posonlyargs, *args.args][skip:]
         first = len(positional) - len(args.defaults)
-        found.extend((name, arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+        found.extend(
+            (name, arg.arg, i) for i, arg in enumerate(positional) if (i >= first) == defaulted
+        )
         found.extend(
             (name, arg.arg, None)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-            if default is not None
+            if (default is not None) == defaulted
         )
 
     for node in tree.body:
@@ -172,20 +176,30 @@ def _defaulted_parameters(tree: ast.Module) -> list:
 
 
 def _calls(trees: list) -> dict:
-    """Callee name -> list of (positional count, keyword names) per call;
-    ``*args`` counts as every position and ``**kwargs`` as every keyword."""
+    """Callee name -> the calls that name it."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            n_positional = float("inf") if starred else len(node.args)
-            keywords = {k.arg for k in node.keywords}
-            calls.setdefault(name, []).append((n_positional, keywords))
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
     return calls
+
+
+def _passed(call: ast.Call, param: str, index):
+    """The expression ``call`` passes for a parameter, None when it passes
+    none, or ``...`` when a ``*args`` or ``**kwargs`` may carry it."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    carried = any(keyword.arg is None for keyword in call.keywords)
+    if index is not None:
+        starred = [isinstance(arg, ast.Starred) for arg in call.args]
+        if index < len(call.args):
+            return ... if any(starred[: index + 1]) else call.args[index]
+        carried = carried or any(starred)
+    return ... if carried else None
 
 
 def _never_passed(modules: dict, callers: list) -> list:
@@ -193,11 +207,8 @@ def _never_passed(modules: dict, callers: list) -> list:
     return sorted(
         f"{module}:{name}({param})"
         for module, tree in modules.items()
-        for name, param, index in _defaulted_parameters(tree)
-        if not any(
-            param in keywords or None in keywords or (index is not None and n > index)
-            for n, keywords in calls.get(name, [])
-        )
+        for name, param, index in _parameters(tree, defaulted=True)
+        if all(_passed(call, param, index) is None for call in calls.get(name, []))
     )
 
 
@@ -228,6 +239,61 @@ def test_defaulted_parameter_scan():
         "Box.make('a', **{})\n"
     )
     assert _never_passed({"m.py": tree}, [tree]) == ["m.py:grow(by)", "m.py:scale(offset)"]
+
+
+def _constant(node):
+    """A key equal for equal literals and for one ALL_CAPS constant, bare or
+    dotted; None for any other expression."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return name if name.isupper() else None
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _constants_in_disguise(modules: dict, callers: list) -> list:
+    """Parameters without a default that every call, of at least one,
+    passes the same literal or the same ALL_CAPS constant."""
+    calls = _calls(callers)
+    found = []
+    for module, tree in modules.items():
+        for name, param, index in _parameters(tree, defaulted=False):
+            passed = {
+                _constant(arg) if isinstance(arg, ast.AST) else None
+                for arg in (_passed(call, param, index) for call in calls.get(name, []))
+            }
+            if len(passed) == 1 and None not in passed:
+                found.append(f"{module}:{name}({param})")
+    return sorted(found)
+
+
+def test_no_parameter_is_a_constant_in_disguise():
+    found = _constants_in_disguise(_modules(), _callers())
+    assert found == [], f"parameters every call passes one constant (make them constants): {found}"
+
+
+def test_constant_in_disguise_scan():
+    tree = ast.parse(
+        "import cfg\n"
+        "def grid(cloud, resolution): ...\n"
+        "def pad(x, width, *, fill): ...\n"
+        "class Box:\n"
+        "    def __init__(self, size): ...\n"
+        "    def grow(self, by): ...\n"
+        "grid(a, cfg.RESOLUTION)\n"
+        "grid(b, RESOLUTION)\n"
+        "pad(1, 2, fill=0)\n"
+        "pad(x, 3, fill=0)\n"
+        "pad(*args, fill=0)\n"
+        "Box(1).grow(-1)\n"
+        "Box(n).grow(-1)\n"
+        "Box.grow(box, **options)\n"
+    )
+    assert _constants_in_disguise({"m.py": tree}, [tree]) == [
+        "m.py:grid(resolution)", "m.py:pad(fill)"
+    ]
 
 
 def _option_dests(parser: argparse.ArgumentParser) -> set:

@@ -11,18 +11,15 @@ frame_9999.ply.  One file per frame: two names with the same numbers
 so is a name that does not parse.  A *scene directory* is the export of a
 synthetic bi-temporal scene, never read back whole: both epoch directories,
 predicted and ground-truth trajectories, a joint directory, the spec as
-scene.json, and a gt.json with the two ground-truth epoch transforms (the
-relative transform is derived from them, never stored) and per-point change
-labels.  A scene is a pure function of its spec and those transforms, so
-``ablate`` regenerates it from scene.json and gt.json.  scene.json holds the
-generator parameters and the ``joint_sigma`` of its joint directory (a file
-without that key reads as 0.0); a key outside them, such as the camera-route
-flag of older files, is an :class:`errors.InvalidSpec` naming the file, and
-``synth`` writes the scene again.  Each per-point field of
-gt.json is one standard base64 string (RFC 4648) of a little-endian array, one
-value per point of its epoch: ``uint8`` change labels and edge flags (0 or 1),
-and ``int64`` generation indices; no command reads them, they label the clouds
-for outside users.
+scene.json, and a gt.json with the seed, frame count, extent and the two
+ground-truth epoch transforms (the relative transform is derived from them,
+never stored).  A scene is a pure function of its spec and those transforms,
+so ``ablate`` regenerates it, change labels included, from scene.json and
+gt.json.  scene.json holds the generator parameters and the ``joint_sigma``
+of its joint directory (a file without that key reads as 0.0); a key outside
+them, such as the camera-route flag of older files, is an
+:class:`errors.InvalidSpec` naming the file, and ``synth`` writes the scene
+again.
 
 A trajectory file lists its cameras under ``poses``, one object per camera:
 ``epoch_id``, ``frame_index`` and ``center``, three numbers in the frame of
@@ -43,7 +40,6 @@ header fields of gt.json, which ``eval`` and ``ablate`` need.
 
 from __future__ import annotations
 
-import base64
 import json
 import re
 from pathlib import Path
@@ -59,10 +55,6 @@ FORMAT_VERSION = "1.0"
 
 _POSE_TYPES = {"epoch_id": int, "frame_index": int, "center": list}
 _GT_TYPES = {"seed": int, "n_frames": int, "extent": float, "epoch_transforms": list}
-# The per-point fields of gt.json and the little-endian dtype each encodes:
-# 0/1 change labels and edge flags, and each point's index in generation order.
-_POINT_DTYPES = {"labels_t1": "u1", "labels_t2": "u1", "edge_t1": "u1", "edge_t2": "u1",
-                 "origin_t1": "<i8", "origin_t2": "<i8"}
 
 
 def check_version(version, path):
@@ -135,10 +127,8 @@ def _frame_files(directory: Path, pattern: str) -> dict:
 
 
 def write_trajectory(path, trajectory: Trajectory):
-    epochs = sorted(set(trajectory.epoch_ids))
     data = {
         "format_version": FORMAT_VERSION,
-        "epoch_id": epochs[0] if len(epochs) == 1 else None,
         "poses": [
             {"epoch_id": epoch, "frame_index": frame, "center": center}
             for epoch, frame, center in zip(
@@ -212,17 +202,13 @@ def scene_ground_truth_dict(scene) -> dict:
         "n_frames": scene.spec.n_frames_per_epoch,
         "extent": scene.extent,
         "epoch_transforms": [t.to_dict() for t in scene.epoch_transforms],
-        **{
-            key: base64.b64encode(getattr(scene, key).astype(dtype).tobytes()).decode("ascii")
-            for key, dtype in _POINT_DTYPES.items()
-        },
     }
 
 
 def read_ground_truth(path) -> dict:
     """Parse the header of a gt.json: ``seed``, ``n_frames``, ``extent`` and
-    the two ``epoch_transforms``, decoded.  The per-point fields and the
-    ``gt_relative`` key of older files are not read."""
+    the two ``epoch_transforms``, decoded.  Other keys, such as the
+    per-point fields and ``gt_relative`` of older files, are not read."""
     gt = check_fields(read_json(path), _GT_TYPES, tuple(_GT_TYPES), str(path), SchemaError)
     if len(gt["epoch_transforms"]) != 2:
         raise SchemaError(f"{path}: epoch_transforms must hold exactly two transforms")
@@ -240,9 +226,7 @@ def write_scene_dir(scene, directory, joint_sigma: float = 0.0):
         scene.json                  generator parameters (SceneSpec.to_dict)
                                     and the joint_sigma of joint/
         gt.json                     seed, frame count, extent, both epoch
-                                    transforms; per point the change label,
-                                    edge flag (base64 uint8) and generation
-                                    index (base64 little-endian int64)
+                                    transforms
         e1/frame_NNNN.ply           per-frame epoch-1 clouds
         e1/trajectory.json          epoch-frame camera centers
         e2/...                      likewise for epoch 2

@@ -89,9 +89,9 @@ class PurificationResult:
         nn_indices: (n,) index of each point's nearest target point, frozen
             here so the translation refinement reuses the same assignments;
             ``len(target)`` for the points beyond the search bound.
-        static_mask: (n,) True where distance < threshold.
+        static_mask: (n,) True where distance < alpha * median_distance,
+            the threshold.
         median_distance: lower-midpoint median of the distances.
-        threshold: alpha * median_distance.
         alpha: the threshold multiplier used.
     """
 
@@ -99,7 +99,6 @@ class PurificationResult:
     nn_indices: np.ndarray
     static_mask: np.ndarray
     median_distance: float
-    threshold: float
     alpha: float
 
     @property
@@ -158,13 +157,11 @@ def purify(
     if not factor * median * (1.0 + _BOUND_SLACK) < bound:
         distances, nn_idx = target_index.query(points)
         median = lower_median(distances)
-    threshold = alpha * median
     return PurificationResult(
         distances=distances,
         nn_indices=nn_idx,
-        static_mask=distances < threshold,
+        static_mask=distances < alpha * median,
         median_distance=median,
-        threshold=threshold,
         alpha=alpha,
     )
 

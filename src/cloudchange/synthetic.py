@@ -194,16 +194,14 @@ def _spec_fields(data, types: dict, required: tuple, what: str) -> dict:
 
 @dataclass(frozen=True)
 class BiTemporalScene:
-    """A generated scene: two epoch clouds plus full ground truth.
+    """A generated scene: two epoch clouds plus their ground truth.
 
     ``world_t1``/``world_t2`` hold the exact world-frame positions of the
     same points as the epoch clouds (including noise and edge elongation);
     they are the basis for the mock joint reconstruction.  Each epoch's
     rows are grouped by frame: frame i (1-based) is rows ``b[i - 1]:b[i]``
     of the ``n_frames_per_epoch + 1`` offsets ``b = frame_bounds_t1`` (or
-    ``_t2``).  ``origin_t1``/``origin_t2`` give every point's index in
-    generation order, under which the first ``n_static`` points of both
-    epochs are world-coincident counterparts.
+    ``_t2``).
     """
 
     spec: SceneSpec
@@ -213,10 +211,6 @@ class BiTemporalScene:
     world_t2: np.ndarray
     labels_t1: np.ndarray
     labels_t2: np.ndarray
-    edge_t1: np.ndarray
-    edge_t2: np.ndarray
-    origin_t1: np.ndarray
-    origin_t2: np.ndarray
     frame_bounds_t1: np.ndarray
     frame_bounds_t2: np.ndarray
     trajectory_t1: Trajectory
@@ -461,7 +455,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         spec = replace(spec, epoch_transforms=pair)
 
     labels_by_epoch = {1: labels_1, 2: labels_2}
-    clouds, worlds, edges, trajectories, origins, bounds = [], [], [], [], [], []
+    clouds, worlds, trajectories, bounds = [], [], [], []
     for epoch_id, world in ((1, world_1), (2, world_2)):
         n = len(world)
         traj_rng = np.random.default_rng([spec.seed, _SALT_FRAMES + epoch_id])
@@ -499,9 +493,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         into_epoch = spec.epoch_transforms[epoch_id - 1].inverse()
         clouds.append(PointCloud(into_epoch.apply(noisy), confidence))
         worlds.append(noisy)
-        edges.append(edge_mask)
         trajectories.append(trajectory)
-        origins.append(perm.astype(np.int64))
 
     return BiTemporalScene(
         spec=spec,
@@ -511,10 +503,6 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         world_t2=worlds[1],
         labels_t1=labels_by_epoch[1],
         labels_t2=labels_by_epoch[2],
-        edge_t1=edges[0],
-        edge_t2=edges[1],
-        origin_t1=origins[0],
-        origin_t2=origins[1],
         frame_bounds_t1=bounds[0],
         frame_bounds_t2=bounds[1],
         trajectory_t1=trajectories[0],

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import replace
 
@@ -14,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from cloudchange import CloudChangeError, PointCloud, SchemaError, compose_relative
 from cloudchange.bundles import (
+    _GT_TYPES,
     read_epoch_dir,
     read_ground_truth,
     read_joint_dir,
@@ -164,11 +164,12 @@ class TestSceneDirectory:
         assert (gt["seed"], gt["n_frames"], gt["extent"]) == (
             scene.spec.seed, scene.spec.n_frames_per_epoch, scene.extent
         )
-        # Per-point fields: base64 of little-endian uint8 flags and int64 indices.
+        # Only what eval and ablate read is written: no per-point fields in
+        # gt.json, no file-level epoch in a trajectory file.
         raw = json.loads((tmp_path / "s" / "gt.json").read_text())
-        for key, dtype in (("labels_t2", "u1"), ("edge_t1", "u1"), ("origin_t2", "<i8")):
-            decoded = np.frombuffer(base64.b64decode(raw[key], validate=True), dtype=dtype)
-            assert decoded.tolist() == getattr(scene, key).astype(int).tolist()
+        assert set(raw) == {"format_version", *_GT_TYPES}
+        for name in ("e1/trajectory.json", "gt_trajectories/e2.json"):
+            assert set(json.loads((tmp_path / "s" / name).read_text())) == {"format_version", "poses"}
         # JSON floats round-trip exactly, so the derived transform is bit-identical.
         assert compose_relative(*gt["epoch_transforms"]).to_dict() == scene.gt_relative.to_dict()
 

@@ -800,8 +800,8 @@ class TestEval:
 
     def test_reads_only_the_transforms_of_ground_truth(self, scene_dir, report_data, tmp_path):
         # eval derives the relative transform from the two epoch transforms
-        # and never decodes the per-point lists; a gt.json that still holds
-        # the gt_relative key of older versions reads the same.
+        # and reads no other key of gt.json; the keys older versions wrote
+        # read the same.
         report_path = tmp_path / "r.json"
         report_path.write_text(json.dumps(report_data))
         full = tmp_path / "full.json"
@@ -809,18 +809,29 @@ class TestEval:
         assert main([*argv, str(scene_dir), "--out", str(full)]) == 0
         scene = tmp_path / "scene"
         _copy_scene_files(scene_dir, scene, _EVAL_FILES)
-        gt = read_ground_truth(scene / "gt.json")
-        relative = compose_relative(*gt["epoch_transforms"]).to_dict()
+        _add_older_keys(scene)
+        older = tmp_path / "older.json"
+        assert main([*argv, str(scene), "--out", str(older)]) == 0
+        assert older.read_bytes() == full.read_bytes()
 
-        def strip(data):
-            for key in ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2"):
-                del data[key]
-            data["gt_relative"] = relative
 
-        _edit_json(scene / "gt.json", strip)
-        lean = tmp_path / "lean.json"
-        assert main([*argv, str(scene), "--out", str(lean)]) == 0
-        assert lean.read_bytes() == full.read_bytes()
+# Keys older versions wrote and no reader reads: gt.json's per-point fields
+# (base64 strings) and gt_relative, and each trajectory file's epoch_id.
+_OLDER_GT_FIELDS = ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2")
+_TRAJECTORY_EPOCHS = {"e1/trajectory.json": 1, "e2/trajectory.json": 2,
+                      "gt_trajectories/e1.json": 1, "gt_trajectories/e2.json": 2}
+
+
+def _add_older_keys(scene):
+    """Give the gt.json and the trajectory files present in ``scene`` the
+    keys that older versions wrote."""
+    relative = compose_relative(*read_ground_truth(scene / "gt.json")["epoch_transforms"])
+    _edit_json(scene / "gt.json", lambda data: data.update(
+        dict.fromkeys(_OLDER_GT_FIELDS, "AAEAAQ=="), gt_relative=relative.to_dict()
+    ))
+    for name, epoch_id in _TRAJECTORY_EPOCHS.items():
+        if (scene / name).exists():
+            _edit_json(scene / name, lambda data, epoch_id=epoch_id: data.update(epoch_id=epoch_id))
 
 
 def _untimed(row) -> dict:
@@ -880,6 +891,23 @@ class TestAblate:
         assert main(argv) == 2
         line = _assert_one_error_line(capsys, "ablate")
         assert f"{tmp_path / 's' / 'gt.json'}: seed is 4" in line
+
+    def test_reads_only_the_transforms_of_ground_truth(self, scene_dir, tmp_path):
+        # ablate regenerates the scene from scene.json and gt.json's header;
+        # the keys older versions wrote sweep the same.
+        argv = ["ablate", "--k-list", "2,5", "--scene"]
+        full = tmp_path / "full.csv"
+        assert main([*argv, str(scene_dir), "--out", str(full)]) == 0
+        scene = tmp_path / "s"
+        _copy_scene_files(scene_dir, scene, _ABLATE_FILES)
+        _add_older_keys(scene)
+        older = tmp_path / "older.csv"
+        assert main([*argv, str(scene), "--out", str(older)]) == 0
+        tables = []
+        for path in (full, older):
+            with open(path, newline="") as handle:
+                tables.append([_untimed(row) for row in csv.DictReader(handle)])
+        assert tables[0] == tables[1]
 
     def test_sweeps_the_joint_synth_exported(self, tmp_path):
         # register + eval read the joint clouds synth wrote; ablate

@@ -52,7 +52,7 @@ class TestPurify:
         offsets = 0.2 * offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
         source = PointCloud(target_pts + offsets)
         result = purify(source, build_index(PointCloud(target_pts)), alpha=3.0)
-        assert result.threshold == pytest.approx(0.6)
+        assert result.alpha * result.median_distance == pytest.approx(0.6)
         assert result.static_mask.all()
 
     def test_nine_small_one_large(self):
@@ -65,7 +65,7 @@ class TestPurify:
         result = purify(PointCloud(src_pts), build_index(target), alpha=3.0)
         np.testing.assert_allclose(result.distances[:9], 0.1)
         assert result.median_distance == pytest.approx(0.1)
-        assert result.threshold == pytest.approx(0.3)
+        assert result.alpha * result.median_distance == pytest.approx(0.3)
         assert result.static_mask.tolist() == [True] * 9 + [False]
 
     def test_alpha_zero_empties_static_set(self, rng):
@@ -88,9 +88,9 @@ class TestPurify:
         src = PointCloud(rng.normal(size=(200, 3)))
         index = build_index(PointCloud(rng.normal(size=(200, 3))))
         result = purify(src, index, alpha=2.5)
-        assert result.threshold == pytest.approx(2.5 * result.median_distance)
+        assert result.alpha == 2.5
         np.testing.assert_array_equal(
-            result.static_mask, result.distances < result.threshold
+            result.static_mask, result.distances < 2.5 * result.median_distance
         )
 
 
@@ -108,7 +108,6 @@ class TestRefineTranslation:
             nn_indices=result.nn_indices,
             static_mask=np.ones(len(source), bool),
             median_distance=result.median_distance,
-            threshold=result.threshold,
             alpha=result.alpha,
         )
         refined = refine_translation(_rotated(coarse, source), index, full)
@@ -469,7 +468,7 @@ class TestBoundedQueriesMatchExactReference:
             source.with_points(coarse.apply(source.points)), build_index(target), alpha
         )
         assert purification.median_distance == median
-        assert purification.threshold == threshold
+        assert purification.alpha * purification.median_distance == threshold
         np.testing.assert_array_equal(purification.static_mask, static)
         np.testing.assert_array_equal(purification.nn_indices[static], static_nn)
         return result, bounds, sizes
@@ -646,7 +645,7 @@ def _loose_bounds_case(seed):
     exact, nearest = index.query(shifted)
     neighbors = np.where(rng.random(n) < 0.5, nearest, rng.integers(0, len(target), n))
     loose = exact * rng.choice([1.0, 0.5, 0.0], n)
-    purification = PurificationResult(loose, neighbors, loose < 1.0, lower_median(loose), 1.0, 1.0)
+    purification = PurificationResult(loose, neighbors, loose < 1.0, lower_median(loose), 1.0)
     return index, shifted, purification, lower_median(exact)
 
 

@@ -15,6 +15,13 @@ that every call passes the same literal or the same ALL_CAPS constant.  Calls
 are matched by name alone (a class name stands for its ``__init__``), so two
 callables of one name share their calls.  And a command-line option that
 ``cli.py`` never reads is parsed and then ignored.
+
+Every field of a dataclass in the package is read, as an attribute, by the
+package or the benchmark harness: a field that nothing reads is computed,
+stored and, on a record that is written out, written for nothing.  A class
+whose body calls ``fields(...)`` or ``asdict(...)`` serialises itself whole,
+so each of its fields reaches its output, and is exempt.  Fields, too, are
+matched by name alone.
 """
 
 from __future__ import annotations
@@ -175,15 +182,18 @@ def _parameters(tree: ast.Module, defaulted: bool) -> list:
     return found
 
 
+def _name(node):
+    """The name of a bare name or the last part of a dotted one, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def _calls(trees: list) -> dict:
     """Callee name -> the calls that name it."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(_name(node.func), []).append(node)
     return calls
 
 
@@ -245,7 +255,7 @@ def _constant(node):
     """A key equal for equal literals and for one ALL_CAPS constant, bare or
     dotted; None for any other expression."""
     if isinstance(node, (ast.Name, ast.Attribute)):
-        name = node.id if isinstance(node, ast.Name) else node.attr
+        name = _name(node)
         return name if name.isupper() else None
     try:
         return repr(ast.literal_eval(node))
@@ -294,6 +304,77 @@ def test_constant_in_disguise_scan():
     assert _constants_in_disguise({"m.py": tree}, [tree]) == [
         "m.py:grid(resolution)", "m.py:pad(fill)"
     ]
+
+
+def _record_fields(tree: ast.Module) -> list:
+    """(class, field) for every field of a module-level dataclass that does
+    not serialise itself whole with ``fields(...)`` or ``asdict(...)``."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+            for d in node.decorator_list
+        ):
+            continue
+        if any(
+            isinstance(call, ast.Call) and _name(call.func) in {"fields", "asdict"}
+            for call in ast.walk(node)
+        ):
+            continue
+        found.extend(
+            (node.name, item.target.id)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        )
+    return found
+
+
+def _unread_fields(modules: dict, readers: list) -> list:
+    """Dataclass fields of ``modules`` that no tree of ``readers`` reads as
+    an attribute."""
+    read = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}:{cls}.{name}"
+        for module, tree in modules.items()
+        for cls, name in _record_fields(tree)
+        if name not in read
+    )
+
+
+def test_every_record_field_is_read():
+    unread = _unread_fields(_modules(), _callers())
+    assert unread == [], f"fields stored but never read: {unread}"
+
+
+def test_unread_field_scan():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import asdict, dataclass\n"
+        "@dataclass\n"
+        "class Fit:\n"
+        "    scale: float\n"
+        "    note: str = ''\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    summary: str\n"
+        "    def to_dict(self):\n"
+        "        return asdict(self)\n"
+        "class Plain:\n"
+        "    size: int\n"
+        "fit = Fit(1.0, note='x')\n"
+        "fit.note = 'y'\n"
+        "print(fit.scale, Pair(1, right=2).left)\n"
+    )
+    assert _unread_fields({"m.py": tree}, [tree]) == ["m.py:Fit.note", "m.py:Pair.right"]
 
 
 def _option_dests(parser: argparse.ArgumentParser) -> set:

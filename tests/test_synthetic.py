@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,19 +20,42 @@ from cloudchange.synthetic import (
 from conftest import random_sim3
 
 
-def _static_counterparts(scene: BiTemporalScene):
-    """World positions of the shared static samples, epoch by epoch."""
-    n_static = scene.spec.n_static
-    sel1 = scene.origin_t1 < n_static
-    sel2 = scene.origin_t2 < n_static
-    order1 = np.argsort(scene.origin_t1[sel1])
-    order2 = np.argsort(scene.origin_t2[sel2])
-    return (
-        scene.world_t1[sel1][order1],
-        scene.world_t2[sel2][order2],
-        scene.edge_t1[sel1][order1],
-        scene.edge_t2[sel2][order2],
+def _twin(scene: BiTemporalScene, **changes) -> BiTemporalScene:
+    """The scene regenerated from its spec with ``changes`` applied.
+
+    Noise, edges, confidence and frames draw from separately salted
+    streams, so a twin that changes only ``noise_sigma`` or
+    ``edge_noise_fraction`` keeps the rows, labels and frames of ``scene``
+    (test_noise_and_edges_leave_rows_labels_and_frames checks this).
+    """
+    return generate_scene(replace(scene.spec, **changes))
+
+
+def _edge_masks(scene: BiTemporalScene) -> tuple:
+    """Each epoch's edge-elongated rows: those whose world position moves
+    when the twin converts no points to edges."""
+    twin = _twin(scene, edge_noise_fraction=0.0)
+    return tuple(
+        (scene.world_points(e) != twin.world_points(e)).any(axis=1) for e in (1, 2)
     )
+
+
+def _static_counterparts(scene: BiTemporalScene):
+    """World positions and edge flags of the shared static samples, epoch by
+    epoch, in matching order.
+
+    Without noise or edges the twin places both epochs' static samples at
+    bitwise-equal world positions, so sorting each epoch's static rows by
+    their twin coordinates pairs the counterparts up.
+    """
+    clean = _twin(scene, noise_sigma=0.0, edge_noise_fraction=0.0)
+    paired = []
+    for epoch_id, edge in zip((1, 2), _edge_masks(scene)):
+        static = ~(scene.labels_t1 if epoch_id == 1 else scene.labels_t2)
+        order = np.lexsort(clean.world_points(epoch_id)[static].T)
+        paired.append((scene.world_points(epoch_id)[static][order], edge[static][order]))
+    (w1, e1), (w2, e2) = paired
+    return w1, w2, e1, e2
 
 
 class TestGenerateScene:
@@ -86,6 +111,40 @@ class TestGenerateScene:
         assert (a.cloud_t1.confidence == b.cloud_t1.confidence).all()
         assert (a.labels_t2 == b.labels_t2).all()
 
+    def test_noise_and_edges_leave_rows_labels_and_frames(self):
+        # The derived oracles above rest on this: noise and edges draw from
+        # their own streams, so changing their levels moves points but keeps
+        # every row in place.
+        spec = SceneSpec(
+            seed=11,
+            n_static=1500,
+            n_frames_per_epoch=6,
+            noise_sigma=0.002,
+            edge_noise_fraction=0.2,
+            change_spec=(
+                ChangeSpec("added", 200),
+                ChangeSpec("removed", 150),
+                ChangeSpec("moved", 100, (1.0, 0.5, 0.2)),
+            ),
+        )
+        scene = generate_scene(spec)
+        for changes in ({"noise_sigma": 0.0, "edge_noise_fraction": 0.0},
+                        {"noise_sigma": 0.005, "edge_noise_fraction": 0.5}):
+            twin = generate_scene(replace(spec, **changes))
+            assert twin.extent == scene.extent
+            for epoch_id in (1, 2):
+                assert not np.array_equal(twin.world_points(epoch_id), scene.world_points(epoch_id))
+                np.testing.assert_array_equal(
+                    twin.frame_bounds(epoch_id), scene.frame_bounds(epoch_id)
+                )
+            np.testing.assert_array_equal(twin.labels_t1, scene.labels_t1)
+            np.testing.assert_array_equal(twin.labels_t2, scene.labels_t2)
+            for ours, theirs in ((twin.trajectory_t1, scene.trajectory_t1),
+                                 (twin.trajectory_t2, scene.trajectory_t2)):
+                np.testing.assert_array_equal(ours.centers, theirs.centers)
+                assert ours.frame_indices == theirs.frame_indices
+                assert ours.epoch_ids == theirs.epoch_ids
+
     def test_static_residual_bounded_by_six_sigma(self):
         sigma = 0.003
         scene = generate_scene(SceneSpec(seed=5, n_static=3000, noise_sigma=sigma))
@@ -98,7 +157,7 @@ class TestGenerateScene:
         scene = generate_scene(
             SceneSpec(seed=6, n_static=2000, edge_noise_fraction=0.3, noise_sigma=0.001)
         )
-        for cloud, edge in ((scene.cloud_t1, scene.edge_t1), (scene.cloud_t2, scene.edge_t2)):
+        for cloud, edge in zip((scene.cloud_t1, scene.cloud_t2), _edge_masks(scene)):
             assert edge.sum() == round(0.3 * len(cloud))
             assert cloud.confidence[edge].max() < cloud.confidence[~edge].min()
 

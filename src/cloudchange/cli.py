@@ -4,8 +4,8 @@ Subcommands::
 
     synth      scene spec JSON, seed included (or defaults) -> scene directory
     register   two epoch directories + joint keyframe directory ->
-               relative transform + run report JSON; --k, --alpha and
-               --mode set the PipelineConfig
+               relative transform + run report JSON; --k and --mode
+               set the PipelineConfig
     detect     two epoch directories + register output -> colored change
                PLYs + statistics, scored on the confidence-filtered clouds
     eval       run report + scene ground truth -> metrics JSON
@@ -118,8 +118,6 @@ def _build_parser() -> _Parser:
     p_reg.add_argument("--report", type=Path, help="write the run report JSON here")
     defaults = PipelineConfig()
     p_reg.add_argument("--k", type=int, default=defaults.k_keyframes, help="keyframe budget per epoch")
-    p_reg.add_argument("--alpha", type=float, default=defaults.alpha,
-                       help="static-set threshold multiplier")
     p_reg.add_argument("--mode", choices=MODES, default=defaults.mode)
 
     p_det = sub.add_parser("detect", help="compute the 3D change map", description=(
@@ -178,7 +176,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_register(args) -> int:
     with _flag_checks():
-        config = PipelineConfig(k_keyframes=args.k, alpha=args.alpha, mode=args.mode)
+        config = PipelineConfig(k_keyframes=args.k, mode=args.mode)
     frames1 = bundles.read_epoch_dir(args.t1)
     frames2 = bundles.read_epoch_dir(args.t2)
     joint = bundles.read_joint_dir(args.joint)

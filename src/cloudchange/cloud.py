@@ -230,8 +230,13 @@ class SpatialIndex:
 
         Returns:
             (distances, indices): both (m,) arrays, ordered like the queries.
+
+        Raises:
+            ValueError: naming the shape of ``query_points`` if it is not (m, 3).
         """
         q = np.asarray(query_points, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != 3:
+            raise ValueError(f"query points must have shape (m, 3), got {q.shape}")
         tree_bound = upper_bound
         if 0.0 < upper_bound and upper_bound * upper_bound < np.finfo(np.float64).tiny:
             # The tree compares squared distances; a squared bound this small

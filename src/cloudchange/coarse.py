@@ -75,12 +75,17 @@ def build_keyframe_correspondences(
 
     Raises:
         MisalignedInputs: if the clouds have different lengths.
-        TooFewCorrespondences: if fewer than 3 pairs survive.
+        TooFewCorrespondences: naming the epoch, if its keyframes hold fewer
+            than 3 points or fewer than 3 pairs survive.
     """
     if len(per_epoch_kf_cloud) != len(joint_kf_cloud):
         raise MisalignedInputs(
             f"per-epoch cloud has {len(per_epoch_kf_cloud)} points but joint cloud "
             f"has {len(joint_kf_cloud)}; inputs must be pixel-aligned"
+        )
+    if (n := len(per_epoch_kf_cloud)) < 3:
+        raise TooFewCorrespondences(
+            f"epoch {epoch_id}: its keyframes hold {n} points, a fit needs 3 correspondences"
         )
     mask = median_confidence_mask(per_epoch_kf_cloud.confidence)
     kept = np.nonzero(mask)[0]
@@ -88,7 +93,9 @@ def build_keyframe_correspondences(
         rng = np.random.default_rng([0, epoch_id])
         kept = np.sort(rng.choice(kept, size=CORRESPONDENCE_CAP, replace=False))
     if kept.size < 3:
-        raise TooFewCorrespondences(f"only {kept.size} correspondences survived filtering")
+        raise TooFewCorrespondences(
+            f"epoch {epoch_id}: only {kept.size} correspondences survived filtering"
+        )
     return per_epoch_kf_cloud.points[kept], joint_kf_cloud.points[kept]
 
 

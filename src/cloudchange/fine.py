@@ -3,7 +3,7 @@
 Under the coarse transform, nearest-neighbor distances into the target cloud
 separate static background (small distances) from genuine scene changes and
 residual noise (large distances).  The static subset is extracted with an
-adaptive threshold of alpha times the median distance, and only the
+adaptive threshold of ``ALPHA`` times the median distance, and only the
 translation is re-estimated from it: a rotation or scale update could convert
 small angular errors into large displacements far from the centroid, so both
 stay locked at their coarse values.  A final residual self-check accepts the
@@ -13,15 +13,14 @@ rather than a regression.  The source is rotated once for all three steps,
 and the result carries the final transform, scale and rotation locked.
 
 Purify needs only the near part of its answer, so it searches within twice
-``max(1, alpha)`` times a median guessed from a strided sample (see
+the threshold of a median guessed from a strided sample (see
 :meth:`SpatialIndex.query`), and the far points, the most expensive ones,
-come back as ``inf``.  It keeps that answer only when ``max(1, alpha)`` times
-the median (its threshold, and the median itself) lies strictly below the
-bound, with a relative slack for the tree's rounding; then every ``inf``
-point ranks above the median and outside the static set, so the median, the
-static set, its neighbors (up to ties at exactly equal distance, see
-:class:`SpatialIndex`) and the decision equal those of an unbounded search.
-Otherwise it repeats the query without a bound.
+come back as ``inf``.  It keeps that answer only when the threshold lies
+strictly below the bound, with a relative slack for the tree's rounding;
+then every ``inf`` point ranks above the median and outside the static set,
+so the median, the static set, its neighbors (up to ties at exactly equal
+distance, see :class:`SpatialIndex`) and the decision equal those of an
+unbounded search.  Otherwise it repeats the query without a bound.
 
 The self-check needs one order statistic of the refined distances, and it
 brackets that statistic between two bounds, as Floyd & Rivest (1975) do for
@@ -29,13 +28,13 @@ selection, from what purify already holds.  The candidate moves every point
 by the step ``delta = |candidate - coarse translation|``, so by the triangle
 inequality a point's refined distance lies between its coarse distance minus
 ``delta`` and its distance to its frozen coarse neighbor.  A point purify
-left ``inf`` lies beyond ``max(1, alpha)`` times the coarse median, so its
-lower bound is that value minus ``delta``, and it has no upper bound.  With
-``k = (n - 1) // 2``, the k-th smallest lower bound ``L`` and the k-th
-smallest upper bound ``U`` enclose the refined median.  A point whose upper
-bound lies below ``L`` ranks below the median, one whose lower bound lies
-above ``U`` ranks above it, and only the rest are queried, within ``U``; the
-median is their answer of rank ``k`` minus the number of points below.  Each
+left ``inf`` lies beyond the threshold, so its lower bound is the threshold
+minus ``delta``, and it has no upper bound.  With ``k = (n - 1) // 2``, the
+k-th smallest lower bound ``L`` and the k-th smallest upper bound ``U``
+enclose the refined median.  A point whose upper bound lies below ``L``
+ranks below the median, one whose lower bound lies above ``U`` ranks above
+it, and only the rest are queried, within ``U``; the median is their answer
+of rank ``k`` minus the number of points below.  Each
 bound is widened by the slack, relative to the distances and ``delta`` (the
 tree's and the distance expression's rounding) and to the largest coordinate
 (the rounding of ``scale * R p + t``), so the bracket holds in floating point
@@ -60,10 +59,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, build_index, lower_median, pair_distances
-from .errors import EmptyCloud, EmptyStaticSet, check_non_negative
+from .errors import EmptyCloud, EmptyStaticSet
 from .geometry import Sim3Transform, rotate
 
 MIN_STATIC_POINTS = 100
+# The static-set threshold is ALPHA times the median distance.  The bounded
+# searches rely on ALPHA >= 1: the median then lies below any bound that the
+# threshold lies below.
+ALPHA = 3.0
 
 # Purify guesses its median from every 64th aligned point, which any guess
 # leaves exact (3-6 -> 1.2-1.9 ms at 45k points against every 16th).
@@ -89,17 +92,15 @@ class PurificationResult:
         nn_indices: (n,) index of each point's nearest target point, frozen
             here so the translation refinement reuses the same assignments;
             ``len(target)`` for the points beyond the search bound.
-        static_mask: (n,) True where distance < alpha * median_distance,
+        static_mask: (n,) True where distance < ALPHA * median_distance,
             the threshold.
         median_distance: lower-midpoint median of the distances.
-        alpha: the threshold multiplier used.
     """
 
     distances: np.ndarray
     nn_indices: np.ndarray
     static_mask: np.ndarray
     median_distance: float
-    alpha: float
 
     @property
     def n_static(self) -> int:
@@ -132,37 +133,31 @@ class FineResult:
             raise ValueError("an accepted refinement must strictly lower the median residual")
 
 
-def purify(
-    aligned_source: PointCloud, target_index: SpatialIndex, alpha: float
-) -> PurificationResult:
+def purify(aligned_source: PointCloud, target_index: SpatialIndex) -> PurificationResult:
     """Split an aligned cloud into static background and likely changes.
 
     A point is static when its nearest-neighbor distance into the target is
-    strictly below alpha times the median distance; the median adapts the
+    strictly below ``ALPHA`` times the median distance; the median adapts the
     threshold to the scene's own residual level.
 
     Raises:
-        ValueError: if ``alpha`` is NaN, infinite or negative.
         EmptyCloud: on an empty source cloud.
     """
-    check_non_negative("alpha", alpha)
     if len(aligned_source) == 0:
         raise EmptyCloud("cannot purify an empty cloud")
     points = aligned_source.points
     guess, _ = target_index.query(points[::_SAMPLE_STRIDE])
-    factor = max(1.0, alpha)
-    bound = 2.0 * factor * lower_median(guess)
+    bound = 2.0 * ALPHA * lower_median(guess)
     distances, nn_idx = target_index.query(points, bound)
     median = lower_median(distances)
-    if not factor * median * (1.0 + _BOUND_SLACK) < bound:
+    if not ALPHA * median * (1.0 + _BOUND_SLACK) < bound:
         distances, nn_idx = target_index.query(points)
         median = lower_median(distances)
     return PurificationResult(
         distances=distances,
         nn_indices=nn_idx,
-        static_mask=distances < alpha * median,
+        static_mask=distances < ALPHA * median,
         median_distance=median,
-        alpha=alpha,
     )
 
 
@@ -205,12 +200,8 @@ def _refined_median(
     upper = pair_distances(shifted, index.points.take(nearest, axis=0))
     upper += _BOUND_SLACK * upper + reach
     upper[~found] = np.inf
-    # Purify leaves a point unfound only beyond max(1, alpha) times its median.
-    before = np.where(
-        found,
-        purification.distances,
-        max(1.0, purification.alpha) * purification.median_distance,
-    )
+    # Purify leaves a point unfound only beyond its threshold.
+    before = np.where(found, purification.distances, ALPHA * purification.median_distance)
     lower = before - step - (_BOUND_SLACK * (before + step) + reach)
     low = np.partition(lower, k)[k]
     high = np.partition(upper, k)[k]
@@ -238,17 +229,15 @@ def _refined_median(
     return float(np.partition(distances, rank)[rank])
 
 
-def fine_stage(
-    source: PointCloud, target: PointCloud, coarse: Sim3Transform, alpha: float
-) -> FineResult:
+def fine_stage(source: PointCloud, target: PointCloud, coarse: Sim3Transform) -> FineResult:
     """Run the full translation refinement on downsampled epoch clouds.
 
-    Aligns ``source`` with the coarse transform and purifies the static set
-    with threshold multiplier ``alpha``.  With at least ``MIN_STATIC_POINTS``
-    static points (read at call time) the candidate translation is refined
-    and self-checked (median nearest-neighbor residual over all points);
-    otherwise the candidate is the coarse translation with the coarse median.
-    It is accepted only when its median lies strictly below the coarse one.
+    Aligns ``source`` with the coarse transform and purifies the static set.
+    With at least ``MIN_STATIC_POINTS`` static points (read at call time)
+    the candidate translation is refined and self-checked (median
+    nearest-neighbor residual over all points); otherwise the candidate is
+    the coarse translation with the coarse median.  It is accepted only
+    when its median lies strictly below the coarse one.
     Scale and rotation are never modified: the result's ``transform`` is the
     coarse one with the accepted translation, or ``coarse`` itself.
 
@@ -265,7 +254,7 @@ def fine_stage(
     # One rotation; adding a translation is Sim3Transform.apply's arithmetic, so
     # the medians compared here reproduce bit for bit from the returned transform.
     rotated = coarse.scale * rotate(source.points, coarse.rotation)
-    purification = purify(source.with_points(rotated + coarse.translation), index, alpha)
+    purification = purify(source.with_points(rotated + coarse.translation), index)
     n_static = purification.n_static
     coarse_median = purification.median_distance
 

@@ -1,10 +1,11 @@
 """Run orchestration: configuration, the two-stage registration, run reports.
 
-:class:`PipelineConfig` holds what a caller varies: the keyframe budget, the
-fine stage's static-set threshold multiplier and the mode.  The rest of the
-method's operating point is fixed: ``coarse.CORRESPONDENCE_CAP`` pairs per
-epoch fit, drawn by a generator seeded with the epoch id, and
-``cloud.GRID_RESOLUTION`` voxels across the fine stage's clouds.
+:class:`PipelineConfig` holds what a caller varies: the keyframe budget and
+the mode.  The rest of the method's operating point is fixed:
+``coarse.CORRESPONDENCE_CAP`` pairs per epoch fit, drawn by a generator
+seeded with the epoch id, ``cloud.GRID_RESOLUTION`` voxels across the fine
+stage's clouds and its static-set threshold of ``fine.ALPHA`` times the
+median residual.
 
 The registration proper is a sequential stage graph: keyframe selection,
 pixel-aligned correspondences against the joint reconstruction, one
@@ -43,7 +44,7 @@ from .coarse import (
     build_keyframe_correspondences,
     estimate_epoch_alignment,
 )
-from .errors import MisalignedInputs, SchemaError, check_fields, check_integer, check_number
+from .errors import MisalignedInputs, SchemaError, check_fields, check_integer
 from .fine import FineResult, fine_stage
 from .geometry import Sim3Transform, compose_relative
 from .keyframes import fps_temporal
@@ -58,19 +59,14 @@ class PipelineConfig:
 
     Attributes:
         k_keyframes: keyframe budget per epoch.
-        alpha: static-set threshold multiplier for the fine stage, finite, > 0.
         mode: "coarse_only" or "full".
     """
 
     k_keyframes: int = 5
-    alpha: float = 3.0
     mode: str = "full"
 
     def __post_init__(self):
         object.__setattr__(self, "k_keyframes", check_integer("k_keyframes", self.k_keyframes, 1))
-        object.__setattr__(self, "alpha", check_number("alpha", self.alpha))
-        if not 0.0 < self.alpha < float("inf"):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -195,7 +191,7 @@ def register_epochs(
         if fine_inputs is None:
             fine_inputs = prepare_fine_inputs(frames1, frames2)
         cloud_stats.update(fine_inputs.cloud_stats)
-        fine = fine_stage(fine_inputs.source, fine_inputs.target, coarse, alpha=config.alpha)
+        fine = fine_stage(fine_inputs.source, fine_inputs.target, coarse)
         fine_elapsed = time.perf_counter() - start
 
     return RegistrationResult(

@@ -174,12 +174,11 @@ def test_criterion_04_monotonicity_guarantee(monkeypatch):
             else np.eye(3),
             rng.normal(0.0, rng.uniform(0.01, 1.0), 3),
         )
-        alpha = float(rng.uniform(2.0, 4.0))
         min_static = 1 if rng.uniform() < 0.5 else 100
         monkeypatch.setattr("cloudchange.fine.MIN_STATIC_POINTS", min_static)
         source = PointCloud(source_pts)
         target = PointCloud(target_pts)
-        result = fine_stage(source, target, coarse, alpha=alpha)
+        result = fine_stage(source, target, coarse)
 
         final = result.transform
         index = build_index(target)
@@ -213,7 +212,7 @@ def test_criterion_05_fine_stage_recovery():
         delta = rng.uniform(0.01, 0.05) * extent * direction
         coarse = Sim3Transform(1.0, np.eye(3), delta)
 
-        result = fine_stage(source, target, coarse, alpha=3.0)
+        result = fine_stage(source, target, coarse)
         tolerance = max(1e-6, 3.0 * sigma_fraction / math.sqrt(max(result.n_static, 1)))
         if result.accepted_refinement and (
             np.linalg.norm(result.transform.translation) < tolerance * extent
@@ -254,7 +253,7 @@ def test_criterion_06_purification_purity():
         ).final_transform
         down1, labels1 = _downsampled_with_labels(scene.cloud_t1, scene.labels_t1)
         down2, _ = _downsampled_with_labels(scene.cloud_t2, scene.labels_t2)
-        purification = purify(apply_transform(coarse, down1), build_index(down2), alpha=3.0)
+        purification = purify(apply_transform(coarse, down1), build_index(down2))
         static_labels = labels1[purification.static_mask]
         purity = float((~static_labels).mean())
         assert purity >= 0.95, f"scene {trial}: purity {purity:.3f}"
@@ -263,7 +262,7 @@ def test_criterion_06_purification_purity():
     rng = np.random.default_rng(2099)
     pts = rng.uniform(0.0, 10.0, size=(99, 3))
     coarse = Sim3Transform(1.0, np.eye(3), np.array([0.05, -0.02, 0.01]))
-    result = fine_stage(PointCloud(pts), PointCloud(pts), coarse, alpha=3.0)
+    result = fine_stage(PointCloud(pts), PointCloud(pts), coarse)
     assert not result.accepted_refinement
     assert (result.transform.translation == coarse.translation).all()
     _report(6, "Purification purity", "20/20 scenes >= 95%, 99-point guard holds")

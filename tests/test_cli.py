@@ -180,14 +180,7 @@ class TestRegister:
     def test_unknown_flag_is_usage_error(self):
         assert main(["register", "--bogus"]) == 1
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            pytest.param("--k", "0", id="--k"),
-            pytest.param("--alpha", "0", id="--alpha"),
-            pytest.param("--alpha", "inf", id="--alpha-inf"),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value", [pytest.param("--k", "0", id="--k")])
     def test_zero_config_value_is_usage_error(self, scene_dir, capsys, flag, value):
         code = main([
             "register", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
@@ -241,18 +234,20 @@ def report_data(scene_dir, tmp_path_factory):
     "command, flags",
     [("register", ("--cap", "0")), ("register", ("--cap", "1")), ("register", ("--cap", "2")),
      ("register", ("--grid", "0")), ("register", ("--grid", "3000000")),
-     ("register", ("--seed", "1")), ("ablate", ("--seed", "1")),
+     ("register", ("--seed", "1")), ("register", ("--alpha", "0")),
+     ("register", ("--alpha", "inf")), ("ablate", ("--seed", "1")),
      ("detect", ("--aligned-ply", "a.ply")), ("detect", ("--target-ply", "b.ply")),
      ("detect", ("--no-filter-confidence",)), ("synth", ("--seed", "1"))],
     ids=["register--cap", "register--cap-1", "register--cap-2", "register--grid",
-         "register--grid-3000000", "register--seed", "ablate--seed", "detect--aligned-ply",
-         "detect--target-ply", "detect--no-filter-confidence", "synth--seed"],
+         "register--grid-3000000", "register--seed", "register--alpha", "register--alpha-inf",
+         "ablate--seed", "detect--aligned-ply", "detect--target-ply",
+         "detect--no-filter-confidence", "synth--seed"],
 )
 def test_removed_knob_is_not_a_flag(scene_dir, tmp_path, capsys, command, flags):
-    # The correspondence cap, the subsampling seed and the grid resolution
-    # are constants of the method, not settings.  detect always scores the
-    # confidence-filtered clouds of two epoch directories, and a scene's
-    # seed is in its spec file.
+    # The correspondence cap, the subsampling seed, the grid resolution and
+    # the static-set threshold multiplier are constants of the method, not
+    # settings.  detect always scores the confidence-filtered clouds of two
+    # epoch directories, and a scene's seed is in its spec file.
     out = tmp_path / "out"
     argv = {
         "register": ["register", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2",
@@ -769,6 +764,25 @@ def test_one_frame_per_epoch_is_data_error_naming_no_transform(tmp_path, capsys,
     line = _assert_one_error_line(capsys, command)
     assert "epoch 1 has fewer than 2 poses" in line
     assert "transform" not in line and "r.json" not in line and "gt.json" not in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["register", "ablate"])
+def test_keyframes_without_points_are_data_error_naming_the_epoch(tmp_path, capsys, command):
+    # 20 static points over 60 frames leave most frames empty, and with them
+    # every keyframe the default budget selects in epoch 1.
+    spec = {"seed": 0, "n_static": 20, "n_frames_per_epoch": 60, "change_spec": []}
+    spec_path, scene = tmp_path / "spec.json", tmp_path / "scene"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(scene)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"register": ["register", "--t1", scene / "e1", "--t2", scene / "e2",
+                         "--joint", scene / "joint", "--report", out],
+            "ablate": ["ablate", "--scene", scene, "--k-list", "5", "--out", out]}[command]
+    assert main([str(arg) for arg in argv]) == 2
+    line = _assert_one_error_line(capsys, command)
+    assert "epoch 1: its keyframes hold 0 points" in line and "gt.json" not in line
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -438,6 +440,16 @@ class TestSpatialIndex:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
             build_index(PointCloud(np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 3, 1), ()])
+    def test_query_of_another_shape_is_rejected(self, shape):
+        index = build_index(PointCloud(np.zeros((4, 3))))
+        with pytest.raises(ValueError, match=rf"shape \(m, 3\), got {re.escape(str(shape))}"):
+            index.query(np.zeros(shape))
+
+    def test_no_query_points_answer_empty(self):
+        dist, idx = build_index(PointCloud(np.zeros((4, 3)))).query(np.zeros((0, 3)))
+        assert dist.shape == idx.shape == (0,)
 
     @given(
         points=_index_clouds(),

@@ -72,8 +72,14 @@ class TestBuildKeyframeCorrespondences:
 
     def test_too_few_survivors(self, rng):
         epoch, joint = _aligned_pair(rng, 3, confidence=np.array([0.1, 0.2, 0.9]))
-        with pytest.raises(TooFewCorrespondences):
+        with pytest.raises(TooFewCorrespondences, match="epoch 1: only 1 correspondences"):
             build_keyframe_correspondences(epoch, joint, 1)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_too_few_points_name_the_epoch(self, n):
+        cloud = PointCloud(np.zeros((n, 3)))
+        with pytest.raises(TooFewCorrespondences, match=f"epoch 2: its keyframes hold {n} points"):
+            build_keyframe_correspondences(cloud, cloud, 2)
 
 
 class TestEstimateEpochAlignment:

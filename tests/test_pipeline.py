@@ -49,29 +49,20 @@ def scene():
 
 class TestPipelineConfig:
     def test_defaults_echo(self):
-        # The three settings a caller varies, and nothing else.
-        assert PipelineConfig().to_dict() == {"k_keyframes": 5, "alpha": 3.0, "mode": "full"}
+        # The two settings a caller varies, and nothing else.
+        assert PipelineConfig().to_dict() == {"k_keyframes": 5, "mode": "full"}
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(k_keyframes=0)
         with pytest.raises(ValueError):
             PipelineConfig(mode="fast")
-        with pytest.raises(ValueError):
-            PipelineConfig(alpha=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            PipelineConfig(alpha=float("inf"))
 
     @pytest.mark.parametrize("field", ["k_keyframes"])
     @pytest.mark.parametrize("value", [50.5, 50.0, True], ids=["fraction", "integral_float", "bool"])
     def test_integer_fields_take_only_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             PipelineConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", [True, "3", None], ids=["bool", "string", "none"])
-    def test_alpha_takes_only_numbers(self, value):
-        with pytest.raises(ValueError, match="alpha must be a number"):
-            PipelineConfig(alpha=value)
 
     def test_numpy_integers_are_integers(self):
         config = PipelineConfig(k_keyframes=np.int64(4))

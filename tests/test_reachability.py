@@ -22,12 +22,19 @@ stored and, on a record that is written out, written for nothing.  A class
 whose body calls ``fields(...)`` or ``asdict(...)`` serialises itself whole,
 so each of its fields reaches its output, and is exempt.  Fields, too, are
 matched by name alone.
+
+Every ``--flag`` that ``cli.py`` names in its module docstring, in a
+subcommand's entry there, or in a subcommand's help, description or option
+help is an option of that subcommand (or, outside any entry, of some
+subcommand): a flag that the text names and the parser lacks tells a reader
+of a setting that no longer exists.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 from cloudchange import cli
@@ -416,3 +423,74 @@ def test_ignored_option_scan():
     run.add_argument("--level", type=int)
     tree = ast.parse("def main(args):\n    return args.command, args.fast\n")
     assert _ignored_options(parser, tree) == ["depth_limit", "level"]
+
+
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's name -> (its parser, its help)."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in action._choices_actions}
+    return {name: (sub, helps.get(name)) for name, sub in action.choices.items()}
+
+
+def _docstring_entries(doc: str, commands) -> dict:
+    """The text of each subcommand's entry in ``doc``, a line indented four
+    spaces that starts with its name and the lines indented deeper below it;
+    the rest of ``doc`` under ``None``."""
+    entries, current = {}, None
+    for line in doc.splitlines():
+        name = line[4:].split(" ", 1)[0]
+        if line.startswith("    ") and name in commands:
+            current = name
+        elif not line.startswith("     "):
+            current = None
+        entries[current] = entries.get(current, "") + line + "\n"
+    return entries
+
+
+def _unknown_flags(parser: argparse.ArgumentParser, doc: str) -> list:
+    """``command: --flag`` for every flag that ``doc`` or a subcommand's own
+    text names where it is no option."""
+    subcommands = _subcommands(parser)
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, (sub, _) in subcommands.items()
+    }
+    texts = list(_docstring_entries(doc, subcommands).items())
+    for name, (sub, help_text) in subcommands.items():
+        own = [help_text, sub.description, *(action.help for action in sub._actions)]
+        texts.append((name, " ".join(text for text in own if text)))
+    unknown = set()
+    for name, text in texts:
+        allowed = options[name] if name else set().union(*options.values())
+        unknown.update(f"{name or 'docstring'}: {flag}" for flag in _FLAG.findall(text)
+                       if flag not in allowed)
+    return sorted(unknown)
+
+
+def test_every_named_flag_is_an_option():
+    unknown = _unknown_flags(cli._build_parser(), cli.__doc__)
+    assert unknown == [], f"flags named but not options: {unknown}"
+
+
+def test_named_flag_scan():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run", help="run it; --fast skips checks",
+                         description="see --depth for the limit")
+    run.add_argument("--fast", action="store_true", help="unlike --slow")
+    run.add_argument("--depth-limit", type=int)
+    show = sub.add_parser("show")
+    show.add_argument("--plain", action="store_true")
+    doc = (
+        "Subcommands::\n\n"
+        "    run    runs; --fast and --depth-limit,\n"
+        "           --plain and --gone\n"
+        "    show   shows; --plain\n\n"
+        "Every command but show takes --depth-limit, and none takes --color.\n"
+    )
+    assert _unknown_flags(parser, doc) == [
+        "docstring: --color", "run: --depth", "run: --gone", "run: --plain", "run: --slow"
+    ]

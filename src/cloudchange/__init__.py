@@ -51,7 +51,7 @@ from .geometry import (
     umeyama,
 )
 from .keyframes import KeyframeSet, fps_temporal
-from .metrics import MetricsReport, Trajectory, ablation_sweep, ate, combine_trajectories, rte, transform_error
+from .metrics import MetricsReport, Trajectory, ablation_sweep, ate, rte, transform_error
 from .pipeline import PipelineConfig, RegistrationResult, RunReport, register_epochs, register_scene
 from .synthetic import BiTemporalScene, SceneSpec, generate_scene, mock_joint_inference
 

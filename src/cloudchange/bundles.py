@@ -21,26 +21,32 @@ them, such as the camera-route flag of older files, is an
 :class:`errors.InvalidSpec` naming the file, and ``synth`` writes the scene
 again.
 
-A trajectory file lists its cameras under ``poses``, one object per camera:
-``epoch_id``, ``frame_index`` and ``center``, three numbers in the frame of
-the clouds it accompanies (the epoch frame in an epoch directory, the world
-frame under gt_trajectories/).  Camera orientations are not stored.  The
-rotation-and-translation entries that older files hold are no longer read:
-such a file is a :class:`SchemaError` naming it and its first entry, and
-``synth`` writes the scene again.
+A trajectory file holds one epoch's cameras, and its path gives the epoch:
+e{k}/trajectory.json in epoch k's own frame, gt_trajectories/e{k}.json in
+the world frame.  It lists them under ``poses``, one object per camera in strictly
+increasing frame order: ``frame_index`` and ``center``, three numbers in
+the frame of the clouds it accompanies.  Camera orientations are not stored.
+The per-pose ``epoch_id`` of older files is ignored like any unknown key.
+The rotation-and-translation entries that older files hold are no longer
+read: such a file is a :class:`SchemaError` naming it and its first entry,
+and ``synth`` writes the scene again.
 
 Every JSON file read here declares a ``format_version``; readers reject
 unknown major versions with a :class:`SchemaError` naming the offending
 file.  This module owns that version, its check, and the reading and
-writing of JSON files.  Each reader checks its fields with
-:func:`errors.check_fields` and ignores keys it does not know, so files
-stay readable across minor versions.  :func:`read_ground_truth` decodes the
-header fields of gt.json, which ``eval`` and ``ablate`` need.
+writing of JSON files: no other module imports ``json``.  A NaN, an
+infinity or a number beyond float range is a :class:`SchemaError` naming
+the file wherever it stands, since no output could hold it.  Each reader
+checks its fields with :func:`errors.check_fields` and ignores keys it does
+not know, so files stay readable across minor versions.
+:func:`read_ground_truth` decodes the header fields of gt.json, which
+``eval`` and ``ablate`` need.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -53,7 +59,7 @@ from .synthetic import all_frames_keyframes, mock_joint_inference
 
 FORMAT_VERSION = "1.0"
 
-_POSE_TYPES = {"epoch_id": int, "frame_index": int, "center": list}
+_POSE_TYPES = {"frame_index": int, "center": list}
 _GT_TYPES = {"seed": int, "n_frames": int, "extent": float, "epoch_transforms": list}
 
 
@@ -63,19 +69,33 @@ def check_version(version, path):
         raise SchemaError(f"{path}: unsupported format_version {version!r}")
 
 
+def _non_finite(literal):
+    """Reject a ``NaN``, ``Infinity`` or ``-Infinity`` literal."""
+    raise ValueError(f"{literal} is not a finite number")
+
+
+def _finite_float(literal):
+    """A float literal's value, unless it overflows to an infinity."""
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value
+
+
 def load_json(path):
-    """Decode a UTF-8 JSON file.
+    """Decode a UTF-8 JSON file whose numbers are all finite.
 
     Raises:
         SchemaError: naming ``path`` when the file is missing or is not UTF-8
-            JSON.
+            JSON, or holds ``NaN``, ``Infinity`` or a number beyond float range.
     """
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"),
+                          parse_constant=_non_finite, parse_float=_finite_float)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad syntax or a non-finite number
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -130,10 +150,8 @@ def write_trajectory(path, trajectory: Trajectory):
     data = {
         "format_version": FORMAT_VERSION,
         "poses": [
-            {"epoch_id": epoch, "frame_index": frame, "center": center}
-            for epoch, frame, center in zip(
-                trajectory.epoch_ids, trajectory.frame_indices, trajectory.centers.tolist()
-            )
+            {"frame_index": frame, "center": center}
+            for frame, center in zip(trajectory.frame_indices, trajectory.centers.tolist())
         ],
     }
     write_json(path, data)
@@ -146,11 +164,7 @@ def read_trajectory(path) -> Trajectory:
         for i, entry in enumerate(entries["poses"])
     ]
     try:
-        return Trajectory(
-            [pose["center"] for pose in poses],
-            [pose["frame_index"] for pose in poses],
-            [pose["epoch_id"] for pose in poses],
-        )
+        return Trajectory([pose["center"] for pose in poses], [pose["frame_index"] for pose in poses])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

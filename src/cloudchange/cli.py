@@ -37,9 +37,7 @@ from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
 from .errors import CloudChangeError, DegenerateInput, InvalidSpec, SchemaError, check_non_negative
 from .geometry import apply_transform, compose_relative
-from .metrics import (
-    MetricsReport, ablation_sweep, ate, combine_trajectories, rte, stack_epochs, transform_error,
-)
+from .metrics import MetricsReport, ablation_sweep, ate, rte, transform_error
 from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
 from .ply import check_ply_range
 from .synthetic import SceneSpec, generate_scene
@@ -249,10 +247,9 @@ def _cmd_eval(args) -> int:
     gt2 = bundles.read_trajectory(scene_dir / "gt_trajectories" / "e2.json")
 
     estimated = report.final_sim3()
-    ground_truth = stack_epochs(gt1, gt2)
     with _carried_by(args.report):
-        predicted = combine_trajectories(pred1, pred2, estimated)
-        ate_m, rte_m = ate(predicted, ground_truth), rte(predicted, ground_truth)
+        predicted = (pred1.transformed(estimated), pred2)
+        ate_m, rte_m = ate(predicted, (gt1, gt2)), rte(predicted, (gt1, gt2))
     with _carried_by(gt_path):
         metrics = MetricsReport(
             ate_m=ate_m,

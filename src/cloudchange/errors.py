@@ -106,7 +106,7 @@ class EmptyStaticSet(CloudChangeError):
 
 
 class LabelMismatch(CloudChangeError):
-    """Two trajectories do not carry the same (epoch, frame) labels."""
+    """Two tracks of the same epoch do not carry the same frame indices."""
 
 
 class TooFewPoses(CloudChangeError):

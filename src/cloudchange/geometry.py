@@ -158,7 +158,7 @@ def compose_relative(t1: Sim3Transform, t2: Sim3Transform) -> Sim3Transform:
 
 
 def apply_transform(transform: Sim3Transform, cloud: PointCloud) -> PointCloud:
-    """Map every point of ``cloud``; confidence, color and frames unchanged."""
+    """Map every point of ``cloud``; confidence and color unchanged."""
     return cloud.with_points(transform.apply(cloud.points))
 
 

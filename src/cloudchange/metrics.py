@@ -1,11 +1,12 @@
 """Trajectory and transform error metrics, plus the ablation harness.
 
-A :class:`Trajectory` is a track of camera centers: both trajectory metrics
-read positions only, so camera orientations are never stored.  The absolute
-trajectory error aligns the combined two-epoch camera centers onto the
-ground truth with one global similarity fit before measuring the RMSE, so a
-single consistent frame offset costs nothing while cross-epoch misalignment
-(which no single global transform can absorb) remains visible.  The relative
+A :class:`Trajectory` is one epoch's track of camera centers: both
+trajectory metrics read positions only, so camera orientations are never
+stored, and take the two epochs as an (epoch 1, epoch 2) pair.  The absolute
+trajectory error aligns both epochs' camera centers onto the ground truth
+with one global similarity fit before measuring the RMSE, so a single
+consistent frame offset costs nothing while cross-epoch misalignment (which
+no single global transform can absorb) remains visible.  The relative
 translation error compares consecutive same-epoch step lengths after the
 same alignment.
 """
@@ -26,96 +27,73 @@ ROUND_OFF_ATE = 1e-9
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Camera centers in frame order, each tagged with its frame and epoch.
+    """One epoch's camera centers in frame order, each tagged with its frame.
 
     Attributes:
         centers: read-only (n, 3) float64 array of finite camera centers.
-        frame_indices: n non-negative frame numbers, strictly increasing
-            within an epoch.
-        epoch_ids: the epoch of each centre.
+        frame_indices: n non-negative, strictly increasing frame numbers.
     """
 
     centers: np.ndarray
     frame_indices: tuple
-    epoch_ids: tuple
 
     def __post_init__(self):
         centers = check_numbers(self.centers, "centers").copy()
         frames = tuple(check_integer("frame index", f, 0) for f in self.frame_indices)
-        epochs = tuple(check_integer("epoch id", e) for e in self.epoch_ids)
-        if centers.shape != (len(frames), 3) or len(epochs) != len(frames):
-            raise ValueError("need one 3-vector center, frame index and epoch id per camera")
+        if centers.shape != (len(frames), 3):
+            raise ValueError("need one 3-vector center per frame index")
         if not np.isfinite(centers).all():
             raise ValueError("centers must be finite")
-        last = {}
-        for frame, epoch in zip(frames, epochs):
-            if epoch in last and frame <= last[epoch]:
-                raise ValueError("frame indices must strictly increase within an epoch")
-            last[epoch] = frame
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ValueError("frame indices must strictly increase")
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "frame_indices", frames)
-        object.__setattr__(self, "epoch_ids", epochs)
 
     def __len__(self) -> int:
         return len(self.frame_indices)
 
-    def labels(self) -> list:
-        return list(zip(self.epoch_ids, self.frame_indices))
-
     def transformed(self, transform: Sim3Transform) -> "Trajectory":
         """The trajectory carried through ``transform``."""
-        return Trajectory(transform.apply(self.centers), self.frame_indices, self.epoch_ids)
+        return Trajectory(transform.apply(self.centers), self.frame_indices)
 
 
-def stack_epochs(epoch1: Trajectory, epoch2: Trajectory) -> Trajectory:
-    """One trajectory holding ``epoch1``'s cameras, then ``epoch2``'s."""
-    return Trajectory(
-        np.concatenate([epoch1.centers, epoch2.centers]),
-        epoch1.frame_indices + epoch2.frame_indices,
-        epoch1.epoch_ids + epoch2.epoch_ids,
-    )
+def _check_labels(predicted: tuple, ground_truth: tuple):
+    """Equal frame indices in each epoch, and at least two poses in each,
+    before any fit."""
+    for epoch, (pred, gt) in enumerate(zip(predicted, ground_truth), start=1):
+        if pred.frame_indices != gt.frame_indices:
+            raise LabelMismatch(f"epoch {epoch}: trajectories carry different frame indices")
+    for epoch, pred in enumerate(predicted, start=1):
+        if len(pred) < 2:
+            raise TooFewPoses(f"epoch {epoch} has fewer than 2 poses")
 
 
-def combine_trajectories(
-    epoch1: Trajectory, epoch2: Trajectory, relative: Sim3Transform
-) -> Trajectory:
-    """Combined predicted trajectory in epoch 2's frame.
-
-    Epoch 1 is carried over by the estimated relative transform; epoch 2
-    passes through unchanged.
-    """
-    return stack_epochs(epoch1.transformed(relative), epoch2)
+def _aligned(predicted: tuple, ground_truth: tuple) -> tuple:
+    """(aligned predicted, ground-truth) centers of both epochs, epoch 1's
+    first, under one similarity fit of the predicted onto the ground truth."""
+    _check_labels(predicted, ground_truth)
+    pred = np.concatenate([t.centers for t in predicted])
+    gt = np.concatenate([t.centers for t in ground_truth])
+    return umeyama(pred, gt).apply(pred), gt
 
 
-def _check_labels(predicted: Trajectory, ground_truth: Trajectory):
-    """Equal labels, and at least two poses in each epoch, before any fit."""
-    if predicted.labels() != ground_truth.labels():
-        raise LabelMismatch("trajectories carry different (epoch, frame) labels")
-    epochs, counts = np.unique(predicted.epoch_ids, return_counts=True)
-    if (counts < 2).any():
-        raise TooFewPoses(f"epoch {epochs[counts < 2][0]} has fewer than 2 poses")
-
-
-def _alignment(predicted: Trajectory, ground_truth: Trajectory) -> Sim3Transform:
-    return umeyama(predicted.centers, ground_truth.centers)
-
-
-def ate(predicted: Trajectory, ground_truth: Trajectory) -> float:
+def ate(predicted: tuple, ground_truth: tuple) -> float:
     """Absolute trajectory error: RMSE of camera centers after one global
-    similarity alignment of the combined trajectory onto the ground truth.
+    similarity alignment of both epochs onto the ground truth.
+
+    ``predicted`` and ``ground_truth`` are each an (epoch 1, epoch 2) pair
+    of trajectories in one frame.
 
     Raises:
-        LabelMismatch: if the trajectories' (epoch, frame) labels differ.
+        LabelMismatch: if an epoch's frame indices differ between the two.
         TooFewPoses: if any epoch has fewer than two poses.
     """
-    _check_labels(predicted, ground_truth)
-    aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
-    err = aligned - ground_truth.centers
-    return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
+    aligned, gt = _aligned(predicted, ground_truth)
+    return float(np.sqrt(np.mean(np.sum((aligned - gt) ** 2, axis=1))))
 
 
-def rte(predicted: Trajectory, ground_truth: Trajectory) -> float:
+def rte(predicted: tuple, ground_truth: tuple) -> float:
     """Relative translation error over consecutive same-epoch frame pairs.
 
     After the same global alignment as :func:`ate`, each step's error is
@@ -123,18 +101,15 @@ def rte(predicted: Trajectory, ground_truth: Trajectory) -> float:
     lengths; the result is their RMS.  Cross-epoch pairs are never formed.
 
     Raises:
+        LabelMismatch: if an epoch's frame indices differ between the two.
         TooFewPoses: if any epoch has fewer than two poses.
     """
-    _check_labels(predicted, ground_truth)
-    epochs = sorted(set(predicted.epoch_ids))
-    ids = np.asarray(predicted.epoch_ids)
-    aligned = _alignment(predicted, ground_truth).apply(predicted.centers)
-    gt = ground_truth.centers
+    aligned, gt = _aligned(predicted, ground_truth)
+    n1 = len(predicted[0])
     errors = []
-    for epoch in epochs:
-        sel = np.nonzero(ids == epoch)[0]
-        step_pred = np.linalg.norm(np.diff(aligned[sel], axis=0), axis=1)
-        step_gt = np.linalg.norm(np.diff(gt[sel], axis=0), axis=1)
+    for epoch in (slice(0, n1), slice(n1, None)):
+        step_pred = np.linalg.norm(np.diff(aligned[epoch], axis=0), axis=1)
+        step_gt = np.linalg.norm(np.diff(gt[epoch], axis=0), axis=1)
         errors.append(np.abs(step_pred - step_gt))
     errors = np.concatenate(errors)
     return float(np.sqrt(np.mean(errors**2)))
@@ -171,12 +146,11 @@ class MetricsReport:
 
 
 def _scene_trajectories(scene, relative: Sim3Transform) -> tuple:
-    """(predicted, ground truth) combined trajectories of a synthetic scene
-    under an estimated relative transform."""
-    predicted = combine_trajectories(
-        scene.predicted_trajectory(1), scene.predicted_trajectory(2), relative
-    )
-    return predicted, stack_epochs(scene.trajectory_t1, scene.trajectory_t2)
+    """(predicted, ground truth) epoch pairs of a synthetic scene under an
+    estimated relative transform: epoch 1's predicted track is carried into
+    epoch 2's frame by ``relative``, and epoch 2's passes unchanged."""
+    predicted = (scene.predicted_trajectory(1).transformed(relative), scene.predicted_trajectory(2))
+    return predicted, (scene.trajectory_t1, scene.trajectory_t2)
 
 
 def evaluate_scene_run(scene, result) -> MetricsReport:
@@ -206,8 +180,9 @@ def ablation_sweep(
     registration times.  Columns for modes that were not requested are None,
     and so is delta_pct when the coarse ATE is at most ``ROUND_OFF_ATE`` times
     the extent: a percentage of a round-off baseline is undefined.
-    ``config`` sets all but each row's budget and mode; the keyword
-    arguments configure the mock joint-inference error model.
+    Each row replaces both fields of ``PipelineConfig`` (its budget and
+    mode), so ``config`` changes no row; the keyword arguments configure
+    the mock joint-inference error model.
 
     Each budget is registered once with ``register_scene``, in full mode if
     requested: that run computes the coarse-only result on its way, so

@@ -135,6 +135,9 @@ def _parse_header(raw: bytes, path) -> tuple:
             # "property <type> <name>" or "property list <count type> <type> <name>".
             if len(tokens) != (5 if tokens[1:2] == ["list"] else 3):
                 raise ParseError(f"{path}: malformed property line {line!r}", line=lineno)
+            if tokens[-1] in (name for _, name in elements[-1][2]):
+                raise ParseError(f"{path}: property {tokens[-1]!r} declared twice in {line!r}",
+                                 line=lineno)
             elements[-1][2].append((tokens[1], tokens[-1]))
     if fmt is None:
         raise ParseError(f"{path}: header has no format line", line=1)

@@ -331,16 +331,14 @@ def _interior_cells(half: np.ndarray, z_fraction: float) -> np.ndarray:
     return np.asarray(centers)
 
 
-def _arc_trajectory(
-    rng: np.random.Generator, half: np.ndarray, n_frames: int, epoch_id: int
-) -> Trajectory:
+def _arc_trajectory(rng: np.random.Generator, half: np.ndarray, n_frames: int) -> Trajectory:
     """Camera centers evenly spaced round a horizontal circle about the room's center."""
     radius = 0.4 * min(half[0], half[1]) * rng.uniform(0.9, 1.1)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     height = rng.uniform(-0.2, 0.2) * half[2]
     thetas = [phase + 2.0 * math.pi * i / n_frames for i in range(n_frames)]
     centers = [[radius * math.cos(theta), radius * math.sin(theta), height] for theta in thetas]
-    return Trajectory(centers, range(1, n_frames + 1), (epoch_id,) * n_frames)
+    return Trajectory(centers, range(1, n_frames + 1))
 
 
 def _assign_frames(
@@ -459,7 +457,7 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
     for epoch_id, world in ((1, world_1), (2, world_2)):
         n = len(world)
         traj_rng = np.random.default_rng([spec.seed, _SALT_FRAMES + epoch_id])
-        trajectory = _arc_trajectory(traj_rng, half, spec.n_frames_per_epoch, epoch_id)
+        trajectory = _arc_trajectory(traj_rng, half, spec.n_frames_per_epoch)
         frames = _assign_frames(world, trajectory, traj_rng)
 
         # Group each epoch's points by frame (stable within a frame): each

@@ -36,7 +36,7 @@ from cloudchange import (
     voxel_grid_params,
 )
 from cloudchange.cli import main as cli_main
-from cloudchange.metrics import ate, combine_trajectories, transform_error
+from cloudchange.metrics import ate, transform_error
 from cloudchange.pipeline import RunReport
 from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 
@@ -408,16 +408,12 @@ def test_criterion_09_brute_force_oracle_equivalence():
         scene.gt_relative.rotation,
         scene.gt_relative.translation + 0.05,
     )
-    predicted = combine_trajectories(
-        scene.predicted_trajectory(1), scene.predicted_trajectory(2), estimated
-    )
-    from cloudchange.metrics import stack_epochs
+    pred1, pred2 = scene.predicted_trajectory(1), scene.predicted_trajectory(2)
+    gt = (scene.trajectory_t1, scene.trajectory_t2)
+    value = ate((pred1.transformed(estimated), pred2), gt)
 
-    gt = stack_epochs(scene.trajectory_t1, scene.trajectory_t2)
-    value = ate(predicted, gt)
-
-    pred_centers = predicted.centers
-    gt_centers = gt.centers
+    pred_centers = np.concatenate([estimated.apply(pred1.centers), pred2.centers])
+    gt_centers = np.concatenate([t.centers for t in gt])
     mu_p, mu_g = pred_centers.mean(0), gt_centers.mean(0)
     pc, gc = pred_centers - mu_p, gt_centers - mu_g
     cov = gc.T @ pc / len(pc)

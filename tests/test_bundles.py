@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from cloudchange import CloudChangeError, PointCloud, SchemaError, compose_relative
 from cloudchange.bundles import (
     _GT_TYPES,
+    load_json,
     read_epoch_dir,
     read_ground_truth,
     read_joint_dir,
@@ -48,21 +49,20 @@ def scene():
 
 def _trajectory_file(path, entry):
     """A one-camera trajectory file whose only entry is ``entry``."""
-    # json.dumps spells NaN and -Infinity, which json.loads reads back.
+    # json.dumps spells NaN and -Infinity, which are not JSON numbers.
     path.write_text(json.dumps({"format_version": "1.0", "poses": [entry]}))
     return path
 
 
 @st.composite
 def trajectories(draw):
-    """A trajectory of 1-12 cameras in epochs 1 and 2 with finite centers."""
+    """A trajectory of 1-12 cameras with finite centers."""
     n = draw(st.integers(1, 12))
     centers = draw(
         arrays(np.float64, (n, 3), elements=st.floats(-1e300, 1e300, allow_subnormal=True))
     )
     frames = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
-    epochs = draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
-    return Trajectory(centers, frames, epochs)
+    return Trajectory(centers, frames)
 
 
 def _files(directory) -> list:
@@ -75,34 +75,51 @@ class TestTrajectoryFiles:
         path = tmp_path / "traj.json"
         write_trajectory(path, scene.trajectory_t1)
         back = read_trajectory(path)
-        assert back.labels() == scene.trajectory_t1.labels()
+        assert back.frame_indices == scene.trajectory_t1.frame_indices
         np.testing.assert_array_equal(back.centers, scene.trajectory_t1.centers)
+        # The path gives the epoch; a pose holds only its frame and center.
+        poses = json.loads(path.read_text())["poses"]
+        assert [sorted(pose) for pose in poses] == [["center", "frame_index"]] * len(poses)
 
     @given(trajectory=trajectories(), seed=st.integers(0, 2**32 - 1))
     def test_file_and_transform_keep_center_bits(self, tmp_path_factory, trajectory, seed):
         path = tmp_path_factory.mktemp("traj") / "traj.json"
         write_trajectory(path, trajectory)
         back = read_trajectory(path)
-        assert back.labels() == trajectory.labels()
+        assert back.frame_indices == trajectory.frame_indices
         assert back.centers.tobytes() == trajectory.centers.tobytes()
         transform = random_sim3(np.random.default_rng(seed))
         moved = trajectory.transformed(transform)
         assert moved.centers.tobytes() == transform.apply(trajectory.centers).tobytes()
-        assert moved.labels() == trajectory.labels()
+        assert moved.frame_indices == trajectory.frame_indices
 
     def test_pose_form_rejected(self, tmp_path):
-        old = {"epoch_id": 1, "frame_index": 1, "rotation": np.eye(3).tolist(),
-               "translation": [0, 0, 0]}
+        old = {"frame_index": 1, "rotation": np.eye(3).tolist(), "translation": [0, 0, 0]}
         path = _trajectory_file(tmp_path / "traj.json", old)
         with pytest.raises(SchemaError, match=f"{path}: pose 0: missing field 'center'"):
             read_trajectory(path)
 
     @pytest.mark.parametrize("center", [[float("nan"), 0, 0], [0, 0, float("-inf")]])
     def test_non_finite_center_rejected(self, tmp_path, center):
-        entry = {"epoch_id": 1, "frame_index": 1, "center": center}
+        entry = {"frame_index": 1, "center": center}
         path = _trajectory_file(tmp_path / "traj.json", entry)
-        with pytest.raises(SchemaError, match="centers must be finite"):
+        with pytest.raises(SchemaError, match=f"{path}: invalid JSON .*is not a finite number"):
             read_trajectory(path)
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_number_is_schema_error(self, tmp_path, literal):
+        path = tmp_path / "data.json"
+        path.write_text(f'{{"format_version": "1.0", "deep": [1.0, {{"x": {literal}}}]}}')
+        with pytest.raises(SchemaError, match=f"{path}: invalid JSON \\({literal} is not a finite"):
+            load_json(path)
+
+    def test_extreme_finite_numbers_read(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text("[1.7976931348623157e308, -5e-324, 1e-400, 123456789012345678901234567890]")
+        assert load_json(path) == [1.7976931348623157e308, -5e-324, 0.0,
+                                   123456789012345678901234567890]
 
 
 class TestSceneDirectory:

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -333,6 +334,44 @@ def test_malformed_report_is_data_error(scene_dir, report_data, tmp_path, capsys
     assert str(report_path) in _assert_one_error_line(capsys, command)
 
 
+# Report sections that no field check reads, holding a number JSON cannot
+# carry into a result: the literal and where it stands.
+NON_FINITE_REPORT_NUMBERS = {
+    "residual_rms_nan": ("NaN", ("coarse", "epoch1", "residual_rms")),
+    "residual_rms_minus_infinity": ("-Infinity", ("coarse", "epoch1", "residual_rms")),
+    "inputs_note_1e400": ("1e400", ("inputs", "note")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_REPORT_NUMBERS))
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_non_finite_report_number_is_data_error(scene_dir, report_data, tmp_path, capsys,
+                                                command, case):
+    # The number is rejected as the report is read, before any output is
+    # written or the report is rewritten.
+    literal, (*keys, last) = NON_FINITE_REPORT_NUMBERS[case]
+    data = json.loads(json.dumps(report_data))
+    node = data
+    for key in keys:
+        node = node[key]
+    node[last] = "PLACEHOLDER"
+    report_path = tmp_path / "bad.json"
+    report_path.write_text(json.dumps(data).replace('"PLACEHOLDER"', literal))
+    before = report_path.read_bytes()
+    if command == "detect":
+        argv = ["detect", "--t1", str(scene_dir / "e1"), "--t2", str(scene_dir / "e2"),
+                "--report", str(report_path), "--out", str(tmp_path / "out")]
+    else:
+        scene = tmp_path / "scene"
+        _copy_scene_files(scene_dir, scene, _EVAL_FILES)
+        argv = ["eval", "--report", str(report_path), "--scene", str(scene)]
+    assert main(argv) == 2
+    line = _assert_one_error_line(capsys, command)
+    assert f"{report_path}: invalid JSON ({literal} is not a finite number)" in line
+    assert report_path.read_bytes() == before
+    assert not (tmp_path / "out").exists() and not (tmp_path / "scene" / "metrics.json").exists()
+
+
 def _set(path: str, *keys_and_value):
     """Edit of one JSON file: set the value at a key path."""
 
@@ -369,7 +408,6 @@ MALFORMED_GT_HEADERS = {
 MALFORMED_EVAL_INPUTS = {
     "poses_not_a_list": _set("e1/trajectory.json", "poses", 5),
     "pose_not_an_object": _set("e1/trajectory.json", "poses", 0, 5),
-    "non_integer_epoch_id": _set("gt_trajectories/e2.json", "poses", 3, "epoch_id", "two"),
     "null_frame_index": _set("e2/trajectory.json", "poses", 0, "frame_index", None),
     "frames_not_increasing": ("e1/trajectory.json", _repeat_first_frame_index),
     "seed_not_a_number": _set("gt.json", "seed", "seven"),
@@ -377,7 +415,6 @@ MALFORMED_EVAL_INPUTS = {
     "extent_not_a_number": _set("gt.json", "extent", [1.0]),
     # Values a lenient reader would truncate or coerce.
     "fractional_frame_index": _set("e1/trajectory.json", "poses", 0, "frame_index", 1.7),
-    "fractional_epoch_id": _set("e2/trajectory.json", "poses", 0, "epoch_id", 1.2),
     "boolean_frame_index": _set("gt_trajectories/e1.json", "poses", 0, "frame_index", True),
     "string_center": _set("e2/trajectory.json", "poses", 2, "center", ["1", "2", "3"]),
     "boolean_in_center": _set("e1/trajectory.json", "poses", 0, "center", 1, True),
@@ -815,7 +852,8 @@ class TestEval:
     def test_reads_only_the_transforms_of_ground_truth(self, scene_dir, report_data, tmp_path):
         # eval derives the relative transform from the two epoch transforms
         # and reads no other key of gt.json; the keys older versions wrote
-        # read the same.
+        # read the same.  A trajectory file's path gives its epoch, so no
+        # per-pose epoch_id is read, whatever it says.
         report_path = tmp_path / "r.json"
         report_path.write_text(json.dumps(report_data))
         full = tmp_path / "full.json"
@@ -827,10 +865,36 @@ class TestEval:
         older = tmp_path / "older.json"
         assert main([*argv, str(scene), "--out", str(older)]) == 0
         assert older.read_bytes() == full.read_bytes()
+        for epoch_of in (lambda epoch_id: 3 - epoch_id, lambda epoch_id: "two"):
+            for name, epoch_id in _TRAJECTORY_EPOCHS.items():
+                _edit_json(scene / name, lambda data, label=epoch_of(epoch_id): [
+                    pose.update(epoch_id=label) for pose in data["poses"]
+                ])
+            other = tmp_path / "other.json"
+            assert main([*argv, str(scene), "--out", str(other)]) == 0
+            assert other.read_bytes() == full.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["gt_trajectories/e2.json", "e2/trajectory.json"])
+    def test_epoch_2_poses_that_say_epoch_1(self, scene_dir, report_data, tmp_path, capsys, name):
+        # The file's path gives the epoch, so a pose's epoch_id is never read.
+        report_path = tmp_path / "r.json"
+        report_path.write_text(json.dumps(report_data))
+        argv = ["eval", "--report", str(report_path), "--scene"]
+        clean = tmp_path / "clean.json"
+        assert main([*argv, str(scene_dir), "--out", str(clean)]) == 0
+        scene = tmp_path / "scene"
+        _copy_scene_files(scene_dir, scene, _EVAL_FILES)
+        _edit_json(scene / name, lambda data: [pose.update(epoch_id=1) for pose in data["poses"]])
+        capsys.readouterr()
+        assert main([*argv, str(scene)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (scene / "metrics.json").read_bytes() == clean.read_bytes()
 
 
 # Keys older versions wrote and no reader reads: gt.json's per-point fields
-# (base64 strings) and gt_relative, and each trajectory file's epoch_id.
+# (base64 strings) and gt_relative, and each trajectory file's epoch_id, at
+# the top level and in each pose.
 _OLDER_GT_FIELDS = ("labels_t1", "labels_t2", "edge_t1", "edge_t2", "origin_t1", "origin_t2")
 _TRAJECTORY_EPOCHS = {"e1/trajectory.json": 1, "e2/trajectory.json": 2,
                       "gt_trajectories/e1.json": 1, "gt_trajectories/e2.json": 2}
@@ -845,7 +909,9 @@ def _add_older_keys(scene):
     ))
     for name, epoch_id in _TRAJECTORY_EPOCHS.items():
         if (scene / name).exists():
-            _edit_json(scene / name, lambda data, epoch_id=epoch_id: data.update(epoch_id=epoch_id))
+            _edit_json(scene / name, lambda data, epoch_id=epoch_id: [
+                item.update(epoch_id=epoch_id) for item in (data, *data["poses"])
+            ])
 
 
 def _untimed(row) -> dict:
@@ -988,6 +1054,15 @@ class TestAblate:
         assert not out.exists()
 
 
+def _joint_sigma_rule(flag_value: str) -> str:
+    """The start of the message for a JSON file whose joint_sigma is
+    ``float(flag_value)``: json.dumps spells a non-finite one NaN or
+    Infinity, which the decoder rejects before the field check."""
+    if math.isfinite(float(flag_value)):
+        return "joint_sigma must be finite and >= 0"
+    return f"invalid JSON ({json.dumps(float(flag_value))} is not a finite number)"
+
+
 class TestNumericFlagChecks:
     """Negative or non-finite numeric flags are usage errors raised before
     any file is read or written.  The joint sigma is no longer a flag: the
@@ -1017,7 +1092,7 @@ class TestNumericFlagChecks:
         capsys.readouterr()
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
         line = _assert_one_error_line(capsys, "synth")
-        assert f"{spec_path}: joint_sigma must be finite and >= 0" in line
+        assert f"{spec_path}: {_joint_sigma_rule(flags[1])}" in line
         assert not out.exists()
 
     def test_synth_negative_seed(self, tmp_path, capsys):
@@ -1043,7 +1118,7 @@ class TestNumericFlagChecks:
         capsys.readouterr()
         assert main(argv) == 2
         line = _assert_one_error_line(capsys, "ablate")
-        assert f"{scene / 'scene.json'}: joint_sigma must be finite and >= 0" in line
+        assert f"{scene / 'scene.json'}: {_joint_sigma_rule(flags[1])}" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "ablate"])

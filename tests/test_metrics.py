@@ -12,14 +12,13 @@ from cloudchange import (
     TooFewPoses,
     Trajectory,
     ate,
-    combine_trajectories,
     rte,
 )
 from cloudchange.metrics import (
     ROUND_OFF_ATE,
+    _scene_trajectories,
     ablation_sweep,
     evaluate_scene_run,
-    stack_epochs,
     transform_error,
 )
 from cloudchange.pipeline import MODES, PipelineConfig
@@ -28,12 +27,17 @@ from cloudchange.synthetic import ChangeSpec, SceneSpec, generate_scene
 from conftest import random_sim3
 
 
-def _track(centers, epoch_id=1):
-    return Trajectory(centers, range(1, len(centers) + 1), (epoch_id,) * len(centers))
+def _track(centers):
+    return Trajectory(centers, range(1, len(centers) + 1))
 
 
-def _combined(centers1, centers2):
-    return stack_epochs(_track(centers1, 1), _track(centers2, 2))
+def _pair(centers1, centers2):
+    return _track(centers1), _track(centers2)
+
+
+def _centers(pair):
+    """Both epochs' centers, epoch 1's first."""
+    return np.concatenate([t.centers for t in pair])
 
 
 def _arc(n, radius=5.0, phase=0.0):
@@ -43,44 +47,45 @@ def _arc(n, radius=5.0, phase=0.0):
 
 class TestTrajectory:
     def test_frame_indices_must_increase_within_epoch(self):
-        with pytest.raises(ValueError, match="strictly increase"):
-            Trajectory(np.zeros((2, 3)), (2, 1), (1, 1))
+        for frames in ((2, 1), (1, 1)):
+            with pytest.raises(ValueError, match="strictly increase"):
+                Trajectory(np.zeros((2, 3)), frames)
 
     def test_frame_indices_must_be_non_negative(self):
         with pytest.raises(ValueError, match="frame index must be >= 0"):
-            Trajectory(np.zeros((1, 3)), (-1,), (1,))
+            Trajectory(np.zeros((1, 3)), (-1,))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_center(self, value):
         with pytest.raises(ValueError, match="centers must be finite"):
-            Trajectory([[0.0, value, 0.0]], (1,), (1,))
+            Trajectory([[0.0, value, 0.0]], (1,))
 
     @pytest.mark.parametrize(
-        "centers, frames, epochs",
-        [([[0.0, 0.0]], (1,), (1,)), (np.zeros((2, 3)), (1,), (1, 1)), (np.zeros((1, 3)), (1,), ())],
-        ids=["short_center", "fewer_frames", "fewer_epochs"],
+        "centers, frames",
+        [([[0.0, 0.0]], (1,)), (np.zeros((2, 3)), (1,))],
+        ids=["short_center", "fewer_frames"],
     )
-    def test_lengths_must_agree(self, centers, frames, epochs):
+    def test_lengths_must_agree(self, centers, frames):
         with pytest.raises(ValueError, match="one 3-vector center"):
-            Trajectory(centers, frames, epochs)
+            Trajectory(centers, frames)
 
     @pytest.mark.parametrize(
-        "frames, epochs",
-        [((0.9, 1.2), (1, 1)), ((0.0, 1.0), (1, 1)), ((False, True), (1, 1)), ((0, 1), (1.0, 1.0))],
-        ids=["fractional_frames", "integral_float_frames", "bool_frames", "float_epochs"],
+        "frames",
+        [(0.9, 1.2), (0.0, 1.0), (False, True)],
+        ids=["fractional_frames", "integral_float_frames", "bool_frames"],
     )
-    def test_labels_take_only_integers(self, frames, epochs):
+    def test_labels_take_only_integers(self, frames):
         with pytest.raises(ValueError, match="must be an integer"):
-            Trajectory(np.zeros((2, 3)), frames, epochs)
+            Trajectory(np.zeros((2, 3)), frames)
 
     def test_ragged_centers_rejected(self):
         with pytest.raises(ValueError, match="centers must be a regular array"):
-            Trajectory([[0.0, 0.0, 0.0], [0.0, 1.0]], (1, 2), (1, 1))
+            Trajectory([[0.0, 0.0, 0.0], [0.0, 1.0]], (1, 2))
 
     def test_labels_and_centers(self):
         centers = _arc(4)
-        traj = _track(centers, 2)
-        assert traj.labels() == [(2, 1), (2, 2), (2, 3), (2, 4)]
+        traj = _track(centers)
+        assert traj.frame_indices == (1, 2, 3, 4)
         np.testing.assert_array_equal(traj.centers, centers)
         # A copy, read-only: the caller's array stays writable and apart.
         assert not traj.centers.flags.writeable
@@ -90,14 +95,14 @@ class TestTrajectory:
 
 class TestAte:
     def test_perfect_prediction_is_zero(self):
-        traj = _combined(_arc(8), _arc(8, 4.0, 1.0))
+        traj = _pair(_arc(8), _arc(8, 4.0, 1.0))
         assert ate(traj, traj) == pytest.approx(0.0, abs=1e-9)
 
     def test_global_sim3_absorbed(self, rng):
-        gt = _combined(_arc(8), _arc(8, 4.0, 1.0))
+        gt = _pair(_arc(8), _arc(8, 4.0, 1.0))
         g = random_sim3(rng)
-        moved_centers = g.apply(gt.centers)
-        predicted = _combined(moved_centers[:8], moved_centers[8:])
+        moved_centers = g.apply(_centers(gt))
+        predicted = _pair(moved_centers[:8], moved_centers[8:])
         assert ate(predicted, gt) == pytest.approx(0.0, abs=1e-9)
 
     def test_offset_epoch_matches_brute_force_oracle(self):
@@ -105,8 +110,8 @@ class TestAte:
         # an independent implementation of the same definition.
         c1 = _arc(10)
         c2 = _arc(10, 4.0, 0.7)
-        gt = _combined(c1, c2)
-        predicted = _combined(c1 + np.array([1.0, 0.0, 0.0]), c2)
+        gt = _pair(c1, c2)
+        predicted = _pair(c1 + np.array([1.0, 0.0, 0.0]), c2)
         value = ate(predicted, gt)
 
         def brute_force_ate(pred_centers, gt_centers):
@@ -127,25 +132,30 @@ class TestAte:
             aligned = scale * pred_centers @ rot.T + t
             return float(np.sqrt(np.mean(np.sum((aligned - gt_centers) ** 2, 1))))
 
-        expected = brute_force_ate(predicted.centers, gt.centers)
+        expected = brute_force_ate(_centers(predicted), _centers(gt))
         assert value == pytest.approx(expected, abs=1e-9)
         assert value > 0.1
 
     def test_label_mismatch(self):
-        a = _combined(_arc(5), _arc(5, 4.0))
-        b = _combined(_arc(6), _arc(6, 4.0))
-        with pytest.raises(LabelMismatch):
+        a = _pair(_arc(5), _arc(5, 4.0))
+        b = _pair(_arc(6), _arc(6, 4.0))
+        with pytest.raises(LabelMismatch, match="epoch 1: "):
             ate(a, b)
+        # Equal pose counts, but epoch 2's frames are numbered differently.
+        renumbered = (a[0], Trajectory(a[1].centers, range(2, 7)))
+        for metric in (ate, rte):
+            with pytest.raises(LabelMismatch, match="epoch 2: trajectories carry different frame"):
+                metric(a, renumbered)
 
 
 class TestRte:
     def test_perfect_prediction_is_zero(self):
-        traj = _combined(_arc(6), _arc(6, 4.0))
+        traj = _pair(_arc(6), _arc(6, 4.0))
         assert rte(traj, traj) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_translation_is_invisible(self):
-        gt = _combined(_arc(6), _arc(6, 4.0))
-        shifted = _combined(
+        gt = _pair(_arc(6), _arc(6, 4.0))
+        shifted = _pair(
             _arc(6) + np.array([3.0, -1.0, 2.0]),
             _arc(6, 4.0) + np.array([3.0, -1.0, 2.0]),
         )
@@ -159,10 +169,10 @@ class TestRte:
         line = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
         # Use well-spread second-epoch geometry so alignment is determined.
         other = _arc(5, 3.0, 0.4)
-        gt = _combined(line, other)
+        gt = _pair(line, other)
         corrupted = line.copy()
         corrupted[2, 0] += 0.25
-        predicted = _combined(corrupted, other)
+        predicted = _pair(corrupted, other)
 
         got = rte(predicted, gt)
         # The global alignment is near-identity here (tiny perturbation of
@@ -172,10 +182,15 @@ class TestRte:
         assert got == pytest.approx(expected, rel=0.05)
 
     def test_too_few_poses(self):
-        traj = _combined([[0, 0, 0]], _arc(2))
-        for metric in (ate, rte):
-            with pytest.raises(TooFewPoses, match="epoch 1 has fewer than 2 poses"):
-                metric(traj, traj)
+        # Either epoch, with one pose or none, is named.
+        for short in (1, 2):
+            for n_poses in (0, 1):
+                centers = [_arc(3), _arc(3, 4.0)]
+                centers[short - 1] = np.zeros((n_poses, 3))
+                traj = _pair(*centers)
+                for metric in (ate, rte):
+                    with pytest.raises(TooFewPoses, match=f"epoch {short} has fewer than 2 poses"):
+                        metric(traj, traj)
 
 
 class TestTransformError:
@@ -194,13 +209,17 @@ class TestTransformError:
 
 class TestCombineTrajectories:
     def test_epoch1_centers_mapped(self, rng):
-        c1 = _arc(4)
-        c2 = _arc(4, 4.0)
+        # Predicted epoch 1 is carried into epoch 2's frame by the relative
+        # transform; epoch 2 and both ground-truth epochs pass unchanged.
+        scene = generate_scene(SceneSpec(seed=3, n_static=300, n_frames_per_epoch=4))
         rel = random_sim3(rng)
-        combined = combine_trajectories(_track(c1, 1), _track(c2, 2), rel)
-        np.testing.assert_array_equal(combined.centers[:4], rel.apply(c1))
-        np.testing.assert_array_equal(combined.centers[4:], c2)
-        assert combined.epoch_ids == (1, 1, 1, 1, 2, 2, 2, 2)
+        (pred1, pred2), (gt1, gt2) = _scene_trajectories(scene, rel)
+        np.testing.assert_array_equal(
+            pred1.centers, rel.apply(scene.predicted_trajectory(1).centers)
+        )
+        np.testing.assert_array_equal(pred2.centers, scene.predicted_trajectory(2).centers)
+        assert (gt1, gt2) == (scene.trajectory_t1, scene.trajectory_t2)
+        assert pred1.frame_indices == pred2.frame_indices == (1, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")

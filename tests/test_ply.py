@@ -375,6 +375,19 @@ class TestParseErrors:
             read_ply(path)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_repeated_property_names_its_line(self, tmp_path, fmt):
+        # Read by name, a second x column would hide the first.
+        path = tmp_path / "twice.ply"
+        path.write_bytes(
+            f"ply\nformat {fmt} 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+            "property float z\nproperty float x\nproperty float confidence\nend_header\n".encode()
+            + (b"0 0 0 1 0.5\n" if fmt == "ascii" else bytes(20))
+        )
+        with pytest.raises(ParseError, match="property 'x' declared twice") as info:
+            read_ply(path)
+        assert info.value.line == 7
+
     def test_missing_end_header(self, tmp_path):
         path = tmp_path / "noend.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")

@@ -1,7 +1,8 @@
 """Every public module-level function and class in the package is used, and
 so is every public method and property of a public class.  Every defaulted
 parameter of a package function or method is passed by some call, and every
-name a module imports at its top level is named in that module.
+name a module imports at its top level is named in that module.  Only
+``bundles.py`` imports ``json``.
 
 A name that no module of the package refers to can be reached only from
 tests or by callers outside the package, so it is code that no command runs.
@@ -152,6 +153,39 @@ def test_import_scan():
         "print(np.e, os.sep, turn)\n"
     )
     assert _unused_imports(tree) == ["pi"]
+
+
+# The one module that decodes and encodes JSON, so that its number rule
+# (``load_json``) and text rule (``json_text``) are the only JSON rules.
+JSON_MODULE = "bundles.py"
+
+
+def _imports_json(tree: ast.Module) -> bool:
+    """Whether any import in ``tree``, at any depth, reaches the json package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "json" for name in names):
+            return True
+    return False
+
+
+def test_only_the_json_module_imports_json():
+    importers = sorted(name for name, tree in _modules().items() if _imports_json(tree))
+    assert importers == [JSON_MODULE], f"json imported outside {JSON_MODULE}: {importers}"
+
+
+def test_json_import_scan():
+    for source in ("import json\n", "import os, json.decoder as d\n",
+                   "def f():\n    from json import loads\n"):
+        assert _imports_json(ast.parse(source)), source
+    for source in ("import jsonschema\nfrom . import json\nfrom .bundles import load_json\n",
+                   "json = None\n"):
+        assert not _imports_json(ast.parse(source)), source
 
 
 def _parameters(tree: ast.Module, defaulted: bool) -> list:

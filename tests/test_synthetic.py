@@ -143,7 +143,6 @@ class TestGenerateScene:
                                  (twin.trajectory_t2, scene.trajectory_t2)):
                 np.testing.assert_array_equal(ours.centers, theirs.centers)
                 assert ours.frame_indices == theirs.frame_indices
-                assert ours.epoch_ids == theirs.epoch_ids
 
     def test_static_residual_bounded_by_six_sigma(self):
         sigma = 0.003

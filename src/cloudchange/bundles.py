@@ -25,7 +25,8 @@ A trajectory file holds one epoch's cameras, and its path gives the epoch:
 e{k}/trajectory.json in epoch k's own frame, gt_trajectories/e{k}.json in
 the world frame.  It lists them under ``poses``, one object per camera in strictly
 increasing frame order: ``frame_index`` and ``center``, three numbers in
-the frame of the clouds it accompanies.  Camera orientations are not stored.
+the frame and float32 range of the clouds it accompanies.  Camera
+orientations are not stored.
 The per-pose ``epoch_id`` of older files is ignored like any unknown key.
 The rotation-and-translation entries that older files hold are no longer
 read: such a file is a :class:`SchemaError` naming it and its first entry,
@@ -36,7 +37,8 @@ unknown major versions with a :class:`SchemaError` naming the offending
 file.  This module owns that version, its check, and the reading and
 writing of JSON files: no other module imports ``json``.  A NaN, an
 infinity or a number beyond float range is a :class:`SchemaError` naming
-the file wherever it stands, since no output could hold it.  Each reader
+the file wherever it stands, since no output could hold it, and so is a key
+that repeats within one object.  Each reader
 checks its fields with :func:`errors.check_fields` and ignores keys it does
 not know, so files stay readable across minor versions.
 :func:`read_ground_truth` decodes the header fields of gt.json, which
@@ -54,7 +56,7 @@ from .coarse import JointReconstruction
 from .errors import SchemaError, check_fields, check_non_negative
 from .geometry import Sim3Transform
 from .metrics import Trajectory
-from .ply import read_ply, write_ply
+from .ply import check_coordinate_range, read_ply, write_ply
 from .synthetic import all_frames_keyframes, mock_joint_inference
 
 FORMAT_VERSION = "1.0"
@@ -82,20 +84,31 @@ def _finite_float(literal):
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; ValueError on a key that repeats."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} repeats in one object")
+        data[key] = value
+    return data
+
+
 def load_json(path):
-    """Decode a UTF-8 JSON file whose numbers are all finite.
+    """Decode a UTF-8 JSON file of finite numbers and keys unique in each object.
 
     Raises:
         SchemaError: naming ``path`` when the file is missing or is not UTF-8
-            JSON, or holds ``NaN``, ``Infinity`` or a number beyond float range.
+            JSON, holds ``NaN``, ``Infinity`` or a number beyond float range,
+            or repeats a key in an object.
     """
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"),
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys,
                           parse_constant=_non_finite, parse_float=_finite_float)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
-    except ValueError as exc:  # undecodable bytes, bad syntax or a non-finite number
+    except ValueError as exc:  # bad bytes or syntax, a non-finite number or a repeated key
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -164,9 +177,11 @@ def read_trajectory(path) -> Trajectory:
         for i, entry in enumerate(entries["poses"])
     ]
     try:
-        return Trajectory([pose["center"] for pose in poses], [pose["frame_index"] for pose in poses])
+        trajectory = Trajectory([p["center"] for p in poses], [p["frame_index"] for p in poses])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+    check_coordinate_range(trajectory.centers, str(path), "pose", SchemaError)
+    return trajectory
 
 
 def write_epoch_dir(directory, frames: list, trajectory: Trajectory = None):

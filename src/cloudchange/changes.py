@@ -10,7 +10,7 @@ both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ _RAMP_ANCHORS = ((0, (0, 0, 255)), (85, (0, 255, 0)), (170, (255, 255, 0)), (255
 
 @dataclass(frozen=True)
 class ChangeMap:
-    """Per-point change scores and labels for both directions.
+    """Per-point change scores and labels for both directions, as built by
+    :func:`classify_changes`.
 
     Attributes:
         forward_scores: (n1,) nearest-neighbor distances of the aligned
@@ -34,8 +35,8 @@ class ChangeMap:
         backward_scores: (n2,) the symmetric distances for the second epoch.
         scene_extent: robust extent of the union of both clouds, used to
             scale the threshold.
-        forward_labels / backward_labels: boolean change flags, present
-            after classification; a point is changed when score > tau.
+        forward_labels / backward_labels: boolean change flags; a point is
+            changed when score > tau.
         tau: absolute threshold (tau_ratio * scene_extent).
         tau_ratio: the relative threshold the labels were computed with.
     """
@@ -43,16 +44,14 @@ class ChangeMap:
     forward_scores: np.ndarray
     backward_scores: np.ndarray
     scene_extent: float
-    forward_labels: np.ndarray = None
-    backward_labels: np.ndarray = None
-    tau: float = None
-    tau_ratio: float = None
+    forward_labels: np.ndarray
+    backward_labels: np.ndarray
+    tau: float
+    tau_ratio: float
 
     @property
     def n_changed(self) -> int:
         """Total labeled changes across both directions."""
-        if self.forward_labels is None:
-            raise ValueError("labels not computed; call classify_changes first")
         return int(self.forward_labels.sum()) + int(self.backward_labels.sum())
 
     @property
@@ -61,8 +60,10 @@ class ChangeMap:
         return self.n_changed / total
 
 
-def change_scores(aligned_t1: PointCloud, t2: PointCloud) -> ChangeMap:
-    """Bidirectional nearest-neighbor change scores for two aligned clouds.
+def change_scores(aligned_t1: PointCloud, t2: PointCloud) -> tuple:
+    """Bidirectional nearest-neighbor change scores for two aligned clouds:
+    ``(forward, backward, scene_extent)``, the (n1,) distances of ``aligned_t1``
+    into ``t2``, the (n2,) ones of ``t2`` into it, and the robust extent of both.
 
     Each direction queries its points in the other cloud's leaf order
     (:attr:`SpatialIndex.order`), which makes the exact search cheaper; an
@@ -79,7 +80,7 @@ def change_scores(aligned_t1: PointCloud, t2: PointCloud) -> ChangeMap:
     forward = _distances_in_order(index_t2, aligned_t1.points, index_t1.order)
     backward = _distances_in_order(index_t1, t2.points, index_t2.order)
     extent = robust_extent(np.concatenate([aligned_t1.points, t2.points]))
-    return ChangeMap(forward_scores=forward, backward_scores=backward, scene_extent=extent)
+    return forward, backward, extent
 
 
 def _distances_in_order(index: SpatialIndex, points: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -92,29 +93,20 @@ def _distances_in_order(index: SpatialIndex, points: np.ndarray, order: np.ndarr
     return distances
 
 
-def classify_changes(change_map: ChangeMap, tau_ratio: float = DEFAULT_TAU_RATIO) -> ChangeMap:
-    """Label each scored point as changed or static.
-
-    The threshold is tau_ratio times the scene extent recorded on the map;
-    a point is changed when its score strictly exceeds it.
+def classify_changes(scores: tuple, tau_ratio: float) -> ChangeMap:
+    """The change map of :func:`change_scores`' ``scores``: a point is changed
+    when its score strictly exceeds tau, ``tau_ratio`` times the scene extent.
 
     Raises:
         ValueError: if ``tau_ratio`` is not a finite number >= 0, or if
             tau overflows to infinity.
     """
+    forward, backward, extent = scores
     tau_ratio = check_non_negative("tau_ratio", tau_ratio)
-    tau = tau_ratio * change_map.scene_extent
+    tau = tau_ratio * extent
     if not np.isfinite(tau):
-        raise ValueError(
-            f"tau_ratio {tau_ratio} times the scene extent {change_map.scene_extent} is not finite"
-        )
-    return replace(
-        change_map,
-        forward_labels=change_map.forward_scores > tau,
-        backward_labels=change_map.backward_scores > tau,
-        tau=tau,
-        tau_ratio=tau_ratio,
-    )
+        raise ValueError(f"tau_ratio {tau_ratio} times the scene extent {extent} is not finite")
+    return ChangeMap(forward, backward, extent, forward > tau, backward > tau, tau, tau_ratio)
 
 
 def color_ramp_table() -> np.ndarray:
@@ -152,8 +144,6 @@ def colorize(
     Returns:
         (colored aligned_t1, colored t2).
     """
-    if change_map.tau is None:
-        raise ValueError("classify_changes must run before colorize")
     table = color_ramp_table()
     colored_t1 = PointCloud(
         aligned_t1.points,

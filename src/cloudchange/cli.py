@@ -27,7 +27,6 @@ import csv
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,9 @@ from .changes import DEFAULT_TAU_RATIO, colorize
 from .cloud import PointCloud
 from .errors import CloudChangeError, DegenerateInput, InvalidSpec, SchemaError, check_non_negative
 from .geometry import apply_transform, compose_relative
-from .metrics import MetricsReport, ablation_sweep, ate, rte, transform_error
+from .metrics import MetricsReport, ablation_sweep, ate, check_tracks, rte, transform_error
 from .pipeline import MODES, PipelineConfig, RunReport, detect_changes, register_epochs
-from .ply import check_ply_range
+from .ply import check_coordinate_range
 from .synthetic import SceneSpec, generate_scene
 
 USAGE_ERROR = 1
@@ -203,7 +202,7 @@ def _cmd_detect(args) -> int:
     t2 = PointCloud.concatenate(bundles.read_epoch_dir(args.t2))
     with _carried_by(args.report):
         aligned_t1 = apply_transform(transform, t1)
-        check_ply_range(aligned_t1.points, "aligned epoch 1")
+        check_coordinate_range(aligned_t1.points, "aligned epoch 1")
 
     # Low-confidence points are dominated by edge-flying depth noise and
     # would be scored as spurious changes.
@@ -241,10 +240,17 @@ def _cmd_eval(args) -> int:
     scene_dir = Path(args.scene)
     gt_path = scene_dir / "gt.json"
     gt = bundles.read_ground_truth(gt_path)
-    pred1 = bundles.read_trajectory(scene_dir / "e1" / "trajectory.json")
-    pred2 = bundles.read_trajectory(scene_dir / "e2" / "trajectory.json")
-    gt1 = bundles.read_trajectory(scene_dir / "gt_trajectories" / "e1.json")
-    gt2 = bundles.read_trajectory(scene_dir / "gt_trajectories" / "e2.json")
+    tracks = []
+    for epoch in (1, 2):
+        paths = (scene_dir / f"e{epoch}" / "trajectory.json",
+                 scene_dir / "gt_trajectories" / f"e{epoch}.json")
+        pair = tuple(bundles.read_trajectory(path) for path in paths)
+        try:
+            check_tracks(*pair, epoch)
+        except CloudChangeError as exc:  # the tracks' frames disagree, or are too few
+            raise SchemaError(f"{paths[0]} and {paths[1]}: {exc}") from None
+        tracks.append(pair)
+    (pred1, gt1), (pred2, gt2) = tracks
 
     estimated = report.final_sim3()
     with _carried_by(args.report):
@@ -273,9 +279,9 @@ def _ablate_scene(directory) -> tuple:
     gt_path = directory / "gt.json"
     gt = bundles.read_ground_truth(gt_path)
     with _carried_by(gt_path):
-        scene = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+        scene = generate_scene(spec, gt["epoch_transforms"])
         for epoch_id in (1, 2):
-            check_ply_range(scene.cloud(epoch_id).points, f"epoch {epoch_id}")
+            check_coordinate_range(scene.cloud(epoch_id).points, f"epoch {epoch_id}")
     # JSON numbers round-trip exactly, so files written together agree exactly.
     for key, value in (("seed", spec.seed), ("n_frames", spec.n_frames_per_epoch),
                        ("extent", scene.extent)):

@@ -30,9 +30,6 @@ class KeyframeSet:
             raise ValueError("indices must be strictly sorted and unique")
         object.__setattr__(self, "indices", idx)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def fps_temporal(n_frames: int, k: int, epoch_id: int = 1) -> KeyframeSet:
     """Greedy farthest-point sampling over the integer timeline 1..n_frames.

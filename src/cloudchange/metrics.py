@@ -58,21 +58,20 @@ class Trajectory:
         return Trajectory(transform.apply(self.centers), self.frame_indices)
 
 
-def _check_labels(predicted: tuple, ground_truth: tuple):
-    """Equal frame indices in each epoch, and at least two poses in each,
-    before any fit."""
-    for epoch, (pred, gt) in enumerate(zip(predicted, ground_truth), start=1):
-        if pred.frame_indices != gt.frame_indices:
-            raise LabelMismatch(f"epoch {epoch}: trajectories carry different frame indices")
-    for epoch, pred in enumerate(predicted, start=1):
-        if len(pred) < 2:
-            raise TooFewPoses(f"epoch {epoch} has fewer than 2 poses")
+def check_tracks(predicted: Trajectory, ground_truth: Trajectory, epoch: int):
+    """LabelMismatch unless epoch ``epoch``'s predicted and ground-truth tracks
+    carry the same frame indices; TooFewPoses unless they hold two poses or more."""
+    if predicted.frame_indices != ground_truth.frame_indices:
+        raise LabelMismatch(f"epoch {epoch}: trajectories carry different frame indices")
+    if len(predicted) < 2:
+        raise TooFewPoses(f"epoch {epoch} has fewer than 2 poses")
 
 
 def _aligned(predicted: tuple, ground_truth: tuple) -> tuple:
     """(aligned predicted, ground-truth) centers of both epochs, epoch 1's
     first, under one similarity fit of the predicted onto the ground truth."""
-    _check_labels(predicted, ground_truth)
+    for epoch, tracks in enumerate(zip(predicted, ground_truth), start=1):
+        check_tracks(*tracks, epoch)
     pred = np.concatenate([t.centers for t in predicted])
     gt = np.concatenate([t.centers for t in ground_truth])
     return umeyama(pred, gt).apply(pred), gt

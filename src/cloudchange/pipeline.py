@@ -245,7 +245,7 @@ def register_scene(
 
 
 def change_statistics(change_map: ChangeMap) -> dict:
-    """JSON-ready summary of a classified change map."""
+    """JSON-ready summary of a change map."""
     forward = change_map.forward_labels
     backward = change_map.backward_labels
     return {
@@ -266,7 +266,7 @@ def detect_changes(
     """Score, classify and summarize changes between two aligned clouds.
 
     Returns:
-        (classified ChangeMap, statistics dict).
+        (ChangeMap, statistics dict).
     """
     change_map = classify_changes(change_scores(aligned_t1, t2), tau_ratio)
     return change_map, change_statistics(change_map)

@@ -50,13 +50,13 @@ _ASCII_BLOCK_ROWS = 65_536
 _COORDINATE_LIMIT = float(np.finfo(np.float32).max)
 
 
-def check_ply_range(points: np.ndarray, what: str):
-    """ValueError naming ``what`` unless every coordinate of ``points`` lies
-    within float32 range: a larger one would be written as an infinity, which
-    :func:`read_ply` rejects."""
+def check_coordinate_range(points, what: str, item: str = "point", error: type = ValueError):
+    """``error`` naming ``what`` and the first ``item`` (row) of the finite ``points``
+    beyond float32 range, the range of a PLY field, of every cloud and camera centre."""
     limit = _COORDINATE_LIMIT
     if len(points) and not (-limit <= points.min() and points.max() <= limit):
-        raise ValueError(f"{what}: coordinates beyond float32 range, which a PLY file cannot hold")
+        bad = int(np.argmax((np.abs(points) > limit).any(axis=1)))
+        raise error(f"{what}: coordinates beyond float32 range at {item} {bad}")
 
 
 def write_ply(cloud: PointCloud, path, binary: bool = True):
@@ -66,7 +66,7 @@ def write_ply(cloud: PointCloud, path, binary: bool = True):
     blue are appended when the cloud has colors.  A coordinate beyond float32
     range is a ValueError raised before the file is opened.
     """
-    check_ply_range(cloud.points, str(path))
+    check_coordinate_range(cloud.points, str(path))
     has_color = cloud.color is not None
     header = ["ply"]
     header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
@@ -174,9 +174,11 @@ def _assemble_cloud(columns: dict, n: int, path) -> PointCloud:
             [columns["red"], columns["green"], columns["blue"]], axis=1
         ).astype(np.uint8)
     try:
-        return PointCloud(points, confidence, color=color)
+        cloud = PointCloud(points, confidence, color=color)
     except ValueError as exc:  # a non-finite coordinate or a bad confidence
         raise ParseError(f"{path}: {exc}") from None
+    check_coordinate_range(cloud.points, str(path), error=ParseError)  # a double field
+    return cloud
 
 
 def _parse_ascii_rows(lines: list, n_values: int, first_line: int, path) -> np.ndarray:
@@ -224,8 +226,9 @@ def read_ply(path) -> PointCloud:
     Raises:
         ParseError: malformed header, truncated data, a short or non-numeric
             ASCII row (the error names the offending line or byte offset), a
-            non-finite coordinate or a confidence outside [0, 1] (the error
-            names the 0-based vertex as "point i"), or unsupported constructs.
+            non-finite coordinate or one beyond float32 range, or a confidence
+            outside [0, 1] (the error names the 0-based vertex as "point i"),
+            or unsupported constructs.
     """
     with open(path, "rb") as handle:
         raw = handle.read()

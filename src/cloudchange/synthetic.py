@@ -11,14 +11,14 @@ Gaussian noise, low-confidence "edge-flying" points elongated along the
 viewing ray, and per-epoch camera trajectories: tracks of camera centers on
 a circle round the room, from which each point's viewing ray starts.
 
-Everything is a pure function of the scene seed; identical specs produce
-bitwise-identical scenes.
+Everything is a pure function of the scene spec and, when given, the two
+epoch transforms; identical inputs produce bitwise-identical scenes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class SceneSpec:
     """Parameters of a synthetic bi-temporal scene.
 
     Attributes:
-        seed: master seed; the scene is a pure function of this spec.
+        seed: master seed of every random stream of the scene.
         n_static: number of shared static background points.
         n_frames_per_epoch: camera count per epoch.
         change_spec: changes applied between the epochs.
@@ -108,8 +108,6 @@ class SceneSpec:
         edge_noise_fraction: fraction of each epoch's points converted to
             low-confidence outliers elongated along the viewing ray.
         edge_noise_elongation: maximum elongation as a fraction of extent.
-        epoch_transforms: ground-truth epoch-to-world similarity transforms;
-            drawn from the seed (scales in [0.2, 5]) when omitted.
     """
 
     seed: int
@@ -119,7 +117,6 @@ class SceneSpec:
     noise_sigma: float = 0.0
     edge_noise_fraction: float = 0.0
     edge_noise_elongation: float = 0.1
-    epoch_transforms: tuple = None
 
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("n_static", 1), ("n_frames_per_epoch", 1)):
@@ -135,19 +132,9 @@ class SceneSpec:
         if not all(isinstance(c, ChangeSpec) for c in changes):
             raise InvalidSpec("change_spec entries must be ChangeSpec; decode dicts with from_dict")
         object.__setattr__(self, "change_spec", changes)
-        if self.epoch_transforms is not None:
-            pair = tuple(self.epoch_transforms)
-            if len(pair) != 2:
-                raise InvalidSpec("epoch_transforms must hold exactly two transforms")
-            object.__setattr__(self, "epoch_transforms", pair)
 
     def to_dict(self) -> dict:
-        """JSON-ready generator parameters.
-
-        The ground-truth transforms are not included: a scene directory
-        stores them in gt.json, and a spec without them draws them from the
-        seed.
-        """
+        """The fields of scene.json, JSON-ready."""
         data = {key: getattr(self, key) for key in _SPEC_TYPES}
         data["change_spec"] = [c.to_dict() for c in self.change_spec]
         return data
@@ -201,10 +188,12 @@ class BiTemporalScene:
     they are the basis for the mock joint reconstruction.  Each epoch's
     rows are grouped by frame: frame i (1-based) is rows ``b[i - 1]:b[i]``
     of the ``n_frames_per_epoch + 1`` offsets ``b = frame_bounds_t1`` (or
-    ``_t2``).
+    ``_t2``).  ``epoch_transforms`` are the ground-truth epoch-to-world
+    similarity transforms of epochs 1 and 2.
     """
 
     spec: SceneSpec
+    epoch_transforms: tuple
     cloud_t1: PointCloud
     cloud_t2: PointCloud
     world_t1: np.ndarray
@@ -234,10 +223,6 @@ class BiTemporalScene:
     def gt_relative(self) -> Sim3Transform:
         """Transform mapping epoch 1's frame into epoch 2's."""
         return compose_relative(*self.epoch_transforms)
-
-    @property
-    def epoch_transforms(self) -> tuple:
-        return self.spec.epoch_transforms
 
     def cloud(self, epoch_id: int) -> PointCloud:
         return self.cloud_t1 if epoch_id == 1 else self.cloud_t2
@@ -375,14 +360,22 @@ def _clipped_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray
     return noise
 
 
-def generate_scene(spec: SceneSpec) -> BiTemporalScene:
-    """Build the scene described by ``spec``; bitwise deterministic in it.
+def generate_scene(spec: SceneSpec, epoch_transforms: tuple = None) -> BiTemporalScene:
+    """Build the scene described by ``spec``, whose epochs 1 and 2 map into the
+    world by ``epoch_transforms`` (drawn from the seed, scales in [0.2, 5], when
+    omitted); bitwise deterministic in both.
 
     Raises:
         InvalidSpec: on inconsistent parameters, including moved objects
             whose displacement is below 10x the noise level (labels would
-            be ambiguous).
+            be ambiguous), or ``epoch_transforms`` that are not two.
     """
+    if epoch_transforms is None:
+        transforms_rng = np.random.default_rng([spec.seed, _SALT_TRANSFORMS])
+        epoch_transforms = (_random_sim3(transforms_rng), _random_sim3(transforms_rng))
+    epoch_transforms = tuple(epoch_transforms)
+    if len(epoch_transforms) != 2:
+        raise InvalidSpec("epoch_transforms must hold exactly two transforms")
     geom_rng = np.random.default_rng([spec.seed, _SALT_GEOMETRY])
 
     half = geom_rng.uniform(4.0, 6.0, 3)
@@ -447,11 +440,6 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
 
     extent = robust_extent(np.concatenate([world_1, world_2]))
 
-    transforms_rng = np.random.default_rng([spec.seed, _SALT_TRANSFORMS])
-    if spec.epoch_transforms is None:
-        pair = (_random_sim3(transforms_rng), _random_sim3(transforms_rng))
-        spec = replace(spec, epoch_transforms=pair)
-
     labels_by_epoch = {1: labels_1, 2: labels_2}
     clouds, worlds, trajectories, bounds = [], [], [], []
     for epoch_id, world in ((1, world_1), (2, world_2)):
@@ -488,13 +476,14 @@ def generate_scene(spec: SceneSpec) -> BiTemporalScene:
         if n_edge > 0:
             confidence[edge_mask] = conf_rng.uniform(*_OUTLIER_CONF, n_edge)
 
-        into_epoch = spec.epoch_transforms[epoch_id - 1].inverse()
+        into_epoch = epoch_transforms[epoch_id - 1].inverse()
         clouds.append(PointCloud(into_epoch.apply(noisy), confidence))
         worlds.append(noisy)
         trajectories.append(trajectory)
 
     return BiTemporalScene(
         spec=spec,
+        epoch_transforms=epoch_transforms,
         cloud_t1=clouds[0],
         cloud_t2=clouds[1],
         world_t1=worlds[0],

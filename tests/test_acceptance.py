@@ -119,8 +119,8 @@ def test_criterion_03_coarse_stage_recovery():
                 n_static=10_000,
                 n_frames_per_epoch=20,
                 noise_sigma=0.002,
-                epoch_transforms=(t1, t2),
-            )
+            ),
+            (t1, t2),
         )
         config = PipelineConfig(k_keyframes=5, mode="coarse_only")
         result = register_scene(scene, config, joint_sigma=sigma)
@@ -395,11 +395,11 @@ def test_criterion_09_brute_force_oracle_equivalence():
 
     a = rng.normal(size=(400, 3))
     b = rng.normal(size=(450, 3))
-    scored = change_scores(PointCloud(a), PointCloud(b))
+    scored_forward, scored_backward, _ = change_scores(PointCloud(a), PointCloud(b))
     forward = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)).min(1)
     backward = np.sqrt(np.sum((b[:, None, :] - a[None, :, :]) ** 2, axis=2)).min(1)
-    assert (scored.forward_scores == forward).all()
-    assert (scored.backward_scores == backward).all()
+    assert (scored_forward == forward).all()
+    assert (scored_backward == backward).all()
 
     # ATE against an independently written alignment + RMSE.
     scene = generate_scene(SceneSpec(seed=4002, n_static=300, n_frames_per_epoch=25))

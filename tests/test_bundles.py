@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,13 +53,17 @@ def _trajectory_file(path, entry):
     return path
 
 
+# Largest center coordinate a trajectory file may hold: the float32 range
+# of the clouds it accompanies.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 @st.composite
 def trajectories(draw):
-    """A trajectory of 1-12 cameras with finite centers."""
+    """A trajectory of 1-12 cameras with centers within float32 range."""
     n = draw(st.integers(1, 12))
-    centers = draw(
-        arrays(np.float64, (n, 3), elements=st.floats(-1e300, 1e300, allow_subnormal=True))
-    )
+    elements = st.floats(-_FLOAT32_MAX, _FLOAT32_MAX, allow_subnormal=True)
+    centers = draw(arrays(np.float64, (n, 3), elements=elements))
     frames = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
     return Trajectory(centers, frames)
 
@@ -106,8 +109,32 @@ class TestTrajectoryFiles:
         with pytest.raises(SchemaError, match=f"{path}: invalid JSON .*is not a finite number"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("value", [1e300, -np.nextafter(_FLOAT32_MAX, np.inf)])
+    def test_center_beyond_float32_range_rejected(self, tmp_path, value):
+        path = tmp_path / "traj.json"
+        poses = [{"frame_index": 1, "center": [0.0, 0.0, 0.0]},
+                 {"frame_index": 2, "center": [0.0, value, 0.0]}]
+        path.write_text(json.dumps({"format_version": "1.0", "poses": poses}))
+        with pytest.raises(SchemaError, match=f"{path}: coordinates beyond float32 range at pose 1"):
+            read_trajectory(path)
+        poses[1]["center"][1] = float(np.sign(value)) * _FLOAT32_MAX
+        path.write_text(json.dumps({"format_version": "1.0", "poses": poses}))
+        assert read_trajectory(path).centers[1, 1] == np.sign(value) * _FLOAT32_MAX
+
 
 class TestLoadJson:
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"seed": 1, "seed": 5}', "seed"),
+         ('{"format_version": "1.0", "deep": [{"x": 1, "y": 2, "x": 1}]}', "x")],
+        ids=["top_level", "nested"],
+    )
+    def test_repeated_key_is_schema_error(self, tmp_path, text, key):
+        path = tmp_path / "data.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"{path}: invalid JSON \\(key '{key}' repeats"):
+            load_json(path)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     def test_non_finite_number_is_schema_error(self, tmp_path, literal):
         path = tmp_path / "data.json"
@@ -146,7 +173,7 @@ class TestSceneDirectory:
         spec, joint_sigma = _scene_spec(tmp_path / "s" / "scene.json")
         assert joint_sigma == 0.01
         gt = read_ground_truth(tmp_path / "s" / "gt.json")
-        back = generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"]))
+        back = generate_scene(spec, gt["epoch_transforms"])
         write_scene_dir(back, tmp_path / "s2", joint_sigma=joint_sigma)
         files = [_files(tmp_path / name) for name in ("s", "s2")]
         assert files[0] == files[1] and len(files[0]) == 4 * scene.spec.n_frames_per_epoch + 6

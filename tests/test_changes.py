@@ -40,19 +40,19 @@ def _lattice_clouds(rng, n1: int, n2: int) -> tuple:
 class TestChangeScores:
     def test_identical_clouds_score_zero(self, rng):
         cloud = PointCloud(rng.normal(size=(100, 3)))
-        result = change_scores(cloud, cloud)
-        assert (result.forward_scores == 0.0).all()
-        assert (result.backward_scores == 0.0).all()
+        forward, backward, _ = change_scores(cloud, cloud)
+        assert (forward == 0.0).all()
+        assert (backward == 0.0).all()
 
     def test_single_displaced_point(self, rng):
         pts = rng.uniform(0, 10, size=(60, 3))
         moved = pts.copy()
         moved[7] += np.array([0.5, 0.0, 0.0])
-        result = change_scores(PointCloud(pts), PointCloud(moved))
+        _, backward, _ = change_scores(PointCloud(pts), PointCloud(moved))
         # The displaced point's backward score reaches at least its distance
         # to the nearest original point; all other points are untouched.
-        assert result.backward_scores[7] > 0.0
-        untouched = np.delete(result.backward_scores, 7)
+        assert backward[7] > 0.0
+        untouched = np.delete(backward, 7)
         assert (untouched == 0.0).all()
 
     def test_matches_brute_force(self, rng):
@@ -60,19 +60,19 @@ class TestChangeScores:
         # and both dealt runs at their edges, in both directions.
         for n1, n2 in [(300, 300), (1, 1), (1, 2), (2, 3), (3, 1001), (1001, 2), (1001, 1001)]:
             for a, b in (_clouds_with_far_cluster(rng, n1, n2), _lattice_clouds(rng, n1, n2)):
-                result = change_scores(PointCloud(a), PointCloud(b))
+                scored_forward, scored_backward, _ = change_scores(PointCloud(a), PointCloud(b))
                 forward = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)).min(1)
                 backward = np.sqrt(np.sum((b[:, None, :] - a[None, :, :]) ** 2, axis=2)).min(1)
-                assert (result.forward_scores == forward).all(), (n1, n2)
-                assert (result.backward_scores == backward).all(), (n1, n2)
+                assert (scored_forward == forward).all(), (n1, n2)
+                assert (scored_backward == backward).all(), (n1, n2)
 
     def test_swap_exchanges_directions_exactly(self, rng):
         a = PointCloud(rng.normal(size=(80, 3)))
         b = PointCloud(rng.normal(size=(90, 3)))
-        ab = change_scores(a, b)
-        ba = change_scores(b, a)
-        assert (ab.forward_scores == ba.backward_scores).all()
-        assert (ab.backward_scores == ba.forward_scores).all()
+        ab_forward, ab_backward, _ = change_scores(a, b)
+        ba_forward, ba_backward, _ = change_scores(b, a)
+        assert (ab_forward == ba_backward).all()
+        assert (ab_backward == ba_forward).all()
 
     def test_empty_cloud_raises(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
@@ -138,7 +138,8 @@ class TestClassifyChanges:
         b = PointCloud(rng.uniform(0, 10, size=(500, 3)))
         scored = change_scores(a, b)
         result = classify_changes(scored, tau_ratio=0.02)
-        assert result.tau == pytest.approx(0.02 * scored.scene_extent)
+        assert result.tau == pytest.approx(0.02 * scored[2])
+        assert result.scene_extent == scored[2]
 
     def test_monotone_in_tau_ratio(self, rng):
         a = PointCloud(rng.uniform(0, 10, size=(400, 3)))
@@ -221,12 +222,6 @@ class TestColorRamp:
         assert colored_a.color.shape == (100, 3)
         assert colored_b.color.shape == (100, 3)
         assert (colored_a.points == a.points).all()
-
-    def test_colorize_requires_classification(self, rng):
-        a = PointCloud(rng.uniform(0, 10, size=(10, 3)))
-        scored = change_scores(a, a)
-        with pytest.raises(ValueError):
-            colorize(scored, a, a)
 
 
 class TestRegistrationSensitivity:

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +112,16 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
         assert code == 2
         assert f"{spec_path}: " in _assert_one_error_line(capsys, "synth")
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_spec_key_is_data_error(self, tmp_path, capsys):
+        # A JSON reader may keep either value; no spec file means either.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 1, "seed": 5, "n_static": 2000}')
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        line = _assert_one_error_line(capsys, "synth")
+        assert f"{spec_path}: invalid JSON (key 'seed' repeats" in line
         assert not (tmp_path / "s").exists()
 
     def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
@@ -372,6 +381,28 @@ def test_non_finite_report_number_is_data_error(scene_dir, report_data, tmp_path
     assert not (tmp_path / "out").exists() and not (tmp_path / "scene" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_repeated_report_key_is_data_error(scene_dir, report_data, tmp_path, capsys, command):
+    # A second, identity final_transform after the real one: a reader that
+    # kept the last would score the identity.
+    identity = Sim3Transform(1.0, np.eye(3), np.zeros(3)).to_dict()
+    report_path = tmp_path / "r.json"
+    report_path.write_text(
+        json.dumps(report_data)[:-1] + f', "final_transform": {json.dumps(identity)}}}'
+    )
+    before = report_path.read_bytes()
+    scene = tmp_path / "scene"
+    _copy_scene_files(scene_dir, scene, _EVAL_FILES)
+    argv = {"detect": ["detect", "--t1", scene_dir / "e1", "--t2", scene_dir / "e2",
+                       "--report", report_path, "--out", tmp_path / "out"],
+            "eval": ["eval", "--report", report_path, "--scene", scene]}[command]
+    assert main([str(arg) for arg in argv]) == 2
+    line = _assert_one_error_line(capsys, command)
+    assert f"{report_path}: invalid JSON (key 'final_transform' repeats" in line
+    assert report_path.read_bytes() == before
+    assert not (tmp_path / "out").exists() and not (scene / "metrics.json").exists()
+
+
 def _set(path: str, *keys_and_value):
     """Edit of one JSON file: set the value at a key path."""
 
@@ -387,6 +418,19 @@ def _set(path: str, *keys_and_value):
 
 def _repeat_first_frame_index(data):
     data["poses"][1]["frame_index"] = data["poses"][0]["frame_index"]
+
+
+def _drop_last_pose(data):
+    data["poses"].pop()
+
+
+def _keep_first_pose(data):
+    del data["poses"][1:]
+
+
+def _epoch_2_tracks(edit_predicted, edit_truth=lambda data: None):
+    """Edits of both tracks of epoch 2: a fault between them names both files."""
+    return ("e2/trajectory.json", edit_predicted), ("gt_trajectories/e2.json", edit_truth)
 
 
 def _to_pose_form(data):
@@ -421,6 +465,11 @@ MALFORMED_EVAL_INPUTS = {
     "short_center": _set("gt_trajectories/e1.json", "poses", 1, "center", [0.0, 1.0]),
     "non_finite_center": _set("gt_trajectories/e2.json", "poses", 0, "center", 2, float("nan")),
     "pose_form_file": ("e2/trajectory.json", _to_pose_form),
+    # Centers share the clouds' float32 range; an overflow then blames the report.
+    "far_predicted_center": _set("e1/trajectory.json", "poses", 0, "center", [1e300, 0.0, 0.0]),
+    "far_truth_center": _set("gt_trajectories/e2.json", "poses", 3, "center", [0.0, 0.0, -1e300]),
+    "tracks_of_different_frames": _epoch_2_tracks(_drop_last_pose),
+    "tracks_of_one_pose": _epoch_2_tracks(_keep_first_pose, _keep_first_pose),
     **MALFORMED_GT_HEADERS,
 }
 
@@ -446,14 +495,17 @@ def _edit_json(path, edit):
 def test_malformed_eval_input_is_data_error(scene_dir, report_data, tmp_path, capsys, case):
     scene = tmp_path / "scene"
     _copy_scene_files(scene_dir, scene, _EVAL_FILES)
-    name, edit = MALFORMED_EVAL_INPUTS[case]
-    _edit_json(scene / name, edit)
+    edits = MALFORMED_EVAL_INPUTS[case]
+    edits = (edits,) if isinstance(edits[0], str) else edits
+    for name, edit in edits:
+        _edit_json(scene / name, edit)
     report_path = tmp_path / "r.json"
     report_path.write_text(json.dumps(report_data))
     argv = ["eval", "--report", str(report_path), "--scene", str(scene),
             "--out", str(tmp_path / "m.json")]
     assert main(argv) == 2
-    assert name in _assert_one_error_line(capsys, "eval")
+    line = _assert_one_error_line(capsys, "eval")
+    assert all(name in line for name, _ in edits), line
 
 
 _ABLATE_FILES = ("scene.json", "gt.json")
@@ -776,6 +828,51 @@ class TestNonFiniteInput:
         assert "frame_0010.ply: non-finite coordinates" in line
 
 
+def _far_double_frame(scene_dir, tmp_path, epoch):
+    """(scene, frame, point): a copy of the scene whose frame_0010.ply of
+    epoch ``epoch`` stores x, y and z as doubles, with its highest-confidence
+    point (the one the confidence filter surely keeps) moved to x = 1e300."""
+    scene = tmp_path / "far_scene"
+    shutil.copytree(scene_dir, scene)
+    frame = scene / f"e{epoch}" / "frame_0010.ply"
+    cloud = read_ply(frame)
+    point = int(np.argmax(cloud.confidence))
+    rows = np.empty(len(cloud), dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"), ("c", "<f4")])
+    rows["x"], rows["y"], rows["z"] = cloud.points.T
+    rows["c"] = cloud.confidence
+    rows[point] = (1e300, 0.0, 0.0, rows["c"][point])
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {len(cloud)}\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              "property float confidence\nend_header\n")
+    frame.write_bytes(header.encode("ascii") + rows.tobytes())
+    return scene, frame, point
+
+
+@pytest.mark.parametrize("epoch", [1, 2])
+@pytest.mark.parametrize("command", ["register", "detect"])
+def test_double_coordinate_beyond_float32_is_data_error_naming_the_ply(
+    scene_dir, report_data, tmp_path, capsys, command, epoch
+):
+    # A float32 cloud cannot hold the point, so no later error may blame the
+    # report for it or end in writing a change PLY.
+    scene, frame, point = _far_double_frame(scene_dir, tmp_path, epoch)
+    report_path, out = tmp_path / "r.json", tmp_path / "out"
+    if command == "register":
+        argv = ["register", "--t1", scene / "e1", "--t2", scene / "e2",
+                "--joint", scene / "joint", "--report", report_path]
+    else:
+        write_json(report_path, report_data)
+        argv = ["detect", "--t1", scene / "e1", "--t2", scene / "e2",
+                "--report", report_path, "--out", out]
+    before = report_path.read_bytes() if report_path.exists() else None
+    assert main([str(arg) for arg in argv]) == 2
+    line = _assert_one_error_line(capsys, command)
+    assert f"{frame}: coordinates beyond float32 range at point {point}" in line
+    assert "r.json" not in line
+    assert not out.exists()
+    assert (report_path.read_bytes() if report_path.exists() else None) == before
+
+
 def _synth_and_register(tmp_path, spec):
     """The scene directory ``synth`` writes for ``spec`` and its register report."""
     spec_path, scene = tmp_path / "spec.json", tmp_path / "scene"
@@ -1021,7 +1118,7 @@ class TestAblate:
         spec = SceneSpec.from_dict({k: v for k, v in data.items() if k != "format_version"})
         gt = read_ground_truth(scene / "gt.json")
         expected = ablation_sweep(
-            generate_scene(replace(spec, epoch_transforms=gt["epoch_transforms"])), [2, 5],
+            generate_scene(spec, gt["epoch_transforms"]), [2, 5],
             modes=MODES, config=PipelineConfig(), joint_sigma=0.0,
         )
         with open(out, newline="") as handle:

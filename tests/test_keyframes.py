@@ -82,4 +82,4 @@ class TestKeyframeSet:
             KeyframeSet(3, (1, 2))
 
     def test_len(self):
-        assert len(fps_temporal(40, 7)) == 7
+        assert len(fps_temporal(40, 7).indices) == 7

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudchange import InvalidSpec, fps_temporal
+from cloudchange import synthetic
 from cloudchange.synthetic import (
     BiTemporalScene,
     ChangeSpec,
@@ -28,7 +31,7 @@ def _twin(scene: BiTemporalScene, **changes) -> BiTemporalScene:
     ``edge_noise_fraction`` keeps the rows, labels and frames of ``scene``
     (test_noise_and_edges_leave_rows_labels_and_frames checks this).
     """
-    return generate_scene(replace(scene.spec, **changes))
+    return generate_scene(replace(scene.spec, **changes), scene.epoch_transforms)
 
 
 def _edge_masks(scene: BiTemporalScene) -> tuple:
@@ -168,9 +171,7 @@ class TestGenerateScene:
 
     def test_gt_relative_consistent_with_pair(self, rng):
         t1, t2 = random_sim3(rng), random_sim3(rng)
-        scene = generate_scene(
-            SceneSpec(seed=9, n_static=200, epoch_transforms=(t1, t2))
-        )
+        scene = generate_scene(SceneSpec(seed=9, n_static=200), (t1, t2))
         from cloudchange import compose_relative
 
         expected = compose_relative(t1, t2)
@@ -270,6 +271,35 @@ class TestGenerateScene:
                 gap = np.abs(np.angle(np.exp(1j * (cam_az - mean))))
                 assert int(np.argmin(gap)) + 1 == index
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_epoch_transforms_must_be_two(self, rng, monkeypatch, count):
+        # The pair is checked before any geometry is drawn.
+        monkeypatch.setattr(synthetic, "_box_faces", None)
+        transforms = tuple(random_sim3(rng) for _ in range(count))
+        with pytest.raises(InvalidSpec, match="exactly two transforms"):
+            generate_scene(SceneSpec(seed=9, n_static=200), transforms)
+
+    def test_given_transforms_reproduce_the_scene(self):
+        spec = SceneSpec(
+            seed=21, n_static=600, n_frames_per_epoch=5, noise_sigma=0.002,
+            edge_noise_fraction=0.2, change_spec=(ChangeSpec("moved", 50, (1.0, 0.0, 0.0)),),
+        )
+        scene = generate_scene(spec)
+        again = generate_scene(spec, scene.epoch_transforms)
+        assert again.spec == scene.spec and again.extent == scene.extent
+        assert [t.to_dict() for t in again.epoch_transforms] == [
+            t.to_dict() for t in scene.epoch_transforms
+        ]
+        for epoch_id in (1, 2):
+            for name in ("points", "confidence"):
+                assert np.array_equal(
+                    getattr(again.cloud(epoch_id), name), getattr(scene.cloud(epoch_id), name)
+                )
+            assert np.array_equal(again.world_points(epoch_id), scene.world_points(epoch_id))
+            assert np.array_equal(again.frame_bounds(epoch_id), scene.frame_bounds(epoch_id))
+        assert np.array_equal(again.labels_t1, scene.labels_t1)
+        assert np.array_equal(again.labels_t2, scene.labels_t2)
+
     def test_trajectory_counts(self):
         scene = generate_scene(SceneSpec(seed=12, n_static=300, n_frames_per_epoch=12))
         assert len(scene.trajectory_t1) == 12
@@ -337,3 +367,30 @@ class TestMockJointInference:
         bad = (KeyframeSet(1, (1, 9)), KeyframeSet(2, (1, 2)))
         with pytest.raises(ValueError):
             mock_joint_inference(scene, bad)
+
+
+_CHANGES = st.builds(
+    ChangeSpec,
+    st.sampled_from(["added", "removed", "moved"]),
+    st.integers(1, 40),
+    st.tuples(*[st.floats(0.5, 2.0)] * 3),
+)
+_SPECS = st.builds(
+    SceneSpec,
+    seed=st.integers(0, 2**32 - 1),
+    n_static=st.integers(1, 300),
+    n_frames_per_epoch=st.integers(1, 6),
+    change_spec=st.lists(_CHANGES, max_size=3).map(tuple),
+    noise_sigma=st.floats(0.0, 1e-3),
+    edge_noise_fraction=st.floats(0.0, 1.0),
+    edge_noise_elongation=st.floats(0.0, 0.5),
+)
+
+
+@given(spec=_SPECS)
+def test_a_scene_spec_is_its_scene_json(spec):
+    # Moved displacements of at least 0.5 per axis clear 10x any drawn noise.
+    assert SceneSpec.from_dict(spec.to_dict()) == spec
+    scene, twin = generate_scene(spec), generate_scene(spec)
+    assert scene.spec == spec
+    assert scene.spec == twin.spec and hash(scene.spec) == hash(twin.spec)
